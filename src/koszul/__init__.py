@@ -21,16 +21,10 @@ from .homology import (
     BettiTable,
     HomologyEngine,
     HomologyTable,
-    betti,
-    betti_table,
     check_duality,
     check_green_bound,
     duality_partner,
-    gl_index,
-    homology_dim,
-    homology_table,
     verify_vanishing,
-    z_generator_profile,
 )
 
 __version__ = "0.1.0"

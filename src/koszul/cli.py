@@ -1,8 +1,9 @@
 """Command-line surface: homology queries, diagram/CSV/JSON rendering, the
-verification subcommands, the characteristic-dependence scan, and the
-persistent rank cache.
+verification subcommands, and the characteristic-dependence scan.
 
-Exit codes: 0 success, 1 assertion-style verification failure, 2 usage error.
+Exit codes: 0 success; 1 verification failure or an arithmetic
+inconsistency (such as a corrupt cached rank); 2 usage error, tripped size
+guard, or an unusable cache directory.
 All user-visible results are deterministic given the configuration and seed;
 the only varying output field is meta.elapsed_ms in JSON format.
 """
@@ -14,11 +15,11 @@ import json
 import logging
 import os
 import sys
-import threading
 import time
 from dataclasses import dataclass
 
 from . import combinatorics, cycles, exactla
+from .cache import ENGINE_VERSION, RankCache
 from .combinatorics import RingParams, partitions_into
 from .complex import differential_block, graded_dim
 from .exactla import FieldSpec, SizeGuardError
@@ -30,79 +31,7 @@ from .homology import (
     verify_vanishing,
 )
 
-ENGINE_VERSION = "0.1.0"
 CACHE_FILENAME = "rank_cache.jsonl"
-
-log = logging.getLogger("kosz")
-
-
-# ---------------------------------------------------------------------------
-# rank cache
-
-
-class RankCache:
-    """Append-only line-delimited store of block ranks.
-
-    One JSON object per line with stable key order; records from other
-    engine versions are ignored; corrupt lines are skipped with a warning.
-    Writes are funneled through a single lock.
-    """
-
-    def __init__(self, path: str | None = None):
-        self.path = path
-        self._mem: dict[tuple, int] = {}
-        self._lock = threading.Lock()
-        if path and os.path.exists(path):
-            self._load(path)
-
-    def _load(self, path: str) -> None:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                    if rec["engine"] != ENGINE_VERSION:
-                        continue
-                    key = (
-                        int(rec["n"]),
-                        int(rec["c"]),
-                        int(rec["t"]),
-                        tuple(int(a) for a in rec["alpha"]),
-                        int(rec["p"]),
-                    )
-                    self._mem[key] = int(rec["rank"])
-                except (KeyError, TypeError, ValueError) as exc:
-                    log.warning("%s:%d: skipping corrupt cache line (%s)", path, lineno, exc)
-
-    def get(self, n: int, c: int, t: int, alpha: tuple, p: int) -> int | None:
-        return self._mem.get((n, c, t, tuple(alpha), p))
-
-    def put(self, n: int, c: int, t: int, alpha: tuple, p: int, rank: int) -> None:
-        key = (n, c, t, tuple(alpha), p)
-        with self._lock:
-            if self._mem.get(key) == rank:
-                return
-            self._mem[key] = rank
-            if self.path:
-                rec = {
-                    "n": n,
-                    "c": c,
-                    "t": t,
-                    "alpha": list(alpha),
-                    "p": p,
-                    "rank": rank,
-                    "engine": ENGINE_VERSION,
-                }
-                try:
-                    with open(self.path, "a", encoding="utf-8") as fh:
-                        fh.write(json.dumps(rec, sort_keys=True) + "\n")
-                except OSError as exc:
-                    raise OSError(f"cannot append to cache {self.path}: {exc}") from exc
-
-    def __len__(self) -> int:
-        return len(self._mem)
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +43,7 @@ class RunConfig:
     n: int
     c: int
     char: int = 0
-    threads: int = 1
+    threads: int = 1  # accepted and echoed in the JSON query; runs are single-threaded
     seed: int = 0
     cache_dir: str | None = None
     fmt: str = "diagram"
@@ -149,7 +78,6 @@ class RunConfig:
             cache=self.cache(),
             use_orbits=not self.no_orbit,
             use_duality=use_duality,
-            threads=self.threads,
         )
 
     def query_echo(self, **extra) -> dict:
@@ -320,7 +248,6 @@ def cmd_betti(cfg: RunConfig, args) -> int:
             print(f"{i},{j},{v}")
     else:
         c = cfg.params.c
-        entries = {(i, j * c + args.k): v for (i, j), v in btable.entries.items()}
         j_grid = max((j for (_, j), v in btable.entries.items() if v), default=0)
         print(f"Betti table of V({c},{args.k})   [{field.describe()}]")
         for i in range(i_max + 1):
@@ -383,9 +310,7 @@ def _verify_duality(cfg: RunConfig, args) -> int:
 
 
 def _verify_vanishing(cfg: RunConfig, args) -> int:
-    report = verify_vanishing(
-        cfg.params, cfg.field(), cache=cfg.cache(), threads=cfg.threads
-    )
+    report = verify_vanishing(cfg.params, cfg.field(), cache=cfg.cache())
     if report.ok:
         print(
             f"OK ({report.checked} window zeros checked, "
@@ -426,14 +351,22 @@ def _verify_factorial(cfg: RunConfig, args) -> int:
 
 
 def _verify_coeffdim(cfg: RunConfig, args) -> int:
-    sampled = cycles.sample_nonzero_cycles(args.samples, cfg.seed)
+    params = cfg.params
+    if params.n < 2:
+        raise ValueError("verify coeffdim samples two-term cycles, which need --n >= 2")
+    sampled = cycles.sample_nonzero_cycles(
+        args.samples, cfg.seed, n_max=params.n, c_max=params.c
+    )
     bad = []
     for z in sampled:
         dim = cycles.coefficient_space_dim(z)
         if dim < z.t + 1:
             bad.append((z, dim))
     if not bad:
-        print(f"OK ({len(sampled)} nonzero cycles, coefficient span always >= t+1)")
+        print(
+            f"OK ({len(sampled)} nonzero cycles with n <= {params.n}, c <= {params.c}, "
+            f"coefficient span always >= t+1)"
+        )
         return 0
     for z, dim in bad[:10]:
         print(f"VIOLATION: t={z.t} coefficient span {dim} < {z.t + 1}")
@@ -525,7 +458,8 @@ def _common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--n", type=int, required=True, help="number of variables")
     sub.add_argument("--c", type=int, required=True, help="power of the maximal ideal")
     sub.add_argument("--char", type=int, default=0, help="coefficient characteristic: 0 or a prime")
-    sub.add_argument("--threads", type=int, default=1)
+    sub.add_argument("--threads", type=int, default=1,
+                     help="ignored: accepted for compatibility, runs are single-threaded")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--cache-dir", default=None, help="rank cache directory (default $KOSZ_CACHE_DIR)")
     sub.add_argument("--format", dest="fmt", choices=("diagram", "csv", "json"), default="diagram")
@@ -597,10 +531,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.char and not exactla.is_prime(args.char):
         parser.error(f"--char must be 0 or a prime, got {args.char}")
-    if args.max_degree is not None:
-        if args.max_degree < 1:
-            parser.error("--max-degree must be positive")
-        combinatorics.MAX_DEGREE = args.max_degree
+    if args.max_degree is not None and args.max_degree < 1:
+        parser.error("--max-degree must be positive")
     cfg = RunConfig(
         n=args.n,
         c=args.c,
@@ -613,10 +545,17 @@ def main(argv=None) -> int:
         primes=args.primes,
         no_orbit=args.no_orbit,
     )
+    saved_max_degree = combinatorics.MAX_DEGREE
+    if args.max_degree is not None:
+        combinatorics.MAX_DEGREE = args.max_degree
     try:
         return args.func(cfg, args)
-    except (ValueError, SizeGuardError, exactla.UnsupportedPolicyError) as exc:
+    except (ValueError, SizeGuardError, exactla.ExactEliminationError, OSError) as exc:
         parser.exit(2, f"kosz: error: {exc}\n")
+    except ArithmeticError as exc:
+        parser.exit(1, f"kosz: error: {exc}\n")
+    finally:
+        combinatorics.MAX_DEGREE = saved_max_degree
 
 
 if __name__ == "__main__":

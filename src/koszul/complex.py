@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .combinatorics import (
@@ -130,11 +129,6 @@ class DifferentialBlock:
     def ncols(self) -> int:
         return len(self.cols)
 
-    @cached_property
-    def row_index(self) -> dict[tuple[int, ...], int]:
-        """Row lookup by bracket ranks (the coefficient is determined by alpha)."""
-        return {e.gens: i for i, e in enumerate(self.rows)}
-
 
 def differential_block(params: RingParams, t: int, alpha: ExponentVec) -> DifferentialBlock:
     """Sparse block of the t-th differential in multidegree alpha.
@@ -154,9 +148,7 @@ def differential_block(params: RingParams, t: int, alpha: ExponentVec) -> Differ
             reduced = elem.gens[:k] + elem.gens[k + 1 :]
             entries.append((row_index[reduced], j, sign))
             sign = -sign
-    block = DifferentialBlock(t, tuple(alpha), rows, cols, entries)
-    block.__dict__["row_index"] = row_index
-    return block
+    return DifferentialBlock(t, tuple(alpha), rows, cols, entries)
 
 
 def graded_dim(params: RingParams, t: int, d: int) -> int:

@@ -15,9 +15,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -25,7 +24,7 @@ import numpy as np
 DENSE_CELL_LIMIT = 1 << 22
 # Smith normal form refuses matrices above this many cells.
 SNF_CELL_GUARD = 250_000
-# Fraction-free elimination aborts when a pivot outgrows this bit length.
+# The fraction-free elimination aborts when a pivot outgrows this bit length.
 EXACT_PIVOT_BIT_GUARD = 100_000
 
 # Random primes are drawn from [2^29, 2^30) so products of two reduced
@@ -45,7 +44,7 @@ class SizeGuardError(RuntimeError):
 
 
 class ExactEliminationError(OverflowError):
-    """Fraction-free elimination outgrew the entry-size guard."""
+    """The fraction-free elimination outgrew the entry-size guard."""
 
 
 def is_prime(m: int) -> bool:
@@ -227,13 +226,20 @@ def rank_mod_p(m: SparseIntMatrix, p: int) -> int:
 
 
 def rank_multiprime(m: SparseIntMatrix, f: FieldSpec) -> tuple[int, dict[int, int], bool]:
-    """(max rank, per-prime ranks, agreement flag); escalates by one prime
-    when the initial set disagrees."""
-    primes = list(multiprime_primes(f.seed, f.num_primes))
-    ranks = {p: rank_mod_p(m, p) for p in primes}
+    """(max rank, per-prime ranks, agreement flag) of m; see sampled_rank."""
+    return sampled_rank(f, lambda p: rank_mod_p(m, p))
+
+
+def sampled_rank(
+    f: FieldSpec, rank_at: Callable[[int], int]
+) -> tuple[int, dict[int, int], bool]:
+    """(max rank, per-prime ranks, agreement flag) over the seeded primes of
+    a multiprime spec, where rank_at(p) is the rank mod p; escalates by one
+    prime when the initial set disagrees."""
+    ranks = {p: rank_at(p) for p in multiprime_primes(f.seed, f.num_primes)}
     if len(set(ranks.values())) > 1:
         extra = multiprime_primes(f.seed, f.num_primes + 1)[-1]
-        ranks[extra] = rank_mod_p(m, extra)
+        ranks[extra] = rank_at(extra)
     values = set(ranks.values())
     return max(values), ranks, len(values) == 1
 
@@ -366,7 +372,7 @@ def kernel_basis(m: SparseIntMatrix, f: FieldSpec) -> list[list[int]]:
         return []
     if f.kind == "prime":
         return _kernel_mod_p(m, f.p)
-    return _kernel_rational(m)
+    return _kernel_rational(m, f)
 
 
 def _kernel_mod_p(m: SparseIntMatrix, p: int) -> list[list[int]]:
@@ -405,38 +411,16 @@ def _kernel_mod_p(m: SparseIntMatrix, p: int) -> list[list[int]]:
     return basis
 
 
-def _kernel_rational(m: SparseIntMatrix) -> list[list[int]]:
-    A = [[Fraction(v) for v in row] for row in m.to_dense()]
-    nr, nc = m.nrows, m.ncols
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for col in range(nc):
-        piv = next((i for i in range(r, nr) if A[i][col]), None)
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        inv = 1 / A[r][col]
-        A[r] = [x * inv for x in A[r]]
-        for i in range(nr):
-            if i != r and A[i][col]:
-                f_ = A[i][col]
-                A[i] = [x - f_ * y for x, y in zip(A[i], A[r])]
-        pivots.append((r, col))
-        r += 1
-    pivot_cols = {c for _, c in pivots}
-    basis: list[list[int]] = []
-    for free in range(nc):
-        if free in pivot_cols:
-            continue
-        v = [Fraction(0)] * nc
-        v[free] = Fraction(1)
-        for row, col in pivots:
-            v[col] = -A[row][free]
-        scale = math.lcm(*(x.denominator for x in v))
-        ints = [int(x * scale) for x in v]
-        g = math.gcd(*ints)
-        basis.append([x // g for x in ints])
-    return basis
+def _kernel_rational(m: SparseIntMatrix, f: FieldSpec) -> list[list[int]]:
+    """Echelonize the columns m_j (+) e_j; a row whose pivot lies past the
+    first nrows coordinates is zero there, so its tail is a kernel vector,
+    and these tails span the kernel."""
+    span = VectorSpan(m.nrows + m.ncols, f)
+    for j, col in enumerate(m.columns()):
+        unit = [0] * m.ncols
+        unit[j] = 1
+        span.add(col + unit)
+    return [row[m.nrows :] for piv, row in span._rows if piv >= m.nrows]
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +432,7 @@ class VectorSpan:
 
     Over F_p the reduction runs on int64 arrays.  Over the rationals
     (fraction-free) rows are primitive integer vectors and incoming vectors
-    are reduced by cross-multiplication, so no Fraction arithmetic occurs.
+    are reduced by cross-multiplication, so no fractions are ever formed.
     Under the multiprime policy one span per sampled prime is maintained:
     rank is the max and membership the conjunction, a flagged heuristic.
     """

@@ -14,13 +14,12 @@ do exactly that).
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
 from . import exactla
+from .cache import RankCache
 from .combinatorics import (
     ExponentVec,
     RingParams,
@@ -48,7 +47,6 @@ class HomologyTable:
     params: RingParams
     field: FieldSpec
     entries: dict[tuple[int, int], int]
-    orbit_breakdown: dict[tuple[int, ExponentVec], int] | None = None
     computed_directly: bool = False
 
     def dim(self, t: int, d: int) -> int:
@@ -90,7 +88,10 @@ def duality_partner(params: RingParams, i: int, j: int) -> tuple[int, int]:
 
 
 class HomologyEngine:
-    """Shared context for a run: ring, field, cache, and reduction options."""
+    """Shared context for a run: ring, field, rank memo, and reduction options.
+
+    Without a cache argument the engine memoizes block ranks in memory.
+    """
 
     def __init__(
         self,
@@ -99,16 +100,13 @@ class HomologyEngine:
         cache=None,
         use_orbits: bool = True,
         use_duality: bool = True,
-        threads: int = 1,
     ):
         self.params = params
         self.field = field
-        self.cache = cache
+        self.cache = RankCache(None) if cache is None else cache
         self.use_orbits = use_orbits
         self.use_duality = use_duality
-        self.threads = max(1, threads)
         self.stats = {"eliminations": 0, "cache_hits": 0}
-        self._lock = threading.Lock()
 
     # -- block level --------------------------------------------------------
 
@@ -116,32 +114,32 @@ class HomologyEngine:
         blk = differential_block(self.params, t, alpha)
         return SparseIntMatrix(blk.nrows, blk.ncols, blk.entries)
 
-    def _cache_get(self, t: int, alpha: ExponentVec, p: int) -> int | None:
-        if self.cache is None:
-            return None
-        rep = tuple(sorted(alpha, reverse=True))
-        got = self.cache.get(self.params.n, self.params.c, t, rep, p)
+    def _cache_key(self, t: int, alpha: ExponentVec, p: int) -> tuple:
+        return self.params.n, self.params.c, t, tuple(sorted(alpha, reverse=True)), p
+
+    def _cache_get(self, key: tuple) -> int | None:
+        got = self.cache.get(*key)
         if got is not None:
-            with self._lock:
-                self.stats["cache_hits"] += 1
+            self.stats["cache_hits"] += 1
         return got
 
-    def _cache_put(self, t: int, alpha: ExponentVec, p: int, r: int) -> None:
-        if self.cache is not None:
-            rep = tuple(sorted(alpha, reverse=True))
-            self.cache.put(self.params.n, self.params.c, t, rep, p, r)
+    def _memo_rank(
+        self, t: int, alpha: ExponentVec, p: int, eliminate: Callable[[], int]
+    ) -> int:
+        """The rank stored under (t, alpha, p), eliminating once on a miss."""
+        key = self._cache_key(t, alpha, p)
+        got = self._cache_get(key)
+        if got is not None:
+            return got
+        r = eliminate()
+        self.stats["eliminations"] += 1
+        self.cache.put(*key, r)
+        return r
 
     def _rank_mod_p(
         self, t: int, alpha: ExponentVec, p: int, matrix: Callable[[], SparseIntMatrix]
     ) -> int:
-        got = self._cache_get(t, alpha, p)
-        if got is not None:
-            return got
-        r = exactla.rank_mod_p(matrix(), p)
-        with self._lock:
-            self.stats["eliminations"] += 1
-        self._cache_put(t, alpha, p, r)
-        return r
+        return self._memo_rank(t, alpha, p, lambda: exactla.rank_mod_p(matrix(), p))
 
     def block_rank(self, t: int, alpha: ExponentVec) -> int:
         """Rank of the t-th differential block at alpha over the engine field.
@@ -162,28 +160,18 @@ class HomologyEngine:
         if f.kind == "prime":
             return self._rank_mod_p(t, alpha, f.p, matrix)
         if f.policy == "fraction_free":
-            got = self._cache_get(t, alpha, 0)
-            if got is not None:
-                return got
-            r = exactla.rank_fraction_free(matrix())
-            with self._lock:
-                self.stats["eliminations"] += 1
-            self._cache_put(t, alpha, 0, r)
-            return r
-        # multiprime: max over the seeded prime set, one escalation step on
-        # disagreement
-        got = self._cache_get(t, alpha, 0)
+            return self._memo_rank(
+                t, alpha, 0, lambda: exactla.rank_fraction_free(matrix())
+            )
+        key = self._cache_key(t, alpha, 0)
+        got = self._cache_get(key)
         if got is not None:
             return got
-        primes = list(exactla.multiprime_primes(f.seed, f.num_primes))
-        ranks = [self._rank_mod_p(t, alpha, p, matrix) for p in primes]
-        if len(set(ranks)) > 1:
-            extra = exactla.multiprime_primes(f.seed, f.num_primes + 1)[-1]
-            primes.append(extra)
-            ranks.append(self._rank_mod_p(t, alpha, extra, matrix))
-        best = max(ranks)
-        if len(ranks) >= 3 and len(set(ranks)) == 1:
-            self._cache_put(t, alpha, 0, best)
+        best, ranks, agreed = exactla.sampled_rank(
+            f, lambda p: self._rank_mod_p(t, alpha, p, matrix)
+        )
+        if agreed and len(ranks) >= 3:
+            self.cache.put(*key, best)
         return best
 
     def block_dim(self, t: int, alpha: ExponentVec) -> int:
@@ -250,19 +238,10 @@ class HomologyEngine:
         else:
             jobs = [(alpha, 1) for alpha in compositions(params.n, d)]
 
-        def work(job: tuple[ExponentVec, int]) -> tuple[ExponentVec, int]:
-            alpha, weight = job
-            return alpha, weight * self.block_dim(t, alpha)
-
-        if self.threads > 1 and len(jobs) > 1:
-            with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                results = list(pool.map(work, jobs))
-        else:
-            results = [work(job) for job in jobs]
-
         total = 0
         parts: dict[ExponentVec, int] = {}
-        for alpha, contribution in sorted(results):
+        for alpha, weight in jobs:
+            contribution = weight * self.block_dim(t, alpha)
             total += contribution
             if contribution:
                 rep = tuple(sorted(alpha, reverse=True))
@@ -271,27 +250,14 @@ class HomologyEngine:
             return total, parts
         return total
 
-    def homology_table(
-        self, t_max: int, d_max: int, breakdown: bool = False
-    ) -> HomologyTable:
+    def homology_table(self, t_max: int, d_max: int) -> HomologyTable:
         """All dims for t <= t_max and t*c <= d <= d_max."""
         entries: dict[tuple[int, int], int] = {}
-        orbits: dict[tuple[int, ExponentVec], int] | None = {} if breakdown else None
         for t in range(t_max + 1):
             for d in range(t * self.params.c, d_max + 1):
-                if breakdown:
-                    dim, parts = self.homology_dim(t, d, breakdown=True)
-                    for rep, v in parts.items():
-                        orbits[(t, rep)] = v
-                else:
-                    dim = self.homology_dim(t, d)
-                entries[(t, d)] = dim
+                entries[(t, d)] = self.homology_dim(t, d)
         return HomologyTable(
-            self.params,
-            self.field,
-            entries,
-            orbit_breakdown=orbits,
-            computed_directly=not self.use_duality,
+            self.params, self.field, entries, computed_directly=not self.use_duality
         )
 
     # -- Betti tables ---------------------------------------------------------
@@ -611,16 +577,13 @@ def verify_vanishing(
     field: FieldSpec,
     margin: int | None = None,
     cache=None,
-    threads: int = 1,
 ) -> VanishingReport:
     """Directly compute H_t(tc+j) for all t <= N-n and j >= t+c and confirm
     the zeros.  The scan covers the degrees where chains exist on both
     sides of the dual window plus a margin; beyond it the dual-degree basis
     is empty.  The sharper char-0 statement (j = t+c-1 for t >= c) is
     included when the characteristic allows."""
-    engine = HomologyEngine(
-        params, field, cache=cache, use_orbits=True, use_duality=False, threads=threads
-    )
+    engine = HomologyEngine(params, field, cache=cache, use_orbits=True, use_duality=False)
     margin = params.c if margin is None else margin
     structural_top = params.N * params.c - params.n
     checked = 0
@@ -645,37 +608,3 @@ def verify_vanishing(
                 sharp_failures.append((t, d, dim))
     return VanishingReport(params, field, checked, failures, sharp_checked, sharp_failures)
 
-
-# -- functional wrappers -------------------------------------------------------
-
-
-def homology_dim(params: RingParams, t: int, d: int, field: FieldSpec, **opts):
-    return HomologyEngine(params, field, **opts).homology_dim(t, d)
-
-
-def homology_table(
-    params: RingParams, t_max: int, d_max: int, field: FieldSpec, **opts
-) -> HomologyTable:
-    return HomologyEngine(params, field, **opts).homology_table(t_max, d_max)
-
-
-def betti(params: RingParams, k: int, i: int, j: int, field: FieldSpec, **opts) -> int:
-    return HomologyEngine(params, field, **opts).betti(k, i, j)
-
-
-def betti_table(
-    params: RingParams, k: int, i_max: int, field: FieldSpec, **opts
-) -> BettiTable:
-    return HomologyEngine(params, field, **opts).betti_table(k, i_max)
-
-
-def gl_index(
-    params: RingParams, field: FieldSpec, i_max: int | None = None, **opts
-) -> GLIndexResult:
-    return HomologyEngine(params, field, **opts).gl_index(i_max)
-
-
-def z_generator_profile(
-    params: RingParams, t: int, field: FieldSpec, **opts
-) -> ZGeneratorProfile:
-    return HomologyEngine(params, field, **opts).z_generator_profile(t)

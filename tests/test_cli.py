@@ -3,8 +3,10 @@ import os
 
 import pytest
 
+from koszul import combinatorics, exactla
 from koszul.cli import ENGINE_VERSION, RankCache, RunConfig, main, render_diagram, structural_zero
 from koszul.combinatorics import RingParams
+from koszul.cycles import sample_nonzero_cycles
 
 
 def run_cli(capsys, *argv):
@@ -101,7 +103,17 @@ def test_verify_coeffdim(capsys):
         capsys, "verify", "coeffdim", "--n", "3", "--c", "2", "--samples", "25", "--seed", "5"
     )
     assert code == 0
-    assert out.startswith("OK (25 nonzero cycles")
+    assert out.startswith("OK (25 nonzero cycles with n <= 3, c <= 2")
+    code, out = run_cli(
+        capsys, "verify", "coeffdim", "--n", "9", "--c", "9", "--samples", "25", "--seed", "5"
+    )
+    assert code == 0
+    assert out.startswith("OK (25 nonzero cycles with n <= 9, c <= 9")
+    sampled = sample_nonzero_cycles(25, 5, n_max=3, c_max=2)
+    assert all(z.params.n <= 3 and z.params.c <= 2 for z in sampled)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "coeffdim", "--n", "1", "--c", "2"])
+    assert exc.value.code == 2
 
 
 def test_verify_greenbound(capsys):
@@ -209,3 +221,64 @@ def test_env_cache_dir(tmp_path, monkeypatch, capsys):
     code, _ = run_cli(capsys, "homology", "--n", "2", "--c", "2", "--t", "1", "--deg", "3")
     assert code == 0
     assert os.path.exists(tmp_path / "rank_cache.jsonl")
+
+
+def test_unusable_cache_dir_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    with pytest.raises(SystemExit) as exc:
+        main(["homology", "--n", "2", "--c", "2", "--t", "1", "--deg", "3",
+              "--cache-dir", str(blocker / "sub")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("kosz: error: ")
+
+
+def test_failed_cache_append_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    # a dangling link: nothing to load, and the first append fails
+    os.symlink(blocker / "sub", cache_dir / "rank_cache.jsonl")
+    with pytest.raises(SystemExit) as exc:
+        main(["homology", "--n", "2", "--c", "2", "--t", "1", "--deg", "3",
+              "--cache-dir", str(cache_dir)])
+    assert exc.value.code == 2
+    assert "cannot append to cache" in capsys.readouterr().err
+
+
+def test_corrupt_cached_rank_exits_1(tmp_path, capsys):
+    argv = ["homology", "--n", "2", "--c", "2", "--t", "1", "--deg", "3",
+            "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    path = tmp_path / "rank_cache.jsonl"
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    path.write_text("".join(json.dumps(dict(r, rank=999)) + "\n" for r in records))
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.startswith("kosz: error: negative block dimension")
+
+
+def test_max_degree_is_restored(capsys):
+    default = combinatorics.MAX_DEGREE
+    argv = ["chardep", "--n", "2", "--c", "2", "--t", "1", "--deg", "70"]
+    code, _ = run_cli(capsys, *argv, "--max-degree", "100")
+    assert code == 0
+    assert combinatorics.MAX_DEGREE == default
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"configured bound {default}" in capsys.readouterr().err
+
+
+def test_exact_pivot_guard_exits_2(monkeypatch, capsys):
+    def tripped(m, bit_guard=exactla.EXACT_PIVOT_BIT_GUARD):
+        raise exactla.ExactEliminationError("pivot guard tripped")
+
+    monkeypatch.setattr(exactla, "rank_fraction_free", tripped)
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--n", "2", "--c", "2", "--exact"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "kosz: error: pivot guard tripped\n"

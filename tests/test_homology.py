@@ -7,8 +7,6 @@ from koszul.homology import (
     check_duality,
     check_green_bound,
     duality_partner,
-    gl_index,
-    homology_dim,
     verify_vanishing,
 )
 
@@ -204,14 +202,6 @@ def test_mod_p_profile_agrees_with_rational_here():
     assert pf.counts == qf.counts
 
 
-def test_worker_pool_parity():
-    serial = engine(3, 3)
-    pooled = engine(3, 3, threads=4)
-    for t in (1, 2, 5):
-        for d in (t * 3, t * 3 + 2, t * 3 + 4):
-            assert pooled.homology_dim(t, d) == serial.homology_dim(t, d)
-
-
 def test_acceleration_matches_direct():
     e = engine(4, 2)
     direct = engine(4, 2, use_duality=False)
@@ -220,6 +210,11 @@ def test_acceleration_matches_direct():
             assert e.homology_dim(t, d) == direct.homology_dim_direct(t, d)
 
 
-def test_homology_dim_wrapper():
-    assert homology_dim(RingParams(3, 3), 1, 4, QM) == 15
-    assert gl_index(RingParams(4, 2), QM).value == 5
+def test_default_engine_memoizes_ranks():
+    e = HomologyEngine(RingParams(3, 3), QM)
+    assert e.homology_dim(2, 8) == 105
+    before = dict(e.stats)
+    assert before["eliminations"] > 0
+    assert e.homology_dim(2, 8) == 105
+    assert e.stats["eliminations"] == before["eliminations"]
+    assert e.stats["cache_hits"] > before["cache_hits"]
