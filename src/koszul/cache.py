@@ -43,7 +43,10 @@ class RankCache:
                         tuple(int(a) for a in rec["alpha"]),
                         int(rec["p"]),
                     )
-                    self._mem[key] = int(rec["rank"])
+                    rank = int(rec["rank"])
+                    if rank < 0:
+                        raise ValueError(f"negative rank {rank}")
+                    self._mem[key] = rank
                 except (KeyError, TypeError, ValueError) as exc:
                     log.warning("%s:%d: skipping corrupt cache line (%s)", path, lineno, exc)
 

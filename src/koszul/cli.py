@@ -2,8 +2,8 @@
 verification subcommands, and the characteristic-dependence scan.
 
 Exit codes: 0 success; 1 verification failure or an arithmetic
-inconsistency (such as a corrupt cached rank); 2 usage error, tripped size
-guard, or an unusable cache directory.
+inconsistency (such as Morse matrices that do not compose to zero); 2 usage
+error, tripped size guard, or an unusable cache directory.
 All user-visible results are deterministic given the configuration and seed;
 the only varying output field is meta.elapsed_ms in JSON format.
 """
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from . import combinatorics, cycles, exactla
 from .cache import ENGINE_VERSION, RankCache
 from .combinatorics import RingParams, partitions_into
-from .complex import differential_block, graded_dim
+from .complex import Strand, graded_dim
 from .exactla import FieldSpec, SizeGuardError
 from .homology import (
     HomologyEngine,
@@ -423,18 +423,23 @@ def _prime_factors(value: int) -> set[int]:
 
 def cmd_chardep(cfg: RunConfig, args) -> int:
     """Scan the elementary divisors of the blocks at (t, deg) and report the
-    primes where any rank, hence any dimension, can jump."""
+    primes where any rank, hence any dimension, can jump.
+
+    Each block is equivalent over Z to an identity on its matched Morse
+    pairs plus the strand's Morse matrix, so only the Morse matrix is
+    factored; the --snf-guard applies to its cells."""
     params = cfg.params
     jump_primes: set[int] = set()
     skipped = []
     for rep in partitions_into(args.deg, params.n):
+        strand = None
         for t in (args.t, args.t + 1):
             if t < 1 or t > params.N:
                 continue
-            blk = differential_block(params, t, rep)
-            if blk.nrows * blk.ncols == 0:
+            strand = strand or Strand(params, rep)
+            m = strand.morse(t)
+            if m.cells == 0:
                 continue
-            m = exactla.SparseIntMatrix(blk.nrows, blk.ncols, blk.entries)
             if m.cells > args.snf_guard:
                 skipped.append((t, rep, m.cells))
                 continue

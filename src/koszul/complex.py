@@ -6,6 +6,10 @@ monomial elements v[u_1,...,u_t] with v * u_1 * ... * u_t = X^alpha.
 The differential preserves the multidegree, so it decomposes into
 independent blocks, one per alpha.  Blocks are generated on demand and
 never assembled into the full graded component.
+
+The multidegree-alpha strand is the augmented chain complex of a simplicial
+complex Delta_alpha (see Strand), which algebraic Morse theory shrinks to a
+few critical cells before any elimination runs.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from .combinatorics import (
     vec_add,
     vec_sub,
 )
+from .exactla import SparseIntMatrix
 
 
 class KoszulBasisElement(NamedTuple):
@@ -157,3 +162,188 @@ def graded_dim(params: RingParams, t: int, d: int) -> int:
     if t < 0 or d < t * params.c:
         return 0
     return math.comb(params.N, t) * monomial_count(params.n, d - t * params.c)
+
+
+def face_levels(params: RingParams, alpha: ExponentVec) -> list[list[int]]:
+    """Faces of Delta_alpha as bitmasks over the degree-c monomials dividing
+    X^alpha (bit i is the i-th such monomial in rank order), one list per
+    face size: level t has len(block_basis(params, t, alpha)) faces, and
+    level 0 holds the empty face."""
+    # Pack exponent vectors into one int, a guard bit above every field, so
+    # "m divides r" is one subtraction: no field of (r | guard) - m borrows.
+    width = max(alpha).bit_length() + 1
+    guard = sum(1 << (i * width + width - 1) for i in range(params.n))
+
+    def pack(v: ExponentVec) -> int:
+        return sum(x << (i * width) for i, x in enumerate(v))
+
+    cands = [pack(m) for m in enumerate_monomials(params, params.c) if divides(m, alpha)]
+    # (face, residual, the later vertices that still divide the residual)
+    level = [(0, pack(alpha), range(len(cands)))]
+    levels = [[0]]
+    while True:
+        nxt = []
+        for face, res, fits in level:
+            for pos, i in enumerate(fits):
+                child = res - cands[i]
+                top = child | guard
+                nxt.append((
+                    face | 1 << i,
+                    child,
+                    [j for j in fits[pos + 1 :] if (top - cands[j]) & guard == guard],
+                ))
+        if not nxt:
+            return levels
+        levels.append([face for face, _, _ in nxt])
+        level = nxt
+
+
+def _boundary(face: int):
+    """(facet, sign) pairs of a face: deleting its k-th smallest vertex
+    (k = 1, 2, ...) carries (-1)^(k-1), as in differential_block."""
+    sign = 1
+    rest = face
+    while rest:
+        low = rest & -rest
+        yield face ^ low, sign
+        sign = -sign
+        rest ^= low
+
+
+class Strand:
+    """The multidegree-alpha strand of K(m^c), Morse-reduced.
+
+    A face of Delta_alpha with t vertices is the basis element of K_t whose
+    brackets are those vertices, so the strand is the augmented simplicial
+    chain complex of Delta_alpha.  Element matchings for the vertices in
+    rank order, applied one after another to the faces still unmatched,
+    pair faces (sigma, sigma + v); such a sequence is acyclic (Jonsson,
+    Simplicial Complexes of Graphs, LNM 1928) and every matched pivot is
+    +-1.  By algebraic Morse theory (Skoldberg, 2006) each d_t is then
+    equivalent over Z to the identity on the pairs[t] matched (t-1, t)
+    pairs plus the integer Morse matrix morse(t) on the critical cells
+    (crit[t-1] x crit[t]): rank d_t = pairs[t] + rank morse(t) over every
+    field, and the elementary divisors of d_t are 1^pairs[t] together with
+    those of morse(t).  Only the counts (pairs and crit, indexed by
+    t = 0 .. N+1) and the entries of the Morse matrices are kept.
+    """
+
+    __slots__ = ("pairs", "crit", "_entries")
+
+    def __init__(
+        self, params: RingParams, alpha: ExponentVec, levels: list[list[int]] | None = None
+    ):
+        """levels, when given, must be face_levels(params, alpha)."""
+        alpha = tuple(alpha)
+        if levels is None:
+            levels = face_levels(params, alpha)
+        size = params.N + 2
+        self.pairs = [0] * size
+        alive = {face for level in levels for face in level}
+        up: dict[int, int] = {}  # lower face of a pair -> vertex bit of its partner
+        for i in range(len(levels[1]) if len(levels) > 1 else 0):  # vertices, rank order
+            bit = 1 << i
+            for face in [f for f in alive if not f & bit and f | bit in alive]:
+                alive.discard(face)
+                alive.discard(face | bit)
+                up[face] = bit
+                self.pairs[face.bit_count() + 1] += 1
+        crit_levels = [sorted(f for f in level if f in alive) for level in levels]
+        self.crit = [len(level) for level in crit_levels] + [0] * (size - len(levels))
+        index = {f: j for level in crit_levels for j, f in enumerate(level)}
+        columns: list[list[dict[int, int]]] = [[] for _ in range(size)]
+        for t in range(1, len(levels)):
+            flow = _Flow(index, up, alpha)
+            columns[t] = [flow.image(face) for face in crit_levels[t]]
+        self._entries = {
+            t: sorted((r, j, v) for j, col in enumerate(cols) for r, v in col.items())
+            for t, cols in enumerate(columns)
+            if any(cols)
+        }
+        for t in range(2, len(levels)):
+            _check_composite_zero(columns[t - 1], columns[t], t, alpha)
+
+    def morse(self, t: int) -> SparseIntMatrix:
+        """The Morse matrix of d_t, crit[t-1] x crit[t], for 1 <= t <= N+1."""
+        return SparseIntMatrix(self.crit[t - 1], self.crit[t], self._entries.get(t, []))
+
+
+class _Flow:
+    """Gradient flow of one homological level onto its critical cells.
+
+    image(sigma) sums, over the alternating paths sigma -> tau_1 / tau_1 + v_1
+    -> tau_2 / ... -> critical cell, the products of boundary signs, with
+    -1/[d(tau + v) : tau] at every matched step.  The flow of each matched
+    face is memoized; a path that returns to a face means the matching is
+    not acyclic, and raises instead of looping.
+    """
+
+    def __init__(self, index: dict[int, int], up: dict[int, int], alpha: ExponentVec):
+        self.index = index
+        self.up = up
+        self.alpha = alpha
+        self.memo: dict[int, dict[int, int]] = {}
+
+    def image(self, face: int) -> dict[int, int]:
+        """The Morse differential of a critical face: d face, pushed to critical cells."""
+        return self._combine(face, None, 1)
+
+    def _combine(self, face: int, skip: int | None, scale: int) -> dict[int, int]:
+        """scale * (d face minus its skip facet), each facet replaced by its flow."""
+        index, memo, up = self.index, self.memo, self.up
+        out: dict[int, int] = {}
+        for facet, sign in _boundary(face):
+            if facet == skip:
+                continue
+            c = scale * sign
+            j = index.get(facet)
+            if j is not None:
+                out[j] = out.get(j, 0) + c
+            elif facet in up:
+                for j, v in self._flow_of(facet).items():
+                    out[j] = out.get(j, 0) + c * v
+        return {j: v for j, v in out.items() if v}
+
+    def _flow_of(self, tau: int) -> dict[int, int]:
+        memo, up = self.memo, self.up
+        if tau in memo:
+            return memo[tau]
+        stack = [tau]
+        open_: set[int] = set()
+        while stack:
+            x = stack[-1]
+            if x in memo:
+                stack.pop()
+                continue
+            partner = x | up[x]
+            todo = [y for y, _ in _boundary(partner) if y != x and y in up and y not in memo]
+            if not todo:
+                # the pivot [d partner : x] is (-1)^(vertices of x below the
+                # matched one), so -1/pivot is -pivot
+                pivot = -1 if (x & (up[x] - 1)).bit_count() % 2 else 1
+                memo[x] = self._combine(partner, x, -pivot)
+                open_.discard(x)
+                stack.pop()
+                continue
+            if x in open_ or any(y in open_ for y in todo):
+                raise ArithmeticError(
+                    f"cyclic gradient path in the Morse matching at alpha={self.alpha}"
+                )
+            open_.add(x)
+            stack.extend(todo)
+        return memo[tau]
+
+
+def _check_composite_zero(
+    prev: list[dict[int, int]], cur: list[dict[int, int]], t: int, alpha: ExponentVec
+) -> None:
+    """Raise unless morse(t-1) * morse(t) = 0 over Z (columns as dicts)."""
+    for col in cur:
+        acc: dict[int, int] = {}
+        for r, v in col.items():
+            for r2, w in prev[r].items():
+                acc[r2] = acc.get(r2, 0) + v * w
+        if any(acc.values()):
+            raise ArithmeticError(
+                f"Morse matrices do not compose to zero at t={t}, alpha={alpha}"
+            )

@@ -14,6 +14,7 @@ do exactly that).
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -32,12 +33,14 @@ from .combinatorics import (
     vec_add,
     vec_sub,
 )
-from .complex import block_basis, differential_block, graded_dim
+from .complex import Strand, block_basis, differential_block, face_levels, graded_dim
 from .exactla import FieldSpec, SizeGuardError, SparseIntMatrix, UnsupportedPolicyError
 
 # Generator profiles build every block kernel up to degree t(c+1); factorial
 # growth in t makes large t pointless.
 Z_PROFILE_T_GUARD = 4
+
+log = logging.getLogger("kosz")
 
 
 @dataclass
@@ -90,7 +93,9 @@ def duality_partner(params: RingParams, i: int, j: int) -> tuple[int, int]:
 class HomologyEngine:
     """Shared context for a run: ring, field, rank memo, and reduction options.
 
-    Without a cache argument the engine memoizes block ranks in memory.
+    Without a cache argument the engine memoizes block ranks in memory.  A
+    rank missing from the cache comes from the Morse-reduced strand of its
+    orbit (complex.Strand), built at most once per engine.
     """
 
     def __init__(
@@ -107,39 +112,68 @@ class HomologyEngine:
         self.use_orbits = use_orbits
         self.use_duality = use_duality
         self.stats = {"eliminations": 0, "cache_hits": 0}
+        self._strands: dict[ExponentVec, Strand] = {}
+        self._faces: dict[ExponentVec, list[int]] = {}
+        self._levels: tuple = (None, None)  # (rep, face_levels) of the last count
+        self._bypass_cache = False
 
     # -- block level --------------------------------------------------------
 
     def _matrix(self, t: int, alpha: ExponentVec) -> SparseIntMatrix:
+        """The raw block in the coordinates of block_basis (for kernels)."""
         blk = differential_block(self.params, t, alpha)
         return SparseIntMatrix(blk.nrows, blk.ncols, blk.entries)
+
+    def _strand(self, alpha: ExponentVec) -> Strand:
+        """The Morse-reduced strand of alpha's orbit, built once per engine."""
+        rep = tuple(sorted(alpha, reverse=True))
+        strand = self._strands.get(rep)
+        if strand is None:
+            levels = self._levels[1] if self._levels[0] == rep else None
+            strand = self._strands[rep] = Strand(self.params, rep, levels)
+            self._levels = (None, None)
+        return strand
+
+    def _face_counts(self, alpha: ExponentVec) -> list[int]:
+        """Basis sizes of alpha's strand by t.  This enumerates the faces but
+        matches nothing; the faces are kept until the next enumeration, for
+        the strand that a cache miss builds next."""
+        rep = tuple(sorted(alpha, reverse=True))
+        counts = self._faces.get(rep)
+        if counts is None:
+            levels = face_levels(self.params, rep)
+            counts = self._faces[rep] = [len(level) for level in levels]
+            self._levels = (rep, levels)
+        return counts
 
     def _cache_key(self, t: int, alpha: ExponentVec, p: int) -> tuple:
         return self.params.n, self.params.c, t, tuple(sorted(alpha, reverse=True)), p
 
     def _cache_get(self, key: tuple) -> int | None:
+        if self._bypass_cache:
+            return None
         got = self.cache.get(*key)
         if got is not None:
             self.stats["cache_hits"] += 1
         return got
 
     def _memo_rank(
-        self, t: int, alpha: ExponentVec, p: int, eliminate: Callable[[], int]
+        self, t: int, alpha: ExponentVec, p: int, rank: Callable[[SparseIntMatrix], int]
     ) -> int:
-        """The rank stored under (t, alpha, p), eliminating once on a miss."""
+        """The rank stored under (t, alpha, p); on a miss, the strand's
+        matched pairs plus rank(Morse matrix of d_t)."""
         key = self._cache_key(t, alpha, p)
         got = self._cache_get(key)
         if got is not None:
             return got
-        r = eliminate()
+        strand = self._strand(alpha)
+        r = strand.pairs[t] + rank(strand.morse(t))
         self.stats["eliminations"] += 1
         self.cache.put(*key, r)
         return r
 
-    def _rank_mod_p(
-        self, t: int, alpha: ExponentVec, p: int, matrix: Callable[[], SparseIntMatrix]
-    ) -> int:
-        return self._memo_rank(t, alpha, p, lambda: exactla.rank_mod_p(matrix(), p))
+    def _rank_mod_p(self, t: int, alpha: ExponentVec, p: int) -> int:
+        return self._memo_rank(t, alpha, p, lambda m: exactla.rank_mod_p(m, p))
 
     def block_rank(self, t: int, alpha: ExponentVec) -> int:
         """Rank of the t-th differential block at alpha over the engine field.
@@ -149,37 +183,45 @@ class HomologyEngine:
         """
         if t < 1 or t > self.params.N:
             return 0
-        matrix_cache: list[SparseIntMatrix | None] = [None]
-
-        def matrix() -> SparseIntMatrix:
-            if matrix_cache[0] is None:
-                matrix_cache[0] = self._matrix(t, alpha)
-            return matrix_cache[0]
-
         f = self.field
         if f.kind == "prime":
-            return self._rank_mod_p(t, alpha, f.p, matrix)
+            return self._rank_mod_p(t, alpha, f.p)
         if f.policy == "fraction_free":
-            return self._memo_rank(
-                t, alpha, 0, lambda: exactla.rank_fraction_free(matrix())
-            )
+            return self._memo_rank(t, alpha, 0, exactla.rank_fraction_free)
         key = self._cache_key(t, alpha, 0)
         got = self._cache_get(key)
         if got is not None:
             return got
         best, ranks, agreed = exactla.sampled_rank(
-            f, lambda p: self._rank_mod_p(t, alpha, p, matrix)
+            f, lambda p: self._rank_mod_p(t, alpha, p)
         )
         if agreed and len(ranks) >= 3:
             self.cache.put(*key, best)
         return best
 
     def block_dim(self, t: int, alpha: ExponentVec) -> int:
-        """Homology dimension of the single multidegree-alpha block."""
-        cols = len(block_basis(self.params, t, alpha))
+        """Homology dimension of the single multidegree-alpha block.
+
+        A negative result can only come from a corrupt cached rank: both
+        ranks are then recomputed from the strand and stored again.
+        """
+        counts = self._face_counts(alpha)
+        cols = counts[t] if t < len(counts) else 0
         if cols == 0:
             return 0
         dim = cols - self.block_rank(t, alpha) - self.block_rank(t + 1, alpha)
+        if dim >= 0:
+            return dim
+        log.warning(
+            "negative block dimension at t=%d, alpha=%s from the ranks cached in %s; "
+            "recomputing both ranks",
+            t, alpha, self.cache.path or "memory",
+        )
+        self._bypass_cache = True
+        try:
+            dim = cols - self.block_rank(t, alpha) - self.block_rank(t + 1, alpha)
+        finally:
+            self._bypass_cache = False
         if dim < 0:
             raise ArithmeticError(
                 f"negative block dimension at t={t}, alpha={alpha}; "

@@ -191,6 +191,7 @@ def test_warm_cache_replays_without_eliminations(tmp_path):
     warm_engine = cfg.engine()
     warm = warm_engine.homology_table(7, 27)
     assert warm_engine.stats["eliminations"] == 0
+    assert not warm_engine._strands  # a cache hit builds no Morse matching
     assert warm.entries == cold.entries
 
 
@@ -247,18 +248,39 @@ def test_failed_cache_append_exits_2(tmp_path, capsys):
     assert "cannot append to cache" in capsys.readouterr().err
 
 
-def test_corrupt_cached_rank_exits_1(tmp_path, capsys):
+def test_corrupt_cached_rank_is_recomputed(tmp_path, capsys, caplog):
     argv = ["homology", "--n", "2", "--c", "2", "--t", "1", "--deg", "3",
             "--cache-dir", str(tmp_path)]
-    assert main(argv) == 0
+    code, clean = run_cli(capsys, *argv)
+    assert code == 0
     path = tmp_path / "rank_cache.jsonl"
     records = [json.loads(line) for line in path.read_text().splitlines()]
     path.write_text("".join(json.dumps(dict(r, rank=999)) + "\n" for r in records))
-    capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 1
-    assert capsys.readouterr().err.startswith("kosz: error: negative block dimension")
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == clean
+    warnings = [r.getMessage() for r in caplog.records if "negative block dimension" in r.getMessage()]
+    # one warning per recomputed block, one block per orbit of degree 3
+    assert [w.split(" from ")[0] for w in warnings] == [
+        "negative block dimension at t=1, alpha=(3, 0)",
+        "negative block dimension at t=1, alpha=(2, 1)",
+    ]
+    assert all(str(path) in w for w in warnings)
+    appended = [json.loads(line) for line in path.read_text().splitlines()][len(records):]
+    assert appended and all(r["rank"] != 999 for r in appended)
+    caplog.clear()
+    code, out = run_cli(capsys, *argv)  # the appended records win on reload
+    assert code == 0 and out == clean
+    assert not caplog.records
+
+
+def test_cache_skips_negative_ranks(tmp_path, caplog):
+    path = tmp_path / "ranks.jsonl"
+    rec = {"n": 2, "c": 2, "t": 1, "alpha": [2, 0], "p": 0, "rank": -1, "engine": ENGINE_VERSION}
+    path.write_text(json.dumps(rec) + "\n")
+    cache = RankCache(str(path))
+    assert len(cache) == 0
+    assert "skipping corrupt cache line" in caplog.text and "negative rank -1" in caplog.text
 
 
 def test_max_degree_is_restored(capsys):
