@@ -25,7 +25,7 @@ from .combinatorics import (
     vec_add,
     vec_sub,
 )
-from .complex import KoszulBasisElement, block_basis, differential_block, sort_gens
+from .complex import KoszulBasisElement, differential_block, sort_gens
 from .exactla import ColumnSpace, FieldSpec, SizeGuardError, SparseIntMatrix
 
 # The alternating-sum constructor iterates over (t+1)! permutations.
@@ -272,21 +272,22 @@ def is_boundary(
 ) -> bool:
     """True iff every multihomogeneous component lies in the image of the
     next differential over the field.  Components are tested block by
-    block; pass a dict to reuse echelonized blocks across many tests."""
+    block; pass a dict to reuse echelonized blocks (with their row index)
+    across many tests."""
     params = z.params
     for alpha, component in z.components().items():
         key = (z.t + 1, alpha, field)
-        space = None if column_spaces is None else column_spaces.get(key)
-        if space is None:
+        memo = None if column_spaces is None else column_spaces.get(key)
+        if memo is None:
             blk = differential_block(params, z.t + 1, alpha)
-            space = ColumnSpace(
-                SparseIntMatrix(blk.nrows, blk.ncols, blk.entries), field
+            memo = (
+                ColumnSpace(SparseIntMatrix(blk.nrows, blk.ncols, blk.entries), field),
+                {e.gens: pos for pos, e in enumerate(blk.rows)},
             )
             if column_spaces is not None:
-                column_spaces[key] = space
-        rows = block_basis(params, z.t, alpha)
-        index = {e.gens: pos for pos, e in enumerate(rows)}
-        vec = [0] * len(rows)
+                column_spaces[key] = memo
+        space, index = memo
+        vec = [0] * len(index)
         for elem, coeff in component.terms.items():
             vec[index[elem.gens]] = coeff
         if not space.contains(vec):

@@ -1,13 +1,14 @@
 """Exact sparse linear algebra over prime fields and the rationals.
 
 Rank, kernel and column-space membership never touch floating point.  Over
-F_p the elimination runs on dense int64 arrays when the block is small and
-on a Markowitz-pivoted sparse representation otherwise.  Over the rationals
-two policies exist: fraction-free integer elimination (certified, slower)
-and max-rank over a seeded set of random word-sized primes (a certified
-lower bound that equals the rational rank unless every sampled prime is
-bad).  Smith normal form is available behind a size guard for locating the
-characteristics where ranks can jump.
+F_p ranks and kernels come from dense int64 elimination.  Over the
+rationals two policies exist: fraction-free integer echelon form (certified;
+one routine, VectorSpan, serves rank, kernel and column space, and aborts
+when a pivot outgrows EXACT_PIVOT_BIT_GUARD) and max-rank over a seeded set
+of random word-sized primes (a certified lower bound that equals the
+rational rank unless every sampled prime is bad).  Smith normal form is
+available behind a size guard for locating the characteristics where ranks
+can jump.
 """
 
 from __future__ import annotations
@@ -20,11 +21,9 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-# Dense mod-p elimination below this many cells, sparse Markowitz above.
-DENSE_CELL_LIMIT = 1 << 22
 # Smith normal form refuses matrices above this many cells.
 SNF_CELL_GUARD = 250_000
-# The fraction-free elimination aborts when a pivot outgrows this bit length.
+# The fraction-free echelon form aborts when a pivot outgrows this bit length.
 EXACT_PIVOT_BIT_GUARD = 100_000
 
 # Random primes are drawn from [2^29, 2^30) so products of two reduced
@@ -143,7 +142,8 @@ class SparseIntMatrix:
     nrows: int
     ncols: int
     triplets: list[tuple[int, int, int]]
-    dense_threshold: int = DENSE_CELL_LIMIT
+    # Not a dataclass field; rank_mod_p is always dense, the benchmark labels its calls by it.
+    dense_threshold = math.inf
 
     @classmethod
     def from_triplets(
@@ -193,14 +193,6 @@ class SparseIntMatrix:
             cols[c][r] = v
         return cols
 
-    def augmented(self, b: Sequence[int]) -> "SparseIntMatrix":
-        if len(b) != self.nrows:
-            raise ValueError(f"vector length {len(b)} != nrows {self.nrows}")
-        trips = list(self.triplets) + [
-            (i, self.ncols, int(v)) for i, v in enumerate(b) if v
-        ]
-        return SparseIntMatrix(self.nrows, self.ncols + 1, trips, self.dense_threshold)
-
 
 # ---------------------------------------------------------------------------
 # rank
@@ -220,9 +212,7 @@ def rank(m: SparseIntMatrix, f: FieldSpec) -> int:
 def rank_mod_p(m: SparseIntMatrix, p: int) -> int:
     if not m.triplets or m.nrows == 0 or m.ncols == 0:
         return 0
-    if m.cells <= m.dense_threshold:
-        return _rank_dense_mod_p(m.to_numpy_mod(p), p)
-    return _rank_sparse_mod_p(m, p)
+    return _rank_dense_mod_p(m.to_numpy_mod(p), p)
 
 
 def rank_multiprime(m: SparseIntMatrix, f: FieldSpec) -> tuple[int, dict[int, int], bool]:
@@ -265,92 +255,14 @@ def _rank_dense_mod_p(A: np.ndarray, p: int) -> int:
     return r
 
 
-def _rank_sparse_mod_p(m: SparseIntMatrix, p: int) -> int:
-    rows: dict[int, dict[int, int]] = {}
-    for r, c, v in m.triplets:
-        v %= p
-        if v:
-            rows.setdefault(r, {})[c] = v
-    col_rows: dict[int, set[int]] = {}
-    for r, row in rows.items():
-        for c in row:
-            col_rows.setdefault(c, set()).add(r)
-
-    rank_ = 0
-    while rows:
-        # Markowitz: minimize fill estimate (nnz(row)-1)*(nnz(col)-1),
-        # deterministic tie-break on indices.
-        best = None
-        for ri in sorted(rows):
-            rlen = len(rows[ri]) - 1
-            for cj in sorted(rows[ri]):
-                cost = rlen * (len(col_rows[cj]) - 1)
-                if best is None or cost < best[0]:
-                    best = (cost, ri, cj)
-            if best is not None and best[0] == 0 and len(rows[ri]) == 1:
-                break
-        _, ri, cj = best
-        piv_row = rows.pop(ri)
-        inv = pow(piv_row[cj], -1, p)
-        for c in piv_row:
-            col_rows[c].discard(ri)
-        for ri2 in sorted(col_rows[cj]):
-            row2 = rows[ri2]
-            f = row2[cj] * inv % p
-            for c, v in piv_row.items():
-                nv = (row2.get(c, 0) - f * v) % p
-                if nv:
-                    row2[c] = nv
-                    col_rows[c].add(ri2)
-                else:
-                    row2.pop(c, None)
-                    col_rows[c].discard(ri2)
-            if not row2:
-                del rows[ri2]
-        rank_ += 1
-    return rank_
-
-
-def rank_fraction_free(m: SparseIntMatrix, bit_guard: int = EXACT_PIVOT_BIT_GUARD) -> int:
-    """Exact rational rank via Bareiss one-step fraction-free elimination."""
+def rank_fraction_free(m: SparseIntMatrix) -> int:
+    """Exact rational rank: the fraction-free echelon form of m's columns."""
     if not m.triplets or m.nrows == 0 or m.ncols == 0:
         return 0
-    A = m.to_dense()
-    nr, nc = m.nrows, m.ncols
-    r = 0
-    prev = 1
-    for col in range(nc):
-        piv = None
-        for i in range(r, nr):
-            v = A[i][col]
-            if v and (piv is None or abs(v) < abs(A[piv][col])):
-                piv = i
-        if piv is None:
-            continue
-        if piv != r:
-            A[r], A[piv] = A[piv], A[r]
-        pivot = A[r][col]
-        if abs(pivot).bit_length() > bit_guard:
-            raise ExactEliminationError(
-                "fraction-free pivot exceeded the entry-size guard; "
-                "retry with the multiprime policy or a smaller block"
-            )
-        row_r = A[r]
-        for i in range(r + 1, nr):
-            row_i = A[i]
-            aic = row_i[col]
-            for j in range(col + 1, nc):
-                num = pivot * row_i[j] - aic * row_r[j]
-                q, rem = divmod(num, prev)
-                if rem:
-                    raise ArithmeticError("fraction-free division was inexact")
-                row_i[j] = q
-            row_i[col] = 0
-        prev = pivot
-        r += 1
-        if r == nr:
-            break
-    return r
+    span = VectorSpan(m.nrows, FieldSpec.rational(policy="fraction_free"))
+    for col in m.columns():
+        span.add(col)
+    return span.rank
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +344,9 @@ class VectorSpan:
 
     Over F_p the reduction runs on int64 arrays.  Over the rationals
     (fraction-free) rows are primitive integer vectors and incoming vectors
-    are reduced by cross-multiplication, so no fractions are ever formed.
+    are reduced by cross-multiplication, so no fractions are ever formed;
+    this is the only exact rational echelon routine (rank, kernel, column
+    space), and a pivot longer than EXACT_PIVOT_BIT_GUARD bits aborts it.
     Under the multiprime policy one span per sampled prime is maintained:
     rank is the max and membership the conjunction, a flagged heuristic.
     """
@@ -456,7 +370,8 @@ class VectorSpan:
         return len(self._rows)
 
     def add(self, vec: Sequence[int]) -> bool:
-        """Insert vec; True when the span grew."""
+        """Insert vec; True when the span grew.  A fraction-free pivot longer
+        than EXACT_PIVOT_BIT_GUARD bits raises ExactEliminationError."""
         if self._subs is not None:
             return any([s.add(vec) for s in self._subs])
         reduced = self._reduce(vec)
@@ -468,12 +383,16 @@ class VectorSpan:
             inv = pow(int(reduced[piv]), -1, p)
             reduced = reduced * inv % p
         else:
-            g = 0
-            for v in reduced:
-                g = math.gcd(g, v)
+            g = math.gcd(*reduced)
             if reduced[piv] < 0:
                 g = -g
             reduced = [v // g for v in reduced]
+            if reduced[piv].bit_length() > EXACT_PIVOT_BIT_GUARD:
+                raise ExactEliminationError(
+                    f"fraction-free pivot exceeded the {EXACT_PIVOT_BIT_GUARD}-bit guard; "
+                    "retry over a prime field, or with the multiprime policy where "
+                    "a sampled rank suffices"
+                )
         self._rows.append((piv, reduced))
         self._rows.sort(key=lambda pr: pr[0])
         return True
@@ -500,10 +419,11 @@ class VectorSpan:
             v = out[piv]
             if v:
                 rp = row[piv]
+                if rp == 1:  # a unit pivot scales nothing up: skip the gcd
+                    out = [x - v * y for x, y in zip(out, row)]
+                    continue
                 out = [rp * x - v * y for x, y in zip(out, row)]
-                g = 0
-                for x in out:
-                    g = math.gcd(g, x)
+                g = math.gcd(*out)
                 if g > 1:
                     out = [x // g for x in out]
         return out

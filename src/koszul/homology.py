@@ -33,7 +33,7 @@ from .combinatorics import (
     vec_add,
     vec_sub,
 )
-from .complex import Strand, block_basis, differential_block, face_levels, graded_dim
+from .complex import Strand, differential_block, face_levels, graded_dim
 from .exactla import FieldSpec, SizeGuardError, SparseIntMatrix, UnsupportedPolicyError
 
 # Generator profiles build every block kernel up to degree t(c+1); factorial
@@ -119,11 +119,6 @@ class HomologyEngine:
 
     # -- block level --------------------------------------------------------
 
-    def _matrix(self, t: int, alpha: ExponentVec) -> SparseIntMatrix:
-        """The raw block in the coordinates of block_basis (for kernels)."""
-        blk = differential_block(self.params, t, alpha)
-        return SparseIntMatrix(blk.nrows, blk.ncols, blk.entries)
-
     def _strand(self, alpha: ExponentVec) -> Strand:
         """The Morse-reduced strand of alpha's orbit, built once per engine."""
         rep = tuple(sorted(alpha, reverse=True))
@@ -202,29 +197,39 @@ class HomologyEngine:
     def block_dim(self, t: int, alpha: ExponentVec) -> int:
         """Homology dimension of the single multidegree-alpha block.
 
-        A negative result can only come from a corrupt cached rank: both
-        ranks are then recomputed from the strand and stored again.
+        A negative result, or a rank above the face count of either level
+        the differential joins, can only come from a corrupt cached rank:
+        both ranks are then recomputed from the strand and stored again.
         """
-        counts = self._face_counts(alpha)
+        counts = self._face_counts(alpha) + [0]  # so counts[t + 1] exists below
         cols = counts[t] if t < len(counts) else 0
         if cols == 0:
             return 0
-        dim = cols - self.block_rank(t, alpha) - self.block_rank(t + 1, alpha)
-        if dim >= 0:
+
+        def check() -> tuple[int, str | None]:
+            r_t, r_next = self.block_rank(t, alpha), self.block_rank(t + 1, alpha)
+            dim = cols - r_t - r_next
+            if dim < 0:
+                return dim, "negative block dimension"
+            if r_t > counts[t - 1] or r_next > counts[t + 1]:
+                return dim, "block rank above a face count"
+            return dim, None
+
+        dim, fault = check()
+        if fault is None:
             return dim
         log.warning(
-            "negative block dimension at t=%d, alpha=%s from the ranks cached in %s; "
-            "recomputing both ranks",
-            t, alpha, self.cache.path or "memory",
+            "%s at t=%d, alpha=%s from the ranks cached in %s; recomputing both ranks",
+            fault, t, alpha, self.cache.path or "memory",
         )
         self._bypass_cache = True
         try:
-            dim = cols - self.block_rank(t, alpha) - self.block_rank(t + 1, alpha)
+            dim, fault = check()
         finally:
             self._bypass_cache = False
-        if dim < 0:
+        if fault is not None:
             raise ArithmeticError(
-                f"negative block dimension at t={t}, alpha={alpha}; "
+                f"{fault} at t={t}, alpha={alpha}; "
                 f"rank inconsistency over {self.field.describe()}"
             )
         return dim
@@ -395,10 +400,11 @@ class HomologyEngine:
             cur_kernels: dict[ExponentVec, tuple[list, list]] = {}
             new_gens = 0
             for alpha in compositions(n, d):
-                basis = block_basis(params, t, alpha)
+                blk = differential_block(params, t, alpha)
+                basis = blk.cols
                 if not basis:
                     continue
-                mat = self._matrix(t, alpha)
+                mat = SparseIntMatrix(blk.nrows, blk.ncols, blk.entries)
                 kern = exactla.kernel_basis(mat, field)
                 index = {e.gens: pos for pos, e in enumerate(basis)}
                 cur_kernels[alpha] = (basis, kern)

@@ -1,5 +1,6 @@
 """The benchmark's tracer wraps koszul functions by name; every name it
-lists must still resolve, or a traced benchmark run fails."""
+lists must still resolve, and what its wrappers read must still exist, or a
+traced benchmark run fails."""
 
 import importlib
 import importlib.util
@@ -8,15 +9,15 @@ from pathlib import Path
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 
-def _targets() -> dict:
+def _spans():
     spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TARGETS
+    return module
 
 
 def test_every_trace_target_resolves():
-    targets = _targets()
+    targets = _spans().TARGETS
     assert targets
     for span, (modname, attr) in targets.items():
         owner = importlib.import_module(modname)
@@ -24,3 +25,23 @@ def test_every_trace_target_resolves():
             assert hasattr(owner, part), f"{span}: {modname}.{attr} is missing"
             owner = getattr(owner, part)
         assert callable(owner), f"{span}: {modname}.{attr} is not callable"
+
+
+def test_traced_queries_run_and_report():
+    # a traced run reads more than the wrapped names (e.g. the attributes its
+    # counters label calls by), so drive two small queries through the tracer
+    spans = _spans()
+    for modname in {modname for modname, _ in spans.TARGETS.values()}:
+        importlib.import_module(modname)
+    from koszul.cli import main
+
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert main(["homology", "--n", "3", "--c", "2", "--t", "1", "--deg", "4", "--char", "5"]) == 0
+        assert main(["table", "--n", "2", "--c", "2", "--exact"]) == 0
+    finally:
+        tracer.restore()
+    metrics = tracer.metrics()
+    assert metrics["exactla.dense.calls"] > 0
+    assert metrics["exactla.fraction_free.calls"] > 0

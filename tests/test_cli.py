@@ -274,6 +274,30 @@ def test_corrupt_cached_rank_is_recomputed(tmp_path, capsys, caplog):
     assert not caplog.records
 
 
+def test_over_large_cached_rank_is_recomputed(tmp_path, capsys, caplog):
+    # d_1 at (2,1,1) maps onto the single empty face, so a rank of 2 is corrupt
+    # even though it leaves the block dimension non-negative
+    argv = ["homology", "--n", "3", "--c", "2", "--t", "1", "--deg", "4", "--char", "5",
+            "--cache-dir", str(tmp_path)]
+    code, clean = run_cli(capsys, *argv)
+    assert code == 0 and "degree 4 = 6 " in clean
+    path = tmp_path / "rank_cache.jsonl"
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    target = [r for r in records if r["t"] == 1 and r["alpha"] == [2, 1, 1]]
+    assert [r["rank"] for r in target] == [1]
+    path.write_text("".join(
+        json.dumps(dict(r, rank=2) if r in target else r) + "\n" for r in records
+    ))
+    code, out = run_cli(capsys, *argv)
+    assert code == 0 and out == clean
+    warnings = [r.getMessage() for r in caplog.records]
+    assert len(warnings) == 1
+    assert warnings[0].startswith("block rank above a face count at t=1, alpha=(2, 1, 1)")
+    assert str(path) in warnings[0]
+    appended = [json.loads(line) for line in path.read_text().splitlines()][len(records):]
+    assert [(r["t"], r["alpha"], r["rank"]) for r in appended] == [(1, [2, 1, 1], 1)]
+
+
 def test_cache_skips_negative_ranks(tmp_path, caplog):
     path = tmp_path / "ranks.jsonl"
     rec = {"n": 2, "c": 2, "t": 1, "alpha": [2, 0], "p": 0, "rank": -1, "engine": ENGINE_VERSION}
@@ -296,7 +320,7 @@ def test_max_degree_is_restored(capsys):
 
 
 def test_exact_pivot_guard_exits_2(monkeypatch, capsys):
-    def tripped(m, bit_guard=exactla.EXACT_PIVOT_BIT_GUARD):
+    def tripped(m):
         raise exactla.ExactEliminationError("pivot guard tripped")
 
     monkeypatch.setattr(exactla, "rank_fraction_free", tripped)
@@ -304,3 +328,14 @@ def test_exact_pivot_guard_exits_2(monkeypatch, capsys):
         main(["table", "--n", "2", "--c", "2", "--exact"])
     assert exc.value.code == 2
     assert capsys.readouterr().err == "kosz: error: pivot guard tripped\n"
+
+
+def test_exact_pivot_guard_covers_kernels(monkeypatch, capsys):
+    # generator profiles echelonize kernels over Q, not block ranks
+    monkeypatch.setattr(exactla, "EXACT_PIVOT_BIT_GUARD", 0)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "zgen", "--n", "2", "--c", "2", "--t", "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("kosz: error: ") and captured.err.count("\n") == 1

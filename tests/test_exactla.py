@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from koszul import exactla
 from koszul.combinatorics import RingParams
 from koszul.complex import differential_block
 from koszul.exactla import (
@@ -94,15 +95,6 @@ def test_rank_policies_agree_on_random_pm1():
             assert rank_mod_p(m, p) <= exact
 
 
-def test_sparse_and_dense_mod_p_agree():
-    rng = random.Random(5)
-    for _ in range(20):
-        m = _random_pm1(rng, rng.randint(1, 12), rng.randint(1, 12))
-        forced_sparse = SparseIntMatrix(m.nrows, m.ncols, m.triplets, dense_threshold=0)
-        for p in (2, 5, 10007):
-            assert rank_mod_p(m, p) == rank_mod_p(forced_sparse, p)
-
-
 def test_rank_nullity():
     rng = random.Random(9)
     for _ in range(20):
@@ -184,7 +176,7 @@ def test_vector_span_matches_fraction_free_rank():
         span = VectorSpan(m.ncols, QF)
         for row in m.to_dense():
             span.add(row)
-        assert span.rank == rank_fraction_free(m)
+        assert span.rank == _rank_fraction_oracle(m)
 
 
 def test_elementary_divisor_examples():
@@ -243,10 +235,22 @@ def test_char3_jump_block_facts():
     assert all(d in (1, 2, 3, 6) for d in divs)  # no prime factor > c+1 = 3
 
 
-def test_exact_elimination_guard():
+def test_exact_elimination_guard(monkeypatch):
     m = SparseIntMatrix.from_dense([[3, 1], [1, 3]])
+    monkeypatch.setattr(exactla, "EXACT_PIVOT_BIT_GUARD", 1)
     with pytest.raises(ExactEliminationError):
-        rank_fraction_free(m, bit_guard=1)
+        rank_fraction_free(m)
+
+
+def test_exact_guard_covers_every_rational_path(monkeypatch):
+    # kernels and column spaces over Q share the rank's guarded echelon form
+    m = SparseIntMatrix.from_dense([[1, 1]])
+    monkeypatch.setattr(exactla, "EXACT_PIVOT_BIT_GUARD", 0)
+    with pytest.raises(ExactEliminationError):
+        kernel_basis(m, QF)
+    with pytest.raises(ExactEliminationError):
+        ColumnSpace(m, QF)
+    assert len(kernel_basis(m, FieldSpec.prime(5))) == 1  # F_p is unguarded
 
 
 def test_bareiss_on_general_integers():
@@ -268,15 +272,6 @@ def test_from_triplets_merges_and_drops_zeros():
     assert m.triplets == [(1, 1, 5)]
     with pytest.raises(ValueError):
         SparseIntMatrix.from_triplets(2, 2, [(2, 0, 1)])
-
-
-def test_augmented_column():
-    m = SparseIntMatrix.from_dense([[1, 0], [0, 1]])
-    aug = m.augmented([3, 4])
-    assert aug.ncols == 3
-    assert aug.to_dense() == [[1, 0, 3], [0, 1, 4]]
-    with pytest.raises(ValueError):
-        m.augmented([1, 2, 3])
 
 
 def test_fraction_free_agrees_with_multiprime_on_all_run_blocks():
