@@ -1,4 +1,4 @@
-"""The block-rank memo shared by every engine: an in-memory map, optionally
+"""The strand-record memo shared by every engine: an in-memory map, optionally
 backed by an append-only JSONL file so later runs replay it."""
 
 from __future__ import annotations
@@ -7,31 +7,41 @@ import json
 import logging
 import os
 
-ENGINE_VERSION = "0.1.0"
+ENGINE_VERSION = "0.2.0"
 
 log = logging.getLogger("kosz")
 
 
 class RankCache:
-    """Append-only line-delimited store of block ranks.
+    """Append-only line-delimited store of multidegree-strand records.
 
+    A record is keyed by (n, c, sorted alpha, p).  faces[t] counts the
+    t-vertex faces of Delta_alpha, the basis of K_t at alpha (faces[0] = 1),
+    and ranks[t] is the rank of d_t at alpha over F_p, or over Q when p = 0
+    (ranks[0] = 0), so dim H_t at alpha is faces[t] - ranks[t] - ranks[t+1].
     One JSON object per line with stable key order; records from other
-    engine versions are ignored; corrupt lines are skipped with a warning.
-    With path None the cache lives in memory only.
+    engine versions are ignored.  With path None the cache lives in memory.
     """
 
     def __init__(self, path: str | None = None):
         self.path = path
-        self._mem: dict[tuple, int] = {}
+        self._mem: dict[tuple, tuple[tuple[int, ...], tuple[int, ...]]] = {}
         if path and os.path.exists(path):
             self._load(path)
 
     def _load(self, path: str) -> None:
+        """Read the records of path.  Corrupt lines are skipped with a warning;
+        so is a record that fails a check, unless a later valid record for the
+        same key replaces it (as after a recompute).  Of two valid records for
+        one key that differ, the later is kept, with a warning."""
+        kept: dict[tuple, int] = {}  # key -> line of the record in memory
+        failed: dict[tuple, list[tuple[int, Exception]]] = {}  # key -> (line, fault)
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
                     continue
+                key = None
                 try:
                     rec = json.loads(line)
                     if rec["engine"] != ENGINE_VERSION:
@@ -39,33 +49,56 @@ class RankCache:
                     key = (
                         int(rec["n"]),
                         int(rec["c"]),
-                        int(rec["t"]),
                         tuple(int(a) for a in rec["alpha"]),
                         int(rec["p"]),
                     )
-                    rank = int(rec["rank"])
-                    if rank < 0:
-                        raise ValueError(f"negative rank {rank}")
-                    self._mem[key] = rank
+                    faces = tuple(int(f) for f in rec["faces"])
+                    ranks = tuple(int(r) for r in rec["ranks"])
+                    if len(faces) != len(ranks) or faces[:1] != (1,) or ranks[:1] != (0,):
+                        raise ValueError("need as many faces as ranks, from 1 face and rank 0")
+                    r = ranks + (0,)
+                    for t in range(1, len(faces)):
+                        if not 0 <= r[t] <= min(faces[t - 1], faces[t]):
+                            raise ValueError(f"rank d_{t} = {r[t]} above a face count or negative")
+                        if r[t] + r[t + 1] > faces[t]:
+                            raise ValueError(f"rank d_{t} + rank d_{t + 1} above {faces[t]} faces")
                 except (KeyError, TypeError, ValueError) as exc:
-                    log.warning("%s:%d: skipping corrupt cache line (%s)", path, lineno, exc)
+                    if key is None:
+                        log.warning("%s:%d: skipping corrupt cache line (%s)", path, lineno, exc)
+                    else:
+                        failed.setdefault(key, []).append((lineno, exc))
+                    continue
+                failed.pop(key, None)
+                if self._mem.get(key, (faces, ranks)) != (faces, ranks):
+                    log.warning(
+                        "%s:%d: cache record for alpha=%s, p=%d differs from line %d; "
+                        "keeping line %d", path, lineno, key[2], key[3], kept[key], lineno,
+                    )
+                self._mem[key] = faces, ranks
+                kept[key] = lineno
+        for (_, _, alpha, p), faults in failed.items():
+            for lineno, exc in faults:
+                log.warning("%s:%d: skipping cache record for alpha=%s, p=%d (%s)",
+                            path, lineno, alpha, p, exc)
 
-    def get(self, n: int, c: int, t: int, alpha: tuple, p: int) -> int | None:
-        return self._mem.get((n, c, t, tuple(alpha), p))
+    def get(self, n: int, c: int, alpha: tuple, p: int):
+        """The (faces, ranks) record of the strand at sorted alpha, or None."""
+        return self._mem.get((n, c, tuple(alpha), p))
 
-    def put(self, n: int, c: int, t: int, alpha: tuple, p: int, rank: int) -> None:
-        key = (n, c, t, tuple(alpha), p)
-        if self._mem.get(key) == rank:
+    def put(self, n: int, c: int, alpha: tuple, p: int, faces, ranks) -> None:
+        key = (n, c, tuple(alpha), p)
+        value = tuple(faces), tuple(ranks)
+        if self._mem.get(key) == value:
             return
-        self._mem[key] = rank
+        self._mem[key] = value
         if self.path:
             rec = {
                 "n": n,
                 "c": c,
-                "t": t,
                 "alpha": list(alpha),
                 "p": p,
-                "rank": rank,
+                "faces": list(faces),
+                "ranks": list(ranks),
                 "engine": ENGINE_VERSION,
             }
             try:

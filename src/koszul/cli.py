@@ -67,7 +67,7 @@ class RunConfig:
     def cache(self) -> RankCache:
         directory = self.cache_dir or os.environ.get("KOSZ_CACHE_DIR")
         if not directory:
-            return RankCache(None)  # memory-only: dedupes shared block ranks
+            return RankCache(None)  # memory-only: dedupes shared strand records
         os.makedirs(directory, exist_ok=True)
         return RankCache(os.path.join(directory, CACHE_FILENAME))
 

@@ -224,19 +224,17 @@ class Strand:
     pairs plus the integer Morse matrix morse(t) on the critical cells
     (crit[t-1] x crit[t]): rank d_t = pairs[t] + rank morse(t) over every
     field, and the elementary divisors of d_t are 1^pairs[t] together with
-    those of morse(t).  Only the counts (pairs and crit, indexed by
-    t = 0 .. N+1) and the entries of the Morse matrices are kept.
+    those of morse(t).  Only the counts (faces, one per nonempty level;
+    pairs and crit, indexed by t = 0 .. N+1) and the entries of the Morse
+    matrices are kept.
     """
 
-    __slots__ = ("pairs", "crit", "_entries")
+    __slots__ = ("faces", "pairs", "crit", "_entries")
 
-    def __init__(
-        self, params: RingParams, alpha: ExponentVec, levels: list[list[int]] | None = None
-    ):
-        """levels, when given, must be face_levels(params, alpha)."""
+    def __init__(self, params: RingParams, alpha: ExponentVec):
         alpha = tuple(alpha)
-        if levels is None:
-            levels = face_levels(params, alpha)
+        levels = face_levels(params, alpha)
+        self.faces = [len(level) for level in levels]
         size = params.N + 2
         self.pairs = [0] * size
         alive = {face for level in levels for face in level}

@@ -217,21 +217,23 @@ def rank_mod_p(m: SparseIntMatrix, p: int) -> int:
 
 def rank_multiprime(m: SparseIntMatrix, f: FieldSpec) -> tuple[int, dict[int, int], bool]:
     """(max rank, per-prime ranks, agreement flag) of m; see sampled_rank."""
-    return sampled_rank(f, lambda p: rank_mod_p(m, p))
+    best, ranks, agreed = sampled_rank(f, lambda p: [rank_mod_p(m, p)])
+    return best[0], {p: r[0] for p, r in ranks.items()}, agreed
 
 
 def sampled_rank(
-    f: FieldSpec, rank_at: Callable[[int], int]
-) -> tuple[int, dict[int, int], bool]:
-    """(max rank, per-prime ranks, agreement flag) over the seeded primes of
-    a multiprime spec, where rank_at(p) is the rank mod p; escalates by one
-    prime when the initial set disagrees."""
+    f: FieldSpec, rank_at: Callable[[int], Sequence[int]]
+) -> tuple[list[int], dict[int, Sequence[int]], bool]:
+    """(elementwise max, per-prime rank vectors, agreement flag) over the
+    seeded primes of a multiprime spec, where rank_at(p) is a vector of
+    ranks mod p; escalates by one prime when the initial set disagrees
+    anywhere."""
     ranks = {p: rank_at(p) for p in multiprime_primes(f.seed, f.num_primes)}
-    if len(set(ranks.values())) > 1:
+    if len({tuple(r) for r in ranks.values()}) > 1:
         extra = multiprime_primes(f.seed, f.num_primes + 1)[-1]
         ranks[extra] = rank_at(extra)
-    values = set(ranks.values())
-    return max(values), ranks, len(values) == 1
+    agreed = len({tuple(r) for r in ranks.values()}) == 1
+    return [max(col) for col in zip(*ranks.values())], ranks, agreed
 
 
 def _rank_dense_mod_p(A: np.ndarray, p: int) -> int:

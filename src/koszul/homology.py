@@ -1,20 +1,20 @@
-"""Homology dimensions assembled from block ranks, and everything downstream:
-Betti tables of Veronese modules, the duality check, the syzygy-linearity
-(Green-Lazarsfeld) index scan, Green-type degree bounds, and minimal
-generator profiles of the cycle modules Z_t.
+"""Homology dimensions assembled from strand records, and everything
+downstream: Betti tables of Veronese modules, the duality check, the
+syzygy-linearity (Green-Lazarsfeld) index scan, Green-type degree bounds,
+and minimal generator profiles of the cycle modules Z_t.
 
 Throughout, dim H_t in internal degree d is computed multidegree by
 multidegree: each orbit of multidegrees under variable permutation
-contributes orbit_size * (cols - rank d_t - rank d_{t+1}) from a single
-representative block.  The duality dim H_t(d) = dim H_{N-n-t}(Nc-n-d) lets
-every query be served from whichever side has smaller blocks; it can be
-switched off to force direct computation (the duality and vanishing suites
-do exactly that).
+contributes orbit_size * (faces_t - rank d_t - rank d_{t+1}), read from the
+record of one representative strand (koszul.cache), which holds the face
+count and the differential rank of every level.  The duality
+dim H_t(d) = dim H_{N-n-t}(Nc-n-d) lets every query be served from
+whichever side has smaller blocks; it can be switched off to force direct
+computation (the duality and vanishing suites do exactly that).
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -33,14 +33,12 @@ from .combinatorics import (
     vec_add,
     vec_sub,
 )
-from .complex import Strand, differential_block, face_levels, graded_dim
+from .complex import Strand, differential_block, graded_dim
 from .exactla import FieldSpec, SizeGuardError, SparseIntMatrix, UnsupportedPolicyError
 
 # Generator profiles build every block kernel up to degree t(c+1); factorial
 # growth in t makes large t pointless.
 Z_PROFILE_T_GUARD = 4
-
-log = logging.getLogger("kosz")
 
 
 @dataclass
@@ -91,11 +89,12 @@ def duality_partner(params: RingParams, i: int, j: int) -> tuple[int, int]:
 
 
 class HomologyEngine:
-    """Shared context for a run: ring, field, rank memo, and reduction options.
+    """Shared context for a run: ring, field, strand-record memo, and
+    reduction options.
 
-    Without a cache argument the engine memoizes block ranks in memory.  A
-    rank missing from the cache comes from the Morse-reduced strand of its
-    orbit (complex.Strand), built at most once per engine.
+    Without a cache argument the engine memoizes strand records in memory.
+    A record missing from the cache comes from the Morse-reduced strand of
+    its orbit (complex.Strand), built at most once per engine.
     """
 
     def __init__(
@@ -113,126 +112,72 @@ class HomologyEngine:
         self.use_duality = use_duality
         self.stats = {"eliminations": 0, "cache_hits": 0}
         self._strands: dict[ExponentVec, Strand] = {}
-        self._faces: dict[ExponentVec, list[int]] = {}
-        self._levels: tuple = (None, None)  # (rep, face_levels) of the last count
-        self._bypass_cache = False
 
     # -- block level --------------------------------------------------------
 
-    def _strand(self, alpha: ExponentVec) -> Strand:
-        """The Morse-reduced strand of alpha's orbit, built once per engine."""
-        rep = tuple(sorted(alpha, reverse=True))
-        strand = self._strands.get(rep)
-        if strand is None:
-            levels = self._levels[1] if self._levels[0] == rep else None
-            strand = self._strands[rep] = Strand(self.params, rep, levels)
-            self._levels = (None, None)
-        return strand
-
-    def _face_counts(self, alpha: ExponentVec) -> list[int]:
-        """Basis sizes of alpha's strand by t.  This enumerates the faces but
-        matches nothing; the faces are kept until the next enumeration, for
-        the strand that a cache miss builds next."""
-        rep = tuple(sorted(alpha, reverse=True))
-        counts = self._faces.get(rep)
-        if counts is None:
-            levels = face_levels(self.params, rep)
-            counts = self._faces[rep] = [len(level) for level in levels]
-            self._levels = (rep, levels)
-        return counts
-
-    def _cache_key(self, t: int, alpha: ExponentVec, p: int) -> tuple:
-        return self.params.n, self.params.c, t, tuple(sorted(alpha, reverse=True)), p
-
-    def _cache_get(self, key: tuple) -> int | None:
-        if self._bypass_cache:
-            return None
-        got = self.cache.get(*key)
+    def _cached(self, rep: ExponentVec, p: int):
+        got = self.cache.get(self.params.n, self.params.c, rep, p)
         if got is not None:
             self.stats["cache_hits"] += 1
         return got
 
-    def _memo_rank(
-        self, t: int, alpha: ExponentVec, p: int, rank: Callable[[SparseIntMatrix], int]
-    ) -> int:
-        """The rank stored under (t, alpha, p); on a miss, the strand's
-        matched pairs plus rank(Morse matrix of d_t)."""
-        key = self._cache_key(t, alpha, p)
-        got = self._cache_get(key)
-        if got is not None:
-            return got
-        strand = self._strand(alpha)
-        r = strand.pairs[t] + rank(strand.morse(t))
-        self.stats["eliminations"] += 1
-        self.cache.put(*key, r)
-        return r
+    def _memo_record(self, rep: ExponentVec, p: int, rank: Callable[[SparseIntMatrix], int]):
+        """The (faces, ranks) record stored under (rep, p); on a miss, the
+        strand's face counts and, for every t, its matched pairs plus
+        rank(Morse matrix of d_t)."""
+        got = self._cached(rep, p)
+        if got is None:
+            strand = self._strands.get(rep)  # built at most once per engine
+            if strand is None:
+                strand = self._strands[rep] = Strand(self.params, rep)
+            ranks = [strand.pairs[t] + rank(strand.morse(t)) for t in range(1, len(strand.faces))]
+            got = strand.faces, [0] + ranks
+            self.stats["eliminations"] += 1
+            self.cache.put(self.params.n, self.params.c, rep, p, *got)
+        return got
 
-    def _rank_mod_p(self, t: int, alpha: ExponentVec, p: int) -> int:
-        return self._memo_rank(t, alpha, p, lambda m: exactla.rank_mod_p(m, p))
+    def _rank_mod_p(self, rep: ExponentVec, p: int):
+        return self._memo_record(rep, p, lambda m: exactla.rank_mod_p(m, p))
 
-    def block_rank(self, t: int, alpha: ExponentVec) -> int:
-        """Rank of the t-th differential block at alpha over the engine field.
+    def _record(self, alpha: ExponentVec):
+        """(faces, ranks) of alpha's strand over the engine field.
 
-        Results are cached per prime; a certified rational rank is stored
-        under p=0 (fraction-free runs, or agreement of three or more primes).
+        Records are cached per prime; a certified rational record is stored
+        under p=0 (fraction-free runs, or agreement of three or more primes
+        at every t).
         """
-        if t < 1 or t > self.params.N:
-            return 0
+        rep = tuple(sorted(alpha, reverse=True))
         f = self.field
         if f.kind == "prime":
-            return self._rank_mod_p(t, alpha, f.p)
+            return self._rank_mod_p(rep, f.p)
         if f.policy == "fraction_free":
-            return self._memo_rank(t, alpha, 0, exactla.rank_fraction_free)
-        key = self._cache_key(t, alpha, 0)
-        got = self._cache_get(key)
+            return self._memo_record(rep, 0, exactla.rank_fraction_free)
+        got = self._cached(rep, 0)
         if got is not None:
             return got
-        best, ranks, agreed = exactla.sampled_rank(
-            f, lambda p: self._rank_mod_p(t, alpha, p)
-        )
+        faces = ()
+
+        def ranks_at(p: int):
+            nonlocal faces
+            faces, ranks = self._rank_mod_p(rep, p)
+            return ranks
+
+        best, ranks, agreed = exactla.sampled_rank(f, ranks_at)
         if agreed and len(ranks) >= 3:
-            self.cache.put(*key, best)
-        return best
+            self.cache.put(self.params.n, self.params.c, rep, 0, faces, best)
+        return faces, best
+
+    def block_rank(self, t: int, alpha: ExponentVec) -> int:
+        """Rank of the t-th differential block at alpha over the engine field."""
+        ranks = self._record(alpha)[1]
+        return ranks[t] if 0 < t < len(ranks) else 0
 
     def block_dim(self, t: int, alpha: ExponentVec) -> int:
-        """Homology dimension of the single multidegree-alpha block.
-
-        A negative result, or a rank above the face count of either level
-        the differential joins, can only come from a corrupt cached rank:
-        both ranks are then recomputed from the strand and stored again.
-        """
-        counts = self._face_counts(alpha) + [0]  # so counts[t + 1] exists below
-        cols = counts[t] if t < len(counts) else 0
-        if cols == 0:
-            return 0
-
-        def check() -> tuple[int, str | None]:
-            r_t, r_next = self.block_rank(t, alpha), self.block_rank(t + 1, alpha)
-            dim = cols - r_t - r_next
-            if dim < 0:
-                return dim, "negative block dimension"
-            if r_t > counts[t - 1] or r_next > counts[t + 1]:
-                return dim, "block rank above a face count"
-            return dim, None
-
-        dim, fault = check()
-        if fault is None:
-            return dim
-        log.warning(
-            "%s at t=%d, alpha=%s from the ranks cached in %s; recomputing both ranks",
-            fault, t, alpha, self.cache.path or "memory",
-        )
-        self._bypass_cache = True
-        try:
-            dim, fault = check()
-        finally:
-            self._bypass_cache = False
-        if fault is not None:
-            raise ArithmeticError(
-                f"{fault} at t={t}, alpha={alpha}; "
-                f"rank inconsistency over {self.field.describe()}"
-            )
-        return dim
+        """Homology dimension of the single multidegree-alpha block:
+        faces[t] - ranks[t] - ranks[t+1] of alpha's strand record."""
+        faces, ranks = self._record(alpha)
+        r = (*ranks, 0)  # rank d_{t+1} = 0 above the top level
+        return faces[t] - r[t] - r[t + 1] if 0 <= t < len(faces) else 0
 
     # -- degree level --------------------------------------------------------
 
@@ -250,14 +195,11 @@ class HomologyEngine:
         ):
             td, dd = duality_partner(self.params, t, d)
             if self.estimated_cost(td, dd) < self.estimated_cost(t, d):
-                return self._dim_direct(td, dd, False)
-        return self._dim_direct(t, d, breakdown)
+                return self.homology_dim_direct(td, dd)
+        return self.homology_dim_direct(t, d, breakdown)
 
     def homology_dim_direct(self, t: int, d: int, breakdown: bool = False):
-        """dim H_t in degree d without the duality shortcut."""
-        return self._dim_direct(t, d, breakdown)
-
-    def _dim_direct(self, t: int, d: int, breakdown: bool):
+        """dim H_t in degree d without the duality shortcut (breakdown: see homology_dim)."""
         params = self.params
         zero = (0, {}) if breakdown else 0
         if t < 0 or d < t * params.c:

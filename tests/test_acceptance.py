@@ -92,12 +92,14 @@ def test_criterion_01_paper_diagram(run33):
     assert not mismatches, mismatches
     assert nonzero == 26
 
-    # certification: every block rank must carry a p=0 record, written only
-    # under fraction-free elimination or agreement of >= 3 primes
+    # certification: every strand with a sampled-prime record must carry a
+    # p=0 record, written only under fraction-free elimination or agreement
+    # of >= 3 primes at every t
     keys = engine.cache._mem
-    blocks = {(t, alpha) for (n, c, t, alpha, p) in keys if p > 0}
-    uncertified = [ta for ta in blocks if (3, 3, *ta, 0) not in keys]
-    assert not uncertified, f"{len(uncertified)} block ranks lack 3-prime agreement"
+    strands = {alpha for (n, c, alpha, p) in keys if p > 0}
+    assert strands
+    uncertified = [alpha for alpha in strands if (3, 3, alpha, 0) not in keys]
+    assert not uncertified, f"{len(uncertified)} strands lack 3-prime agreement"
 
     assert elapsed < 300, f"criterion-1 run took {elapsed:.0f}s"
     print(f"\nPASS criterion 1: diagram exact (26 nonzero entries, "

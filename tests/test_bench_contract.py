@@ -27,9 +27,10 @@ def test_every_trace_target_resolves():
         assert callable(owner), f"{span}: {modname}.{attr} is not callable"
 
 
-def test_traced_queries_run_and_report():
+def test_traced_queries_run_and_report(tmp_path):
     # a traced run reads more than the wrapped names (e.g. the attributes its
-    # counters label calls by), so drive two small queries through the tracer
+    # counters label calls by, or the cache's record map), so drive small
+    # queries through the tracer: cold and warm ones through a cache file
     spans = _spans()
     for modname in {modname for modname, _ in spans.TARGETS.values()}:
         importlib.import_module(modname)
@@ -40,8 +41,12 @@ def test_traced_queries_run_and_report():
     try:
         assert main(["homology", "--n", "3", "--c", "2", "--t", "1", "--deg", "4", "--char", "5"]) == 0
         assert main(["table", "--n", "2", "--c", "2", "--exact"]) == 0
+        for _ in ("cold", "warm"):
+            assert main(["table", "--n", "3", "--c", "2", "--cache-dir", str(tmp_path)]) == 0
     finally:
         tracer.restore()
     metrics = tracer.metrics()
     assert metrics["exactla.dense.calls"] > 0
     assert metrics["exactla.fraction_free.calls"] > 0
+    assert metrics["cli.cache.records_loaded"] > 0
+    assert metrics["cli.cache.get.calls"] > 0

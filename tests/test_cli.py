@@ -1,9 +1,10 @@
 import json
 import os
+import sys
 
 import pytest
 
-from koszul import combinatorics, exactla
+from koszul import combinatorics, complex, exactla
 from koszul.cli import ENGINE_VERSION, RankCache, RunConfig, main, render_diagram, structural_zero
 from koszul.combinatorics import RingParams
 from koszul.cycles import sample_nonzero_cycles
@@ -157,42 +158,64 @@ def test_render_diagram_alignment():
     assert "|" in text.splitlines()[0]
 
 
+def record(alpha, p, faces, ranks, **extra):
+    rec = {"n": 2, "c": 2, "alpha": alpha, "p": p, "faces": faces, "ranks": ranks,
+           "engine": ENGINE_VERSION}
+    return json.dumps(dict(rec, **extra)) + "\n"
+
+
 def test_cache_roundtrip(tmp_path):
+    # the strand at (2,2,0) of m^2 in three variables: vertices x^2, xy, y^2
+    # and the edge {x^2, y^2}
     path = str(tmp_path / "ranks.jsonl")
     cache = RankCache(path)
-    cache.put(3, 2, 1, (2, 1, 0), 0, 5)
-    cache.put(3, 2, 1, (2, 1, 0), 7, 4)
-    assert cache.get(3, 2, 1, (2, 1, 0), 0) == 5
-    assert cache.get(3, 2, 1, (2, 1, 0), 7) == 4
-    assert cache.get(3, 2, 1, (2, 1, 0), 11) is None  # p mismatch -> miss
+    cache.put(3, 2, (2, 2, 0), 0, [1, 3, 1], [0, 1, 1])
+    cache.put(3, 2, (2, 2, 0), 7, [1, 3, 1], [0, 1, 1])
+    assert cache.get(3, 2, (2, 2, 0), 0) == ((1, 3, 1), (0, 1, 1))
+    assert cache.get(3, 2, (2, 2, 0), 7) == ((1, 3, 1), (0, 1, 1))
+    assert cache.get(3, 2, (2, 2, 0), 11) is None  # p mismatch -> miss
     reloaded = RankCache(path)
-    assert reloaded.get(3, 2, 1, (2, 1, 0), 0) == 5
+    assert reloaded.get(3, 2, (2, 2, 0), 0) == ((1, 3, 1), (0, 1, 1))
     assert len(reloaded) == 2
 
 
 def test_cache_skips_corrupt_lines(tmp_path, caplog):
-    path = str(tmp_path / "ranks.jsonl")
-    good = {"n": 2, "c": 2, "t": 1, "alpha": [2, 0], "p": 0, "rank": 1, "engine": ENGINE_VERSION}
-    with open(path, "w") as fh:
-        fh.write(json.dumps(good) + "\n")
-        fh.write("this is not json\n")
-        fh.write(json.dumps({"n": 1}) + "\n")
-        fh.write(json.dumps(dict(good, engine="other", rank=9)) + "\n")
-    cache = RankCache(path)
-    assert cache.get(2, 2, 1, (2, 0), 0) == 1
+    path = tmp_path / "ranks.jsonl"
+    path.write_text(
+        record([2, 0], 0, [1, 1], [0, 1])
+        + "this is not json\n"
+        + json.dumps({"n": 1}) + "\n"
+        + record([1, 1], 0, [1, 1], [0, 9], engine="other")
+    )
+    cache = RankCache(str(path))
+    assert cache.get(2, 2, (2, 0), 0) == ((1, 1), (0, 1))
     assert len(cache) == 1
+    assert caplog.text.count("skipping corrupt cache line") == 2
 
 
-def test_warm_cache_replays_without_eliminations(tmp_path):
-    cfg = RunConfig(n=3, c=3, cache_dir=str(tmp_path), primes=3)
-    engine = cfg.engine()
-    cold = engine.homology_table(7, 27)
-    assert engine.stats["eliminations"] > 0
-    warm_engine = cfg.engine()
-    warm = warm_engine.homology_table(7, 27)
-    assert warm_engine.stats["eliminations"] == 0
-    assert not warm_engine._strands  # a cache hit builds no Morse matching
-    assert warm.entries == cold.entries
+def test_warm_cache_replays_without_eliminations(tmp_path, monkeypatch):
+    def enumerated(*args):
+        raise AssertionError("a warm engine enumerated the faces of a strand")
+
+    face_levels = complex.face_levels
+
+    # with 3 primes the warm run reads certified p=0 records; with 2 it reads
+    # the per-prime records, whose face counts it must reuse
+    for primes in (2, 3):
+        cfg = RunConfig(n=3, c=3, cache_dir=str(tmp_path / str(primes)), primes=primes)
+        engine = cfg.engine()
+        cold = engine.homology_table(7, 27)
+        assert engine.stats["eliminations"] > 0
+        with monkeypatch.context() as patch:
+            for module in [m for name, m in sys.modules.items() if name.startswith("koszul")]:
+                for attr, value in vars(module).items():
+                    if value is face_levels:
+                        patch.setattr(module, attr, enumerated)
+            warm_engine = cfg.engine()
+            warm = warm_engine.homology_table(7, 27)
+        assert warm_engine.stats["eliminations"] == 0
+        assert not warm_engine._strands  # a cache hit builds no Morse matching
+        assert warm.entries == cold.entries
 
 
 def test_output_determinism(capsys):
@@ -255,23 +278,28 @@ def test_corrupt_cached_rank_is_recomputed(tmp_path, capsys, caplog):
     assert code == 0
     path = tmp_path / "rank_cache.jsonl"
     records = [json.loads(line) for line in path.read_text().splitlines()]
-    path.write_text("".join(json.dumps(dict(r, rank=999)) + "\n" for r in records))
+    assert records
+    path.write_text("".join(
+        json.dumps(dict(r, ranks=[0] + [999] * (len(r["ranks"]) - 1))) + "\n" for r in records
+    ))
     code, out = run_cli(capsys, *argv)
     assert code == 0
     assert out == clean
-    warnings = [r.getMessage() for r in caplog.records if "negative block dimension" in r.getMessage()]
-    # one warning per recomputed block, one block per orbit of degree 3
-    assert [w.split(" from ")[0] for w in warnings] == [
-        "negative block dimension at t=1, alpha=(3, 0)",
-        "negative block dimension at t=1, alpha=(2, 1)",
+    # one warning per skipped record, naming the file, the line, alpha and p
+    warnings = [r.getMessage() for r in caplog.records]
+    assert warnings == [
+        f"{path}:{line}: skipping cache record for alpha={tuple(r['alpha'])}, p={r['p']} "
+        f"(rank d_1 = 999 above a face count or negative)"
+        for line, r in enumerate(records, 1)
     ]
-    assert all(str(path) in w for w in warnings)
     appended = [json.loads(line) for line in path.read_text().splitlines()][len(records):]
-    assert appended and all(r["rank"] != 999 for r in appended)
+    assert appended == records
     caplog.clear()
+    size = path.stat().st_size
     code, out = run_cli(capsys, *argv)  # the appended records win on reload
     assert code == 0 and out == clean
     assert not caplog.records
+    assert path.stat().st_size == size
 
 
 def test_over_large_cached_rank_is_recomputed(tmp_path, capsys, caplog):
@@ -283,28 +311,57 @@ def test_over_large_cached_rank_is_recomputed(tmp_path, capsys, caplog):
     assert code == 0 and "degree 4 = 6 " in clean
     path = tmp_path / "rank_cache.jsonl"
     records = [json.loads(line) for line in path.read_text().splitlines()]
-    target = [r for r in records if r["t"] == 1 and r["alpha"] == [2, 1, 1]]
-    assert [r["rank"] for r in target] == [1]
-    path.write_text("".join(
-        json.dumps(dict(r, rank=2) if r in target else r) + "\n" for r in records
-    ))
+    target = [r for r in records if r["alpha"] == [2, 1, 1]]
+    assert [r["ranks"][1] for r in target] == [1]
+    bad = dict(target[0], ranks=[0, 2] + target[0]["ranks"][2:])
+    path.write_text("".join(json.dumps(bad if r in target else r) + "\n" for r in records))
     code, out = run_cli(capsys, *argv)
     assert code == 0 and out == clean
     warnings = [r.getMessage() for r in caplog.records]
-    assert len(warnings) == 1
-    assert warnings[0].startswith("block rank above a face count at t=1, alpha=(2, 1, 1)")
-    assert str(path) in warnings[0]
+    line = records.index(target[0]) + 1
+    assert warnings == [
+        f"{path}:{line}: skipping cache record for alpha=(2, 1, 1), p=5 "
+        f"(rank d_1 = 2 above a face count or negative)"
+    ]
     appended = [json.loads(line) for line in path.read_text().splitlines()][len(records):]
-    assert [(r["t"], r["alpha"], r["rank"]) for r in appended] == [(1, [2, 1, 1], 1)]
+    assert appended == target
 
 
 def test_cache_skips_negative_ranks(tmp_path, caplog):
     path = tmp_path / "ranks.jsonl"
-    rec = {"n": 2, "c": 2, "t": 1, "alpha": [2, 0], "p": 0, "rank": -1, "engine": ENGINE_VERSION}
-    path.write_text(json.dumps(rec) + "\n")
+    path.write_text(record([2, 0], 0, [1, 1], [0, -1]))
     cache = RankCache(str(path))
     assert len(cache) == 0
-    assert "skipping corrupt cache line" in caplog.text and "negative rank -1" in caplog.text
+    assert f"{path}:1: skipping cache record for alpha=(2, 0), p=0" in caplog.text
+    assert "rank d_1 = -1 " in caplog.text
+
+
+@pytest.mark.parametrize("faces, ranks, fault", [
+    ([1, 3, 1], [0, 1], "need as many faces as ranks"),
+    ([2, 3, 1], [0, 1, 1], "from 1 face and rank 0"),
+    ([1, 3, 1], [1, 1, 1], "from 1 face and rank 0"),
+    ([1, 3, 1], [0, 1, 2], "rank d_2 = 2 above a face count"),
+    ([1, 3, 3], [0, 1, 3], "rank d_1 + rank d_2 above 3 faces"),
+])
+def test_cache_checks_every_record(tmp_path, caplog, faces, ranks, fault):
+    path = tmp_path / "ranks.jsonl"
+    path.write_text(record([2, 2], 0, faces, ranks))
+    assert len(RankCache(str(path))) == 0
+    assert fault in caplog.text and "alpha=(2, 2), p=0" in caplog.text
+
+
+def test_cache_reports_conflicting_records(tmp_path, caplog):
+    path = tmp_path / "ranks.jsonl"
+    path.write_text(
+        record([2, 2], 3, [1, 3, 1], [0, 1, 1])
+        + record([2, 2], 3, [1, 3, 1], [0, 1, 1])  # a repeat is no conflict
+        + record([2, 2], 3, [1, 3, 1], [0, 1, 0])
+    )
+    cache = RankCache(str(path))
+    assert cache.get(2, 2, (2, 2), 3) == ((1, 3, 1), (0, 1, 0))
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{path}:3: cache record for alpha=(2, 2), p=3 differs from line 2; keeping line 3"
+    ]
 
 
 def test_max_degree_is_restored(capsys):

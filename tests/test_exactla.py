@@ -66,6 +66,18 @@ def test_prime_generation():
     assert multiprime_primes(0, 4)[:3] == primes
 
 
+def test_sampled_rank_escalates_on_any_disagreement():
+    # rank vectors of one strand: the first prime drops one rank at t = 2 only
+    primes = multiprime_primes(11, 4)
+    vectors = {p: [0, 3, 2, 1] for p in primes}
+    vectors[primes[0]] = [0, 3, 1, 1]
+    best, ranks, agreed = exactla.sampled_rank(QM, vectors.__getitem__)
+    assert list(ranks) == list(primes)  # one more prime was drawn
+    assert best == [0, 3, 2, 1] and not agreed
+    best, ranks, agreed = exactla.sampled_rank(QM, lambda p: [0, 3, 2, 1])
+    assert list(ranks) == list(primes[:3]) and best == [0, 3, 2, 1] and agreed
+
+
 def test_rank_identity_and_small():
     eye = SparseIntMatrix.from_triplets(5, 5, [(i, i, 1) for i in range(5)])
     for f in (QF, QM, FieldSpec.prime(5)):

@@ -14,19 +14,7 @@ QM = FieldSpec.rational(policy="multiprime", num_primes=3, seed=0)
 QF = FieldSpec.rational(policy="fraction_free")
 
 
-class MemoryCache:
-    def __init__(self):
-        self.data = {}
-
-    def get(self, n, c, t, alpha, p):
-        return self.data.get((n, c, t, tuple(alpha), p))
-
-    def put(self, n, c, t, alpha, p, rank):
-        self.data[(n, c, t, tuple(alpha), p)] = rank
-
-
 def engine(n, c, field=QM, **kw):
-    kw.setdefault("cache", MemoryCache())
     return HomologyEngine(RingParams(n, c), field, **kw)
 
 
@@ -169,7 +157,7 @@ def test_green_bound_char3_entry_within_unsharpened():
 
 
 def test_vanishing_suite_small():
-    rep = verify_vanishing(RingParams(3, 2), QM, cache=MemoryCache())
+    rep = verify_vanishing(RingParams(3, 2), QM)
     assert rep.ok and rep.checked > 0 and rep.sharp_checked > 0
 
 

@@ -153,11 +153,15 @@ def test_engine_ranks_come_from_morse_matrices(monkeypatch):
     orig = exactla.rank_mod_p
 
     def spy(m, p):
-        seen.append(m.cells)
+        seen.append((m.nrows, m.ncols, sorted(m.triplets)))
         return orig(m, p)
 
     monkeypatch.setattr(exactla, "rank_mod_p", spy)
     params = RingParams(7, 2)
     e = HomologyEngine(params, exactla.FieldSpec.prime(3))
     assert e.block_rank(3, (1,) * 7) == 78 + 6
-    assert seen == [7 * 27]
+    # a miss ranks the Morse matrices of the whole (1^7) strand, and only those
+    s = Strand(params, (1,) * 7)
+    morse = [s.morse(t) for t in range(1, len(s.faces))]
+    assert seen == [(m.nrows, m.ncols, sorted(m.triplets)) for m in morse]
+    assert (7, 27) in [(m.nrows, m.ncols) for m in morse]
