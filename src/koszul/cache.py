@@ -1,5 +1,9 @@
 """The strand-record memo shared by every engine: an in-memory map, optionally
-backed by an append-only JSONL file so later runs replay it."""
+backed by an append-only JSONL file so later runs replay it.
+
+A cache directory holds one such file per ring, named by cache_path, so a
+command reads only the records of its own (n, c).
+"""
 
 from __future__ import annotations
 
@@ -11,6 +15,13 @@ ENGINE_VERSION = "0.2.0"
 
 log = logging.getLogger("kosz")
 
+_decode = json.JSONDecoder().decode
+
+
+def cache_path(directory: str, n: int, c: int) -> str:
+    """The cache file of the records of ring (n, c) in a cache directory."""
+    return os.path.join(directory, f"rank_cache-n{n}-c{c}.jsonl")
+
 
 class RankCache:
     """Append-only line-delimited store of multidegree-strand records.
@@ -20,7 +31,9 @@ class RankCache:
     and ranks[t] is the rank of d_t at alpha over F_p, or over Q when p = 0
     (ranks[0] = 0), so dim H_t at alpha is faces[t] - ranks[t] - ranks[t+1].
     One JSON object per line with stable key order; records from other
-    engine versions are ignored.  With path None the cache lives in memory.
+    engine versions are ignored.  A file may hold records of any ring, though
+    cache_path gives each ring its own.  With path None the cache lives in
+    memory.
     """
 
     def __init__(self, path: str | None = None):
@@ -30,30 +43,32 @@ class RankCache:
             self._load(path)
 
     def _load(self, path: str) -> None:
-        """Read the records of path.  Corrupt lines are skipped with a warning;
-        so is a record that fails a check, unless a later valid record for the
-        same key replaces it (as after a recompute).  Of two valid records for
-        one key that differ, the later is kept, with a warning."""
+        """Read the records of path.  Corrupt lines (including a key field
+        that is not a JSON integer) are skipped with a warning; so is a record
+        that fails a check, unless a later valid record for the same key
+        replaces it (as after a recompute).  A record's checks: faces and ranks
+        are JSON integers, as many faces as ranks, from 1 face and rank 0,
+        0 <= ranks[t] <= min(faces[t-1], faces[t]) and
+        ranks[t] + ranks[t+1] <= faces[t].  Of two valid records for one key
+        that differ, the later is kept, with a warning."""
         kept: dict[tuple, int] = {}  # key -> line of the record in memory
         failed: dict[tuple, list[tuple[int, Exception]]] = {}  # key -> (line, fault)
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
+                if line.isspace():
                     continue
                 key = None
                 try:
-                    rec = json.loads(line)
+                    rec = _decode(line)
                     if rec["engine"] != ENGINE_VERSION:
                         continue
-                    key = (
-                        int(rec["n"]),
-                        int(rec["c"]),
-                        tuple(int(a) for a in rec["alpha"]),
-                        int(rec["p"]),
-                    )
-                    faces = tuple(int(f) for f in rec["faces"])
-                    ranks = tuple(int(r) for r in rec["ranks"])
+                    n, c, alpha, p = rec["n"], rec["c"], tuple(rec["alpha"]), rec["p"]
+                    if {type(n), type(c), type(p), *map(type, alpha)} != {int}:
+                        raise TypeError("n, c, alpha and p must be integers")
+                    key = n, c, alpha, p
+                    faces, ranks = tuple(rec["faces"]), tuple(rec["ranks"])
+                    if not {*map(type, faces), *map(type, ranks)} <= {int}:
+                        raise TypeError("faces and ranks must be integers")
                     if len(faces) != len(ranks) or faces[:1] != (1,) or ranks[:1] != (0,):
                         raise ValueError("need as many faces as ranks, from 1 face and rank 0")
                     r = ranks + (0,)

@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass
 
 from . import combinatorics, cycles, exactla
-from .cache import ENGINE_VERSION, RankCache
+from .cache import ENGINE_VERSION, RankCache, cache_path
 from .combinatorics import RingParams, partitions_into
 from .complex import Strand, graded_dim
 from .exactla import FieldSpec, SizeGuardError
@@ -30,8 +30,6 @@ from .homology import (
     duality_partner,
     verify_vanishing,
 )
-
-CACHE_FILENAME = "rank_cache.jsonl"
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +67,7 @@ class RunConfig:
         if not directory:
             return RankCache(None)  # memory-only: dedupes shared strand records
         os.makedirs(directory, exist_ok=True)
-        return RankCache(os.path.join(directory, CACHE_FILENAME))
+        return RankCache(cache_path(directory, self.n, self.c))
 
     def engine(self, field: FieldSpec | None = None, use_duality: bool = True) -> HomologyEngine:
         return HomologyEngine(

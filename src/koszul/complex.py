@@ -251,6 +251,10 @@ class Strand:
         index = {f: j for level in crit_levels for j, f in enumerate(level)}
         columns: list[list[dict[int, int]]] = [[] for _ in range(size)]
         for t in range(1, len(levels)):
+            if not self.crit[t - 1] or not self.crit[t]:
+                # morse(t) is empty: no critical face to flow from or onto
+                columns[t] = [{} for _ in crit_levels[t]]
+                continue
             flow = _Flow(index, up, alpha)
             columns[t] = [flow.image(face) for face in crit_levels[t]]
         self._entries = {
@@ -325,7 +329,8 @@ class _Flow:
                 continue
             if x in open_ or any(y in open_ for y in todo):
                 raise ArithmeticError(
-                    f"cyclic gradient path in the Morse matching at alpha={self.alpha}"
+                    f"cyclic gradient path in the Morse matching at t={x.bit_count() + 1}, "
+                    f"alpha={self.alpha}"
                 )
             open_.add(x)
             stack.extend(todo)

@@ -88,6 +88,13 @@ def duality_partner(params: RingParams, i: int, j: int) -> tuple[int, int]:
     return params.N - params.n - i, params.N * params.c - params.n - j
 
 
+def _record_dim(record, t: int) -> int:
+    """faces[t] - ranks[t] - ranks[t+1] of a (faces, ranks) strand record."""
+    faces, ranks = record
+    r = (*ranks, 0)  # rank d_{t+1} = 0 above the top level
+    return faces[t] - r[t] - r[t + 1] if 0 <= t < len(faces) else 0
+
+
 class HomologyEngine:
     """Shared context for a run: ring, field, strand-record memo, and
     reduction options.
@@ -175,9 +182,7 @@ class HomologyEngine:
     def block_dim(self, t: int, alpha: ExponentVec) -> int:
         """Homology dimension of the single multidegree-alpha block:
         faces[t] - ranks[t] - ranks[t+1] of alpha's strand record."""
-        faces, ranks = self._record(alpha)
-        r = (*ranks, 0)  # rank d_{t+1} = 0 above the top level
-        return faces[t] - r[t] - r[t + 1] if 0 <= t < len(faces) else 0
+        return _record_dim(self._record(alpha), t)
 
     # -- degree level --------------------------------------------------------
 
@@ -227,14 +232,24 @@ class HomologyEngine:
         else:
             jobs = [(alpha, 1) for alpha in compositions(params.n, d)]
 
-        total = 0
+        total = faces_t = 0
         parts: dict[ExponentVec, int] = {}
         for alpha, weight in jobs:
-            contribution = weight * self.block_dim(t, alpha)
+            record = self._record(alpha)
+            if t < len(record[0]):
+                faces_t += weight * record[0][t]
+            contribution = weight * _record_dim(record, t)
             total += contribution
             if contribution:
                 rep = tuple(sorted(alpha, reverse=True))
                 parts[rep] = parts.get(rep, 0) + contribution
+        chain_dim = graded_dim(params, t, d)
+        if faces_t != chain_dim:
+            # the strands partition the basis of K_t in degree d
+            raise ArithmeticError(
+                f"strand face counts sum to {faces_t}, not dim K_{t} = {chain_dim}, "
+                f"at t={t}, d={d}"
+            )
         if breakdown:
             return total, parts
         return total

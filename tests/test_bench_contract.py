@@ -34,6 +34,7 @@ def test_traced_queries_run_and_report(tmp_path):
     spans = _spans()
     for modname in {modname for modname, _ in spans.TARGETS.values()}:
         importlib.import_module(modname)
+    from koszul.cache import cache_path
     from koszul.cli import main
 
     tracer = spans.Tracer()
@@ -41,12 +42,16 @@ def test_traced_queries_run_and_report(tmp_path):
     try:
         assert main(["homology", "--n", "3", "--c", "2", "--t", "1", "--deg", "4", "--char", "5"]) == 0
         assert main(["table", "--n", "2", "--c", "2", "--exact"]) == 0
-        for _ in ("cold", "warm"):
-            assert main(["table", "--n", "3", "--c", "2", "--cache-dir", str(tmp_path)]) == 0
+        # two rings filled cold into one directory, then one warm table, which
+        # must load the records of its own ring and no others
+        for n in ("2", "3"):
+            assert main(["table", "--n", n, "--c", "2", "--cache-dir", str(tmp_path)]) == 0
+        assert main(["table", "--n", "3", "--c", "2", "--cache-dir", str(tmp_path)]) == 0
     finally:
         tracer.restore()
     metrics = tracer.metrics()
     assert metrics["exactla.dense.calls"] > 0
     assert metrics["exactla.fraction_free.calls"] > 0
-    assert metrics["cli.cache.records_loaded"] > 0
+    own = Path(cache_path(str(tmp_path), 3, 2)).read_text().splitlines()
+    assert own and metrics["cli.cache.records_loaded"] == len(own)
     assert metrics["cli.cache.get.calls"] > 0

@@ -1,10 +1,12 @@
 import json
 import os
 import sys
+from pathlib import Path
 
 import pytest
 
 from koszul import combinatorics, complex, exactla
+from koszul.cache import cache_path
 from koszul.cli import ENGINE_VERSION, RankCache, RunConfig, main, render_diagram, structural_zero
 from koszul.combinatorics import RingParams
 from koszul.cycles import sample_nonzero_cycles
@@ -193,6 +195,48 @@ def test_cache_skips_corrupt_lines(tmp_path, caplog):
     assert caplog.text.count("skipping corrupt cache line") == 2
 
 
+def test_cache_skips_non_integer_keys(tmp_path, caplog):
+    path = tmp_path / "ranks.jsonl"
+    path.write_text(
+        record([2, 0], 0, [1, 1], [0, 1], n="2")
+        + record([2, False], 0, [1, 1], [0, 1])
+        + record([2, 0], 0.0, [1, 1], [0, 1])
+    )
+    assert len(RankCache(str(path))) == 0
+    assert caplog.text.count("skipping corrupt cache line (n, c, alpha and p must be integers)") == 3
+
+
+def test_warm_command_loads_only_its_own_ring(tmp_path, monkeypatch, capsys, caplog):
+    cache_dir = str(tmp_path)
+    argv = ["homology", "--n", "3", "--c", "3", "--t", "1", "--deg", "5", "--cache-dir", cache_dir]
+    code, cold = run_cli(capsys, *argv)
+    assert code == 0
+    code, _ = run_cli(capsys, "homology", "--n", "4", "--c", "2", "--t", "1", "--deg", "4",
+                      "--cache-dir", cache_dir)
+    assert code == 0
+    own = Path(cache_path(cache_dir, 3, 3)).read_text()
+    assert own and os.path.getsize(cache_path(cache_dir, 4, 2))
+    # a cache file of the old layout, holding every ring, is no longer read
+    (tmp_path / "rank_cache.jsonl").write_text(
+        own + Path(cache_path(cache_dir, 4, 2)).read_text() + "this is not json\n"
+    )
+    loaded = []
+    load = RankCache._load
+
+    def spy(cache, path):
+        load(cache, path)
+        loaded.append((path, set(cache._mem)))
+
+    monkeypatch.setattr(RankCache, "_load", spy)
+    code, warm = run_cli(capsys, *argv)
+    assert code == 0 and warm == cold
+    assert [path for path, _ in loaded] == [cache_path(cache_dir, 3, 3)]
+    keys = loaded[0][1]
+    assert len(keys) == len(own.splitlines())
+    assert {key[:2] for key in keys} == {(3, 3)}
+    assert not caplog.records
+
+
 def test_warm_cache_replays_without_eliminations(tmp_path, monkeypatch):
     def enumerated(*args):
         raise AssertionError("a warm engine enumerated the faces of a strand")
@@ -244,7 +288,7 @@ def test_env_cache_dir(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("KOSZ_CACHE_DIR", str(tmp_path))
     code, _ = run_cli(capsys, "homology", "--n", "2", "--c", "2", "--t", "1", "--deg", "3")
     assert code == 0
-    assert os.path.exists(tmp_path / "rank_cache.jsonl")
+    assert os.path.exists(cache_path(str(tmp_path), 2, 2))
 
 
 def test_unusable_cache_dir_exits_2(tmp_path, capsys):
@@ -263,7 +307,7 @@ def test_failed_cache_append_exits_2(tmp_path, capsys):
     cache_dir = tmp_path / "cache"
     cache_dir.mkdir()
     # a dangling link: nothing to load, and the first append fails
-    os.symlink(blocker / "sub", cache_dir / "rank_cache.jsonl")
+    os.symlink(blocker / "sub", cache_path(str(cache_dir), 2, 2))
     with pytest.raises(SystemExit) as exc:
         main(["homology", "--n", "2", "--c", "2", "--t", "1", "--deg", "3",
               "--cache-dir", str(cache_dir)])
@@ -276,7 +320,7 @@ def test_corrupt_cached_rank_is_recomputed(tmp_path, capsys, caplog):
             "--cache-dir", str(tmp_path)]
     code, clean = run_cli(capsys, *argv)
     assert code == 0
-    path = tmp_path / "rank_cache.jsonl"
+    path = Path(cache_path(str(tmp_path), 2, 2))
     records = [json.loads(line) for line in path.read_text().splitlines()]
     assert records
     path.write_text("".join(
@@ -309,7 +353,7 @@ def test_over_large_cached_rank_is_recomputed(tmp_path, capsys, caplog):
             "--cache-dir", str(tmp_path)]
     code, clean = run_cli(capsys, *argv)
     assert code == 0 and "degree 4 = 6 " in clean
-    path = tmp_path / "rank_cache.jsonl"
+    path = Path(cache_path(str(tmp_path), 3, 2))
     records = [json.loads(line) for line in path.read_text().splitlines()]
     target = [r for r in records if r["alpha"] == [2, 1, 1]]
     assert [r["ranks"][1] for r in target] == [1]
@@ -327,6 +371,28 @@ def test_over_large_cached_rank_is_recomputed(tmp_path, capsys, caplog):
     assert appended == target
 
 
+def test_wrong_cached_face_count_exits_1(tmp_path, capsys):
+    # a face count raised by one passes every check on load, but the strands
+    # of a degree then no longer add up to the basis of K_t
+    argv = ["homology", "--n", "3", "--c", "2", "--t", "1", "--deg", "4", "--char", "5",
+            "--cache-dir", str(tmp_path)]
+    code, _ = run_cli(capsys, *argv)
+    assert code == 0
+    path = Path(cache_path(str(tmp_path), 3, 2))
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    target = next(r for r in records if r["alpha"] == [2, 1, 1])
+    target["faces"][1] += 1
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert len(RankCache(str(path))) == len(records)  # the record passes its checks
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("kosz: error: ") and captured.err.count("\n") == 1
+    assert "t=1, d=4" in captured.err
+
+
 def test_cache_skips_negative_ranks(tmp_path, caplog):
     path = tmp_path / "ranks.jsonl"
     path.write_text(record([2, 0], 0, [1, 1], [0, -1]))
@@ -342,6 +408,9 @@ def test_cache_skips_negative_ranks(tmp_path, caplog):
     ([1, 3, 1], [1, 1, 1], "from 1 face and rank 0"),
     ([1, 3, 1], [0, 1, 2], "rank d_2 = 2 above a face count"),
     ([1, 3, 3], [0, 1, 3], "rank d_1 + rank d_2 above 3 faces"),
+    ([1, 3, 1], [0, "1", 1], "faces and ranks must be integers"),
+    ([True, 3, 1], [0, 1, 1], "faces and ranks must be integers"),
+    ([1, 3.0, 1], [0, 1, 1], "faces and ranks must be integers"),
 ])
 def test_cache_checks_every_record(tmp_path, caplog, faces, ranks, fault):
     path = tmp_path / "ranks.jsonl"

@@ -1,8 +1,12 @@
 import random
 
+import pytest
+
+from koszul import complex
 from koszul.combinatorics import RingParams, compositions, rank_monomial
 from koszul.complex import (
     KoszulBasisElement,
+    Strand,
     block_basis,
     differential_block,
     graded_dim,
@@ -143,3 +147,24 @@ def test_permutation_equivariance_of_blocks():
             ra = rank_mod_p(SparseIntMatrix(blk_a.nrows, blk_a.ncols, blk_a.entries), 10007)
             rb = rank_mod_p(SparseIntMatrix(blk_b.nrows, blk_b.ncols, blk_b.entries), 10007)
             assert ra == rb
+
+
+def test_empty_morse_matrices_need_no_gradient_flow(monkeypatch):
+    # at (9, 8, 8) of m^5 in three variables all 889 critical cells have four
+    # vertices, so every Morse matrix is empty and no flow has to be walked
+    def no_flow(*args):
+        raise AssertionError("a gradient flow was built for an empty Morse matrix")
+
+    monkeypatch.setattr(complex, "_Flow", no_flow)
+    s = Strand(RingParams(3, 5), (9, 8, 8))
+    assert s.crit[4] == sum(s.crit) == 889
+    for t in range(1, len(s.faces)):
+        m = s.morse(t)
+        assert (m.nrows, m.ncols, m.triplets) == (s.crit[t - 1], s.crit[t], [])
+
+
+def test_cyclic_flow_error_names_t_and_alpha():
+    # the singletons {0} -> {1} -> {2} -> {0} form a cyclic gradient path
+    up = {0b001: 0b010, 0b010: 0b100, 0b100: 0b001}
+    with pytest.raises(ArithmeticError, match=r"at t=2, alpha=\(1, 1, 1\)"):
+        complex._Flow({}, up, (1, 1, 1)).image(0b011)
