@@ -444,10 +444,12 @@ def cmd_chardep(cfg: RunConfig, args) -> int:
             for divisor in exactla.elementary_divisors(m, max_cells=args.snf_guard):
                 if divisor > 1:
                     jump_primes |= _prime_factors(divisor)
-    print(
-        "characteristics where dimensions can jump: "
-        + (", ".join(str(p) for p in sorted(jump_primes)) if jump_primes else "none")
-    )
+    found = ", ".join(str(p) for p in sorted(jump_primes)) or "none"
+    if skipped:
+        # a skipped block may carry any prime, so the answer is partial
+        found = f"{found} and possibly others" if jump_primes else "unknown"
+        found += f" (partial: {len(skipped)} skipped, listed below)"
+    print(f"characteristics where dimensions can jump: {found}")
     for t, rep, cells in skipped:
         print(f"  skipped block t={t} alpha={rep} ({cells} cells over --snf-guard)")
     return 0

@@ -9,13 +9,16 @@ never assembled into the full graded component.
 
 The multidegree-alpha strand is the augmented chain complex of a simplicial
 complex Delta_alpha (see Strand), which algebraic Morse theory shrinks to a
-few critical cells before any elimination runs.
+few critical cells before any elimination runs.  Strand never enumerates
+Delta_alpha: it walks the faces that survive the matching on the first
+vertex, and counts the rest along a chain of links.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import NamedTuple, Sequence
 
 from .combinatorics import (
@@ -164,38 +167,94 @@ def graded_dim(params: RingParams, t: int, d: int) -> int:
     return math.comb(params.N, t) * monomial_count(params.n, d - t * params.c)
 
 
-def face_levels(params: RingParams, alpha: ExponentVec) -> list[list[int]]:
-    """Faces of Delta_alpha as bitmasks over the degree-c monomials dividing
-    X^alpha (bit i is the i-th such monomial in rank order), one list per
-    face size: level t has len(block_basis(params, t, alpha)) faces, and
-    level 0 holds the empty face."""
-    # Pack exponent vectors into one int, a guard bit above every field, so
-    # "m divides r" is one subtraction: no field of (r | guard) - m borrows.
-    width = max(alpha).bit_length() + 1
-    guard = sum(1 << (i * width + width - 1) for i in range(params.n))
+def _survivors(
+    verts: list[ExponentVec], cands: list[int], width: int, res: ExponentVec, live: list[int]
+) -> list[list[int]]:
+    """Faces of D = {sigma subset of live : prod sigma | X^res} that survive
+    the element matching on v = verts[live[0]]: the sigma without v with
+    sigma + v not in D, i.e. v does not divide res - prod sigma.
 
-    def pack(v: ExponentVec) -> int:
-        return sum(x << (i * width) for i, x in enumerate(v))
-
-    cands = [pack(m) for m in enumerate_monomials(params, params.c) if divides(m, alpha)]
-    # (face, residual, the later vertices that still divide the residual)
-    level = [(0, pack(alpha), range(len(cands)))]
-    levels = [[0]]
-    while True:
+    cands holds the vertices packed as in _link_chain.  One list of
+    bitmasks per face size (bit i is verts[i]); trailing lists may be
+    empty.  The walk passes fit lists down as it grows faces in rank order,
+    and drops a subtree once v divides its residual and the later vertices
+    together cannot take enough of v's support to change that.
+    """
+    guard = _guard(len(res), width)
+    v, pv = verts[live[0]], cands[live[0]]
+    support = [k for k, x in enumerate(v) if x]
+    # need[i]: v plus what the vertices after i can take of its support,
+    # capped at res; a residual above need[i] keeps v whatever follows i
+    need = {}
+    take = [0] * len(res)
+    for i in reversed(live):
+        need[i] = pv + sum(min(take[k], res[k]) << (k * width) for k in support)
+        for k in support:
+            take[k] += verts[i][k]
+    root = _pack(res, width)
+    levels = []
+    level = [] if ((root | guard) - need[live[0]]) & guard == guard else [(0, root, live[1:])]
+    while level:
+        levels.append([face for face, r, _ in level if ((r | guard) - pv) & guard != guard])
         nxt = []
-        for face, res, fits in level:
+        for face, r, fits in level:
             for pos, i in enumerate(fits):
-                child = res - cands[i]
+                child = r - cands[i]
                 top = child | guard
+                if (top - need[i]) & guard == guard:
+                    continue
                 nxt.append((
                     face | 1 << i,
                     child,
                     [j for j in fits[pos + 1 :] if (top - cands[j]) & guard == guard],
                 ))
-        if not nxt:
-            return levels
-        levels.append([face for face, _, _ in nxt])
         level = nxt
+    return levels
+
+
+def _pack(u: Sequence[int], width: int) -> int:
+    return sum(x << (i * width) for i, x in enumerate(u))
+
+
+def _guard(n: int, width: int) -> int:
+    return sum(1 << (i * width + width - 1) for i in range(n))
+
+
+def _link_chain(
+    verts: list[ExponentVec], alpha: ExponentVec
+) -> tuple[list[list[int]], list[int], list[int]]:
+    """(survivors, faces, link faces) of Delta_alpha on the vertices verts.
+
+    With v the first vertex, every face is a survivor (_survivors), a face
+    of lk v = {tau : tau + v in Delta_alpha}, or such a face plus v, so
+    f(Delta) = a(Delta) + (1 + z) f(lk v), with a counting the survivors.
+    The link is again such a complex, on the later vertices dividing
+    alpha - v, and the chain stops at a complex with no vertices, whose
+    only face is the empty one.  Face counts are indexed by size.
+    """
+    # Pack exponent vectors into one int, a guard bit above every field, so
+    # "m divides r" is one subtraction: no field of (r | guard) - m borrows.
+    # Fields are one bit wider than alpha needs, so v + cap in _survivors
+    # (each field at most max alpha) never carries into a guard bit.
+    width = max(alpha).bit_length() + 2
+    guard = _guard(len(alpha), width)
+    cands = [_pack(u, width) for u in verts]
+    res, live = alpha, list(range(len(verts)))
+    survivors: list[list[int]] = [[0]]  # no vertex: the empty face survives
+    counts = []
+    while live:
+        levels = _survivors(verts, cands, width, res, live)
+        if not counts:
+            survivors = levels
+        counts.append([len(level) for level in levels])
+        res = vec_sub(res, verts[live[0]])
+        top = _pack(res, width) | guard
+        live = [j for j in live[1:] if (top - cands[j]) & guard == guard]
+    faces, link = [1], []
+    for a in reversed(counts):
+        link = faces
+        faces = [sum(f) for f in zip_longest(a, link + [0], [0] + link, fillvalue=0)]
+    return survivors, faces, link
 
 
 def _boundary(face: int):
@@ -227,30 +286,42 @@ class Strand:
     those of morse(t).  Only the counts (faces, one per nonempty level;
     pairs and crit, indexed by t = 0 .. N+1) and the entries of the Morse
     matrices are kept.
+
+    Delta_alpha is closed under taking subsets, so the first vertex v0
+    pairs every face of its star; only the survivors (_survivors) are
+    walked, and the later matchings and the gradient flow run on them.  A
+    face matched with v0 flows to 0: every facet of its partner other than
+    itself contains v0, so is the upper face of a pair.  The face counts,
+    and the pairs of the first matching (one per face of lk v0), come from
+    the link chain (_link_chain).
     """
 
     __slots__ = ("faces", "pairs", "crit", "_entries")
 
     def __init__(self, params: RingParams, alpha: ExponentVec):
         alpha = tuple(alpha)
-        levels = face_levels(params, alpha)
-        self.faces = [len(level) for level in levels]
+        verts = [m for m in enumerate_monomials(params, params.c) if divides(m, alpha)]
+        levels, self.faces, link = _link_chain(verts, alpha)
         size = params.N + 2
         self.pairs = [0] * size
+        # the first matching pairs each face tau of lk v0 with tau + v0
+        self.pairs[1 : len(link) + 1] = link
         alive = {face for level in levels for face in level}
-        up: dict[int, int] = {}  # lower face of a pair -> vertex bit of its partner
-        for i in range(len(levels[1]) if len(levels) > 1 else 0):  # vertices, rank order
+        up: dict[int, int] = {}  # lower face of a later pair -> vertex bit of its partner
+        for i in range(1, len(verts)):  # the later vertices, rank order
             bit = 1 << i
             for face in [f for f in alive if not f & bit and f | bit in alive]:
                 alive.discard(face)
                 alive.discard(face | bit)
                 up[face] = bit
                 self.pairs[face.bit_count() + 1] += 1
+        nlevels = len(self.faces)
         crit_levels = [sorted(f for f in level if f in alive) for level in levels]
-        self.crit = [len(level) for level in crit_levels] + [0] * (size - len(levels))
+        crit_levels += [[] for _ in range(nlevels - len(crit_levels))]
+        self.crit = [len(level) for level in crit_levels] + [0] * (size - nlevels)
         index = {f: j for level in crit_levels for j, f in enumerate(level)}
         columns: list[list[dict[int, int]]] = [[] for _ in range(size)]
-        for t in range(1, len(levels)):
+        for t in range(1, nlevels):
             if not self.crit[t - 1] or not self.crit[t]:
                 # morse(t) is empty: no critical face to flow from or onto
                 columns[t] = [{} for _ in crit_levels[t]]
@@ -262,7 +333,7 @@ class Strand:
             for t, cols in enumerate(columns)
             if any(cols)
         }
-        for t in range(2, len(levels)):
+        for t in range(2, nlevels):
             _check_composite_zero(columns[t - 1], columns[t], t, alpha)
 
     def morse(self, t: int) -> SparseIntMatrix:

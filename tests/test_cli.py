@@ -135,6 +135,32 @@ def test_chardep_finds_three(capsys):
     assert "5" not in first  # no prime above c+1 shows up
 
 
+def test_chardep_with_a_skipped_block_is_partial(capsys):
+    # the 189-cell block at (1^7) carries the prime 3; skipped, it leaves the
+    # answer open instead of "none"
+    code, out = run_cli(
+        capsys, "chardep", "--n", "7", "--c", "2", "--t", "2", "--deg", "7", "--snf-guard", "100"
+    )
+    assert code == 0
+    assert out == (
+        "characteristics where dimensions can jump: unknown (partial: 1 skipped, listed below)\n"
+        "  skipped block t=3 alpha=(1, 1, 1, 1, 1, 1, 1) (189 cells over --snf-guard)\n"
+    )
+
+
+def test_chardep_primes_beside_a_skipped_block_are_a_lower_bound(capsys, monkeypatch):
+    # at n=5, c=2, deg 7 the Morse blocks of t=2 and 3 have 2 and 12 cells;
+    # the guard skips the larger, and the smaller is made to carry a 3
+    monkeypatch.setattr(exactla, "elementary_divisors", lambda m, max_cells: [1, 3])
+    _, out = run_cli(
+        capsys, "chardep", "--n", "5", "--c", "2", "--t", "2", "--deg", "7", "--snf-guard", "5"
+    )
+    assert out.splitlines()[0] == (
+        "characteristics where dimensions can jump: 3 and possibly others "
+        "(partial: 1 skipped, listed below)"
+    )
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["table", "--n", "3"])  # missing --c
@@ -241,7 +267,7 @@ def test_warm_cache_replays_without_eliminations(tmp_path, monkeypatch):
     def enumerated(*args):
         raise AssertionError("a warm engine enumerated the faces of a strand")
 
-    face_levels = complex.face_levels
+    survivors = complex._survivors
 
     # with 3 primes the warm run reads certified p=0 records; with 2 it reads
     # the per-prime records, whose face counts it must reuse
@@ -253,7 +279,7 @@ def test_warm_cache_replays_without_eliminations(tmp_path, monkeypatch):
         with monkeypatch.context() as patch:
             for module in [m for name, m in sys.modules.items() if name.startswith("koszul")]:
                 for attr, value in vars(module).items():
-                    if value is face_levels:
+                    if value is survivors:
                         patch.setattr(module, attr, enumerated)
             warm_engine = cfg.engine()
             warm = warm_engine.homology_table(7, 27)

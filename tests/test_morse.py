@@ -6,8 +6,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from koszul import exactla
-from koszul.combinatorics import RingParams, partitions_into
-from koszul.complex import Strand, _check_composite_zero, _Flow, differential_block, face_levels
+from koszul.combinatorics import (
+    ExponentVec,
+    RingParams,
+    divides,
+    enumerate_monomials,
+    partitions_into,
+)
+from koszul.complex import Strand, _check_composite_zero, _Flow, differential_block
 from koszul.exactla import SparseIntMatrix, elementary_divisors, rank_fraction_free, rank_mod_p
 
 PRIMES = (2, 3, 32003)
@@ -17,6 +23,56 @@ PRIMES = (2, 3, 32003)
 # degree N*c when c = 1, n <= 2 or (n, c) = (3, 2); up to 15 at (3, 3), 11
 # at (4, 2) and 10 at (4, 3).
 CELL_LIMIT = 12_000
+
+
+def face_levels(params: RingParams, alpha: ExponentVec) -> list[list[int]]:
+    """Faces of Delta_alpha as bitmasks over the degree-c monomials dividing
+    X^alpha (bit i is the i-th such monomial in rank order), one list per
+    face size: level t has len(block_basis(params, t, alpha)) faces, and
+    level 0 holds the empty face."""
+    # Pack exponent vectors into one int, a guard bit above every field, so
+    # "m divides r" is one subtraction: no field of (r | guard) - m borrows.
+    width = max(alpha).bit_length() + 1
+    guard = sum(1 << (i * width + width - 1) for i in range(params.n))
+
+    def pack(v: ExponentVec) -> int:
+        return sum(x << (i * width) for i, x in enumerate(v))
+
+    cands = [pack(m) for m in enumerate_monomials(params, params.c) if divides(m, alpha)]
+    # (face, residual, the later vertices that still divide the residual)
+    level = [(0, pack(alpha), range(len(cands)))]
+    levels = [[0]]
+    while True:
+        nxt = []
+        for face, res, fits in level:
+            for pos, i in enumerate(fits):
+                child = res - cands[i]
+                top = child | guard
+                nxt.append((
+                    face | 1 << i,
+                    child,
+                    [j for j in fits[pos + 1 :] if (top - cands[j]) & guard == guard],
+                ))
+        if not nxt:
+            return levels
+        levels.append([face for face, _, _ in nxt])
+        level = nxt
+
+
+def matched_by_enumeration(params, alpha) -> tuple[list[int], list[int], list[int]]:
+    """(faces, pairs, crit) from every face of Delta_alpha and the element
+    matchings of all its vertices, applied in rank order."""
+    levels = face_levels(params, alpha)
+    size = params.N + 2
+    pairs = [0] * size
+    alive = {face for level in levels for face in level}
+    for i in range(len(levels[1]) if len(levels) > 1 else 0):
+        bit = 1 << i
+        for face in [f for f in alive if not f & bit and f | bit in alive]:
+            alive -= {face, face | bit}
+            pairs[face.bit_count() + 1] += 1
+    crit = [sum(f in alive for f in level) for level in levels]
+    return [len(level) for level in levels], pairs, crit + [0] * (size - len(levels))
 
 
 def face_counts(params, alpha) -> list[int]:
@@ -90,6 +146,40 @@ def test_reduction_matches_raw_blocks(n, c):
                 assert not any(any(row) for row in product(s.morse(t - 1), m)), (rep, t)
             checked += 1
     assert checked > 0
+
+
+def test_survivor_walk_matches_full_enumeration():
+    for params, rep in CASES:
+        s = Strand(params, rep)
+        assert (s.faces, s.pairs, s.crit) == matched_by_enumeration(params, rep), (params, rep)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_survivor_walk_matches_full_enumeration_property(data):
+    n = data.draw(st.integers(1, 6), label="n")
+    c = data.draw(st.integers(1, 3), label="c")
+    alpha = data.draw(
+        st.lists(st.integers(0, 5), min_size=n, max_size=n).filter(lambda a: sum(a) <= 14),
+        label="alpha",
+    )
+    params = RingParams(n, c)
+    s = Strand(params, alpha)
+    assume(sum(s.faces) <= 20_000)  # keeps the reference enumeration quick
+    assert (s.faces, s.pairs, s.crit) == matched_by_enumeration(params, tuple(alpha))
+
+
+@pytest.mark.parametrize(
+    "n,c,alpha,faces,crit",
+    [
+        (7, 2, (2,) * 7, 35_880, 1_284),
+        (4, 3, (6, 5, 5, 5), 18_598, 964),
+        (3, 5, (9, 8, 8), 3_763, 889),
+    ],
+)
+def test_frontier_strand_sizes(n, c, alpha, faces, crit):
+    s = Strand(RingParams(n, c), alpha)
+    assert (sum(s.faces), sum(s.crit)) == (faces, crit)
 
 
 def test_matching_complex_of_k7_pins_the_char3_jump():
