@@ -18,7 +18,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from . import combinatorics, cycles, exactla
+from . import cycles, exactla
 from .cache import ENGINE_VERSION, RankCache, cache_path
 from .combinatorics import RingParams, partitions_into
 from .complex import Strand, graded_dim
@@ -471,7 +471,8 @@ def _common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--exact", action="store_true", help="fraction-free rational ranks")
     sub.add_argument("--primes", type=int, default=2, help="multiprime sample size for char 0")
     sub.add_argument("--no-orbit", action="store_true", help="disable symmetry reduction")
-    sub.add_argument("--max-degree", type=int, default=None, help="raise the internal degree bound")
+    sub.add_argument("--max-degree", type=int, default=None,
+                     help="ignored: accepted for compatibility, degrees are unbounded")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -550,17 +551,12 @@ def main(argv=None) -> int:
         primes=args.primes,
         no_orbit=args.no_orbit,
     )
-    saved_max_degree = combinatorics.MAX_DEGREE
-    if args.max_degree is not None:
-        combinatorics.MAX_DEGREE = args.max_degree
     try:
         return args.func(cfg, args)
     except (ValueError, SizeGuardError, exactla.ExactEliminationError, OSError) as exc:
         parser.exit(2, f"kosz: error: {exc}\n")
     except ArithmeticError as exc:
         parser.exit(1, f"kosz: error: {exc}\n")
-    finally:
-        combinatorics.MAX_DEGREE = saved_max_degree
 
 
 if __name__ == "__main__":

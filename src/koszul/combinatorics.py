@@ -14,23 +14,6 @@ from typing import Iterator, Sequence
 
 ExponentVec = tuple[int, ...]
 
-# Ranks must stay machine-word addressable; exceeding the bound is an input
-# error, never silent overflow.  Adjustable via the CLI --max-degree flag.
-MAX_DEGREE = 64
-
-
-class DegreeBoundError(ValueError):
-    """Requested degree exceeds the configured MAX_DEGREE bound."""
-
-
-def _check_degree(d: int) -> None:
-    if d > MAX_DEGREE:
-        raise DegreeBoundError(
-            f"degree {d} exceeds the configured bound {MAX_DEGREE} "
-            f"(raise it with --max-degree if intended)"
-        )
-
-
 @dataclass(frozen=True)
 class RingParams:
     """Ambient polynomial ring in n variables, together with the power c."""
@@ -63,7 +46,6 @@ def compositions(n: int, d: int) -> Iterator[ExponentVec]:
         raise ValueError("need n >= 1")
     if d < 0:
         return
-    _check_degree(d)
     if n == 1:
         yield (d,)
         return
@@ -86,7 +68,6 @@ def rank_monomial(params: RingParams, m: Sequence[int]) -> int:
     if len(m) != n:
         raise ValueError(f"expected {n} coordinates, got {len(m)}")
     rem = sum(m)
-    _check_degree(rem)
     r = 0
     for pos in range(n - 1):
         parts = n - pos - 1  # remaining coordinates after this one
@@ -99,7 +80,6 @@ def rank_monomial(params: RingParams, m: Sequence[int]) -> int:
 def unrank_monomial(params: RingParams, r: int, d: int) -> ExponentVec:
     """Inverse of rank_monomial at degree d."""
     n = params.n
-    _check_degree(d)
     if not 0 <= r < monomial_count(n, d):
         raise ValueError(f"rank {r} out of range for n={n}, d={d}")
     coords = []
@@ -164,7 +144,6 @@ def canonicalize(alpha: Sequence[int]) -> Orbit:
 
 def partitions_into(d: int, n: int) -> Iterator[ExponentVec]:
     """Weakly decreasing length-n vectors of total d (one per orbit), lex-decreasing."""
-    _check_degree(d)
 
     def rec(remaining: int, slots: int, cap: int):
         if slots == 1:

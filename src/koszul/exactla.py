@@ -1,22 +1,24 @@
 """Exact sparse linear algebra over prime fields and the rationals.
 
-Rank, kernel and column-space membership never touch floating point.  Over
-F_p ranks and kernels come from dense int64 elimination.  Over the
-rationals two policies exist: fraction-free integer echelon form (certified;
-one routine, VectorSpan, serves rank, kernel and column space, and aborts
-when a pivot outgrows EXACT_PIVOT_BIT_GUARD) and max-rank over a seeded set
-of random word-sized primes (a certified lower bound that equals the
-rational rank unless every sampled prime is bad).  Smith normal form is
-available behind a size guard for locating the characteristics where ranks
-can jump.
+Rank, kernel and column-space membership never touch floating point.  One
+echelon routine per certified field, VectorSpan, serves all three: dense
+int64 elimination over F_p, and fraction-free integer echelon form over
+the rationals, which aborts when a pivot outgrows EXACT_PIVOT_BIT_GUARD.
+The multiprime rational policy gives ranks only: the max rank over a
+seeded set of random word-sized primes, a certified lower bound that
+equals the rational rank unless every sampled prime is bad.  Smith normal
+form is available behind a size guard for locating the characteristics
+where ranks can jump.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -39,7 +41,7 @@ class UnsupportedPolicyError(ValueError):
 
 
 class SizeGuardError(RuntimeError):
-    """Input exceeds a configured size guard; the message names the flag."""
+    """Input exceeds a size guard; the message names the flag that raises it, if any."""
 
 
 class ExactEliminationError(OverflowError):
@@ -111,6 +113,7 @@ class FieldSpec:
             raise ValueError(f"unknown field kind {self.kind!r}")
 
     @staticmethod
+    @lru_cache(maxsize=None)  # a rank mod p builds one per call; is_prime is not free
     def prime(p: int) -> "FieldSpec":
         return FieldSpec(kind="prime", p=p)
 
@@ -210,9 +213,12 @@ def rank(m: SparseIntMatrix, f: FieldSpec) -> int:
 
 
 def rank_mod_p(m: SparseIntMatrix, p: int) -> int:
-    if not m.triplets or m.nrows == 0 or m.ncols == 0:
+    """Exact rank over F_p: the echelon form of m's rows."""
+    if not m.triplets:  # most Morse matrices; a span costs far more than this test
         return 0
-    return _rank_dense_mod_p(m.to_numpy_mod(p), p)
+    span = VectorSpan(m.ncols, FieldSpec.prime(p))
+    span.extend(m.to_numpy_mod(p))
+    return span.rank
 
 
 def rank_multiprime(m: SparseIntMatrix, f: FieldSpec) -> tuple[int, dict[int, int], bool]:
@@ -236,34 +242,12 @@ def sampled_rank(
     return [max(col) for col in zip(*ranks.values())], ranks, agreed
 
 
-def _rank_dense_mod_p(A: np.ndarray, p: int) -> int:
-    nr, nc = A.shape
-    r = 0
-    for col in range(nc):
-        nz = np.flatnonzero(A[r:, col])
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            A[[r, piv]] = A[[piv, r]]
-        inv = pow(int(A[r, col]), -1, p)
-        A[r] = A[r] * inv % p
-        below = r + 1 + np.flatnonzero(A[r + 1 :, col])
-        if below.size:
-            A[below] = (A[below] - np.outer(A[below, col], A[r])) % p
-        r += 1
-        if r == nr:
-            break
-    return r
-
-
 def rank_fraction_free(m: SparseIntMatrix) -> int:
     """Exact rational rank: the fraction-free echelon form of m's columns."""
-    if not m.triplets or m.nrows == 0 or m.ncols == 0:
+    if not m.triplets:
         return 0
     span = VectorSpan(m.nrows, FieldSpec.rational(policy="fraction_free"))
-    for col in m.columns():
-        span.add(col)
+    span.extend(m.columns())
     return span.rank
 
 
@@ -274,67 +258,16 @@ def rank_fraction_free(m: SparseIntMatrix) -> int:
 def kernel_basis(m: SparseIntMatrix, f: FieldSpec) -> list[list[int]]:
     """Vectors spanning the null space; count is ncols - rank.
 
-    Over F_p the entries are reduced residues; over the rationals
-    (fraction-free policy only) the vectors are primitive integer vectors.
-    """
-    if f.kind == "rational" and f.policy == "multiprime":
-        raise UnsupportedPolicyError(
-            "multiprime rank sampling cannot certify a kernel basis; "
-            "use fraction_free or a prime field"
-        )
-    if m.ncols == 0:
-        return []
-    if f.kind == "prime":
-        return _kernel_mod_p(m, f.p)
-    return _kernel_rational(m, f)
-
-
-def _kernel_mod_p(m: SparseIntMatrix, p: int) -> list[list[int]]:
-    A = m.to_numpy_mod(p)
-    nr, nc = A.shape
-    pivots: list[tuple[int, int]] = []  # (row, col)
-    r = 0
-    for col in range(nc):
-        if r < nr:
-            nz = np.flatnonzero(A[r:, col])
-        else:
-            nz = np.array([], dtype=np.int64)
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            A[[r, piv]] = A[[piv, r]]
-        inv = pow(int(A[r, col]), -1, p)
-        A[r] = A[r] * inv % p
-        others = np.flatnonzero(A[:, col])
-        others = others[others != r]
-        if others.size:
-            A[others] = (A[others] - np.outer(A[others, col], A[r])) % p
-        pivots.append((r, col))
-        r += 1
-    pivot_cols = {c for _, c in pivots}
-    basis: list[list[int]] = []
-    for free in range(nc):
-        if free in pivot_cols:
-            continue
-        v = [0] * nc
-        v[free] = 1
-        for row, col in pivots:
-            v[col] = int(-A[row, free]) % p
-        basis.append(v)
-    return basis
-
-
-def _kernel_rational(m: SparseIntMatrix, f: FieldSpec) -> list[list[int]]:
-    """Echelonize the columns m_j (+) e_j; a row whose pivot lies past the
+    Echelonizes the columns m_j (+) e_j: a row whose pivot lies past the
     first nrows coordinates is zero there, so its tail is a kernel vector,
-    and these tails span the kernel."""
+    and these tails span the kernel.  Over F_p the entries are reduced
+    residues; over the rationals (fraction-free policy only) the vectors
+    are primitive integer vectors.
+    """
     span = VectorSpan(m.nrows + m.ncols, f)
-    for j, col in enumerate(m.columns()):
-        unit = [0] * m.ncols
-        unit[j] = 1
-        span.add(col + unit)
-    return [row[m.nrows :] for piv, row in span._rows if piv >= m.nrows]
+    unit = [(m.nrows + j, j, 1) for j in range(m.ncols)]
+    span.extend(SparseIntMatrix(m.nrows + m.ncols, m.ncols, m.triplets + unit).columns())
+    return [row[m.nrows :] for piv, row in span.rows() if piv >= m.nrows]
 
 
 # ---------------------------------------------------------------------------
@@ -342,49 +275,76 @@ def _kernel_rational(m: SparseIntMatrix, f: FieldSpec) -> list[list[int]]:
 
 
 class VectorSpan:
-    """Incrementally grown span of integer vectors with exact membership.
+    """Span of integer vectors in echelon form, with exact membership; the
+    one echelon routine behind every rank, kernel and column space.
 
-    Over F_p the reduction runs on int64 arrays.  Over the rationals
-    (fraction-free) rows are primitive integer vectors and incoming vectors
-    are reduced by cross-multiplication, so no fractions are ever formed;
-    this is the only exact rational echelon routine (rank, kernel, column
-    space), and a pivot longer than EXACT_PIVOT_BIT_GUARD bits aborts it.
-    Under the multiprime policy one span per sampled prime is maintained:
-    rank is the max and membership the conjunction, a flagged heuristic.
+    Rows are kept in pivot order, each zero before its pivot, and a vector
+    is reduced against them in that order.  Over F_p the rows are int64
+    arrays with unit pivots, and extend eliminates a whole batch at once,
+    column by column.  Over the rationals (fraction-free) rows are
+    primitive integer vectors and incoming vectors are reduced by
+    cross-multiplication, so no fractions are ever formed; a pivot longer
+    than EXACT_PIVOT_BIT_GUARD bits aborts it.  Multiprime sampling proves
+    no span, so that policy is refused.
     """
 
     def __init__(self, length: int, f: FieldSpec):
+        if not f.certified:
+            raise UnsupportedPolicyError(
+                "multiprime rank sampling cannot certify a span, kernel or "
+                "membership; use fraction_free or a prime field"
+            )
         self.length = length
         self.field = f
-        if f.kind == "rational" and f.policy == "multiprime":
-            self._subs = [
-                VectorSpan(length, FieldSpec.prime(p))
-                for p in multiprime_primes(f.seed, f.num_primes)
-            ]
-        else:
-            self._subs = None
-            self._rows: list[tuple[int, object]] = []  # (pivot, row) sorted by pivot
+        self._rows: list[tuple[int, object]] = []  # (pivot, row) sorted by pivot
 
     @property
     def rank(self) -> int:
-        if self._subs is not None:
-            return max(s.rank for s in self._subs)
         return len(self._rows)
 
-    def add(self, vec: Sequence[int]) -> bool:
-        """Insert vec; True when the span grew.  A fraction-free pivot longer
-        than EXACT_PIVOT_BIT_GUARD bits raises ExactEliminationError."""
-        if self._subs is not None:
-            return any([s.add(vec) for s in self._subs])
-        reduced = self._reduce(vec)
-        piv = next((i for i, v in enumerate(reduced) if v), None)
-        if piv is None:
-            return False
+    def rows(self) -> list[tuple[int, list[int]]]:
+        """The echelon rows as (pivot, integer list), in pivot order."""
+        if self.field.kind == "prime":
+            return [(piv, row.tolist()) for piv, row in self._rows]
+        return self._rows
+
+    def add(self, vec: Sequence[int]) -> None:
+        """Insert one vector."""
+        self.extend([vec])
+
+    def extend(self, vecs) -> None:
+        """Insert every vector of vecs (a sequence of vectors, or a 2-D
+        int64 array of rows).  A fraction-free pivot longer than
+        EXACT_PIVOT_BIT_GUARD bits raises ExactEliminationError."""
         if self.field.kind == "prime":
             p = self.field.p
-            inv = pow(int(reduced[piv]), -1, p)
-            reduced = reduced * inv % p
-        else:
+            B = np.asarray(vecs, dtype=np.int64).reshape(len(vecs), self.length) % p
+            if self._rows:
+                B = np.array([self._reduce(v) for v in B]).reshape(B.shape)
+            # Dense elimination of what is left, column by column.  A column
+            # zero in every row of B stays zero, so only the others can pivot.
+            nr, r = len(B), 0
+            for col in B.any(axis=0).nonzero()[0].tolist():
+                nz = B[r:, col].nonzero()[0]
+                if nz.size == 0:
+                    continue
+                piv = r + int(nz[0])
+                if piv != r:
+                    B[[r, piv]] = B[[piv, r]]
+                B[r] = B[r] * pow(int(B[r, col]), -1, p) % p
+                below = r + 1 + B[r + 1 :, col].nonzero()[0]
+                if below.size:
+                    B[below] = (B[below] - B[below, col, None] * B[r]) % p
+                bisect.insort(self._rows, (col, B[r]), key=itemgetter(0))
+                r += 1
+                if r == nr:
+                    break
+            return
+        for vec in vecs:
+            reduced = self._reduce(vec)
+            piv = next((i for i, v in enumerate(reduced) if v), None)
+            if piv is None:
+                continue
             g = math.gcd(*reduced)
             if reduced[piv] < 0:
                 g = -g
@@ -395,27 +355,24 @@ class VectorSpan:
                     "retry over a prime field, or with the multiprime policy where "
                     "a sampled rank suffices"
                 )
-        self._rows.append((piv, reduced))
-        self._rows.sort(key=lambda pr: pr[0])
-        return True
+            bisect.insort(self._rows, (piv, reduced), key=itemgetter(0))
 
     def contains(self, vec: Sequence[int]) -> bool:
-        if self._subs is not None:
-            return all(s.contains(vec) for s in self._subs)
-        reduced = self._reduce(vec)
-        if self.field.kind == "prime":
-            return not np.any(reduced)
-        return not any(reduced)
-
-    def _reduce(self, vec: Sequence[int]):
         if self.field.kind == "prime":
             p = self.field.p
-            out = np.array([int(v) % p for v in vec], dtype=np.int64)
+            return not self._reduce(np.array([int(v) % p for v in vec], dtype=np.int64)).any()
+        return not any(self._reduce(vec))
+
+    def _reduce(self, vec):
+        """vec less its multiples of the rows, pivot by pivot; over F_p vec
+        is an int64 array of residues."""
+        if self.field.kind == "prime":
+            p = self.field.p
             for piv, row in self._rows:
-                v = int(out[piv])
+                v = int(vec[piv])
                 if v:
-                    out = (out - v * row) % p
-            return out
+                    vec = (vec - v * row) % p
+            return vec
         out = [int(v) for v in vec]
         for piv, row in self._rows:
             v = out[piv]
@@ -437,8 +394,7 @@ class ColumnSpace:
     def __init__(self, m: SparseIntMatrix, f: FieldSpec):
         self.nrows = m.nrows
         self._span = VectorSpan(m.nrows, f)
-        for col in m.columns():
-            self._span.add(col)
+        self._span.extend(m.columns())
 
     @property
     def rank(self) -> int:
@@ -451,11 +407,8 @@ class ColumnSpace:
 
 
 def in_column_space(m: SparseIntMatrix, b: Sequence[int], f: FieldSpec) -> bool:
-    """True iff appending b to the columns of m leaves the rank unchanged.
-
-    Under the multiprime policy this tests membership modulo every sampled
-    prime, a flagged heuristic; the certified policies are exact.
-    """
+    """True iff appending b to the columns of m leaves the rank unchanged,
+    over F_p or the rationals (fraction-free); multiprime is refused."""
     return ColumnSpace(m, f).contains(b)
 
 

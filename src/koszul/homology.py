@@ -346,7 +346,7 @@ class HomologyEngine:
             )
         if t > Z_PROFILE_T_GUARD:
             raise SizeGuardError(
-                f"generator profile guarded to t <= {Z_PROFILE_T_GUARD} (--zgen-guard)"
+                f"generator profiles are limited to t <= {Z_PROFILE_T_GUARD}, a fixed limit"
             )
         n, c = params.n, params.c
         top = t * (c + 1)
@@ -367,7 +367,7 @@ class HomologyEngine:
                 cur_kernels[alpha] = (basis, kern)
                 if not kern:
                     continue
-                span = exactla.VectorSpan(len(basis), field)
+                images = []
                 for var in range(n):
                     if alpha[var] == 0:
                         continue
@@ -383,11 +383,12 @@ class HomologyEngine:
                         for pos, value in enumerate(vec):
                             if value:
                                 mapped[index[b_basis[pos].gens]] = value
-                        span.add(mapped)
+                        images.append(mapped)
+                span = exactla.VectorSpan(len(basis), field)
+                span.extend(images)
                 new_gens += len(kern) - span.rank
                 if d == top:
-                    for wedge_vec in self._z1_wedge_vectors(t, alpha, index, len(basis)):
-                        span.add(wedge_vec)
+                    span.extend(self._z1_wedge_vectors(t, alpha, index, len(basis)))
                     if not all(span.contains(v) for v in kern):
                         top_spanned = False
             counts[d] = new_gens

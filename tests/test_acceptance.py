@@ -124,6 +124,18 @@ def test_criterion_03_index_n4_c2():
     print(f"\nPASS criterion 3: ind = 5 at (n,c) = (4,2) in {elapsed:.1f}s")
 
 
+@pytest.mark.parametrize("n, c, value, witness", [(5, 2, 5, (6, 8, 70)), (3, 4, 9, (10, 12, 55))])
+def test_criterion_03_index_fast_rows(n, c, value, witness):
+    # fraction-free ranks certify the witness Betti number as well as the index
+    res = HomologyEngine(RingParams(n, c), QF, cache=RankCache(None)).gl_index()
+    assert res.value == value and res.witness == witness
+    assert res.value >= c + 1
+    if c >= 3:
+        assert res.value == 3 * c - 3
+    print(f"\nPASS criterion 3: ind = {value} at (n,c) = ({n},{c}), "
+          f"failure witness beta[{witness[0]},{witness[1]}] = {witness[2]}")
+
+
 @pytest.fixture(scope="module")
 def run72():
     """Criterion-4 runs at n=7, c=2 over F_3 and over the rationals."""

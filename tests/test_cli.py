@@ -1,13 +1,22 @@
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
-from koszul import combinatorics, complex, exactla
+from koszul import complex, exactla
 from koszul.cache import cache_path
-from koszul.cli import ENGINE_VERSION, RankCache, RunConfig, main, render_diagram, structural_zero
+from koszul.cli import (
+    ENGINE_VERSION,
+    RankCache,
+    RunConfig,
+    build_parser,
+    main,
+    render_diagram,
+    structural_zero,
+)
 from koszul.combinatorics import RingParams
 from koszul.cycles import sample_nonzero_cycles
 
@@ -459,16 +468,25 @@ def test_cache_reports_conflicting_records(tmp_path, caplog):
     ]
 
 
-def test_max_degree_is_restored(capsys):
-    default = combinatorics.MAX_DEGREE
-    argv = ["chardep", "--n", "2", "--c", "2", "--t", "1", "--deg", "70"]
-    code, _ = run_cli(capsys, *argv, "--max-degree", "100")
-    assert code == 0
-    assert combinatorics.MAX_DEGREE == default
+def test_high_degrees_need_no_flag(capsys):
+    # (2,8) reaches internal degree 65; --max-degree is accepted and ignored
+    code, out = run_cli(capsys, "verify", "vanishing", "--n", "2", "--c", "8")
+    assert code == 0 and out == "OK (316 window zeros checked, 0 sharpened)\n"
+    code, out = run_cli(capsys, "verify", "duality", "--n", "2", "--c", "8", "--max-degree", "3")
+    assert code == 0 and out == "OK (344 entries checked, 344 direct, 0 mirrored)\n"
     with pytest.raises(SystemExit) as exc:
-        main(argv)
+        main(["verify", "duality", "--n", "2", "--c", "8", "--max-degree", "0"])
     assert exc.value.code == 2
-    assert f"configured bound {default}" in capsys.readouterr().err
+
+
+def test_zgen_limit_names_no_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "zgen", "--n", "3", "--c", "2", "--t", "5"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "t <= 4" in err
+    for flag in re.findall(r"--[a-z-]+", err):  # any flag it names must parse
+        build_parser().parse_args(["verify", "zgen", "--n", "3", "--c", "2", flag, "6"])
 
 
 def test_exact_pivot_guard_exits_2(monkeypatch, capsys):

@@ -1,7 +1,6 @@
 import pytest
 
 from koszul.combinatorics import (
-    DegreeBoundError,
     RingParams,
     canonicalize,
     compositions,
@@ -94,10 +93,3 @@ def test_partitions_are_canonical_and_unique():
             for rep in reps:
                 assert rep == tuple(sorted(rep, reverse=True))
                 assert sum(rep) == d
-
-
-def test_degree_bound_is_enforced():
-    with pytest.raises(DegreeBoundError):
-        enumerate_monomials(RingParams(2, 1), 65)
-    with pytest.raises(DegreeBoundError):
-        rank_monomial(RingParams(2, 1), (60, 10))

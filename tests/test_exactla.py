@@ -56,6 +56,24 @@ def _rank_fraction_oracle(m):
     return r
 
 
+def _rank_mod_p_oracle(rows, p):
+    """Independent rank over F_p: plain Gaussian elimination on int lists."""
+    A = [[v % p for v in row] for row in rows]
+    r = 0
+    for col in range(len(A[0]) if A else 0):
+        piv = next((i for i in range(r, len(A)) if A[i][col]), None)
+        if piv is None:
+            continue
+        A[r], A[piv] = A[piv], A[r]
+        inv = pow(A[r][col], -1, p)
+        for i in range(r + 1, len(A)):
+            if A[i][col]:
+                f = A[i][col] * inv % p
+                A[i] = [(x - f * y) % p for x, y in zip(A[i], A[r])]
+        r += 1
+    return r
+
+
 def test_prime_generation():
     primes = multiprime_primes(0, 3)
     assert len(set(primes)) == 3
@@ -154,10 +172,21 @@ def test_kernel_rejects_multiprime():
         kernel_basis(SparseIntMatrix.from_dense([[1, 1]]), QM)
 
 
+def test_spans_refuse_multiprime():
+    # sampling proves ranks only: spans and memberships refuse it, as kernels do
+    m = SparseIntMatrix.from_dense([[1, 1]])
+    with pytest.raises(UnsupportedPolicyError):
+        VectorSpan(2, QM)
+    with pytest.raises(UnsupportedPolicyError):
+        ColumnSpace(m, QM)
+    with pytest.raises(UnsupportedPolicyError):
+        in_column_space(m, [1], QM)
+
+
 def test_in_column_space_basics():
     m = SparseIntMatrix.from_dense([[1, 0], [2, 1], [0, 3]])
     first_col = [1, 2, 0]
-    for f in (QF, QM, FieldSpec.prime(7)):
+    for f in (QF, FieldSpec.prime(7)):
         assert in_column_space(m, first_col, f)
     zero = SparseIntMatrix(3, 2, [])
     assert not in_column_space(zero, [1, 0, 0], QF)
@@ -316,3 +345,72 @@ def test_field_spec_validation():
     assert FieldSpec.prime(3).characteristic == 3
     assert QF.characteristic == 0
     assert QF.certified and not QM.certified
+
+
+ORACLE_PRIMES = (2, 3, 5, 32003, multiprime_primes(0, 1)[0])
+
+
+def _oracle_cases(rng):
+    """Random integer matrices, including empty, single-row, single-column
+    and rank-deficient shapes."""
+    shapes = [(0, 0), (0, 3), (3, 0), (1, 5), (5, 1), (1, 1)]
+    shapes += [(rng.randint(1, 8), rng.randint(1, 8)) for _ in range(12)]
+    for nr, nc in shapes:
+        trips = [
+            (i, j, rng.randint(-6, 6))
+            for i in range(nr)
+            for j in range(nc)
+            if rng.random() < 0.6
+        ]
+        yield SparseIntMatrix.from_triplets(nr, nc, trips)
+    # rank deficient: the last rows repeat sums of the first ones
+    for nr, nc, k in ((6, 5, 2), (4, 7, 1), (7, 7, 3)):
+        base = [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(k)]
+        rows = base + [
+            [sum(rng.randint(-2, 2) * b[j] for b in base) for j in range(nc)]
+            for _ in range(nr - k)
+        ]
+        yield SparseIntMatrix.from_dense(rows, nc)
+
+
+def test_mod_p_routine_matches_plain_elimination():
+    rng = random.Random(71)
+    for m in _oracle_cases(rng):
+        dense = m.to_dense()
+        for p in ORACLE_PRIMES:
+            f = FieldSpec.prime(p)
+            r = _rank_mod_p_oracle(dense, p)
+            assert rank_mod_p(m, p) == r, (dense, p)
+            kern = kernel_basis(m, f)
+            assert len(kern) == m.ncols - r
+            for v in kern:
+                assert all(0 <= x < p for x in v)
+                for row in dense:
+                    assert sum(a * b for a, b in zip(row, v)) % p == 0
+            # b is in the column space iff appending it keeps the rank
+            cols = m.columns()
+            space = ColumnSpace(m, f)
+            assert space.rank == r
+            probes = [[rng.randint(-4, 4) for _ in range(m.nrows)] for _ in range(3)]
+            if cols:
+                probes.append([sum(x) for x in zip(*cols[: 1 + m.ncols // 2])])
+            for b in probes:
+                grown = _rank_mod_p_oracle([c + [x] for c, x in zip(dense, b)], p)
+                assert space.contains(b) == (grown == r), (dense, b, p)
+
+
+def test_vector_span_add_matches_extend():
+    rng = random.Random(73)
+    for m in _oracle_cases(rng):
+        for f in [FieldSpec.prime(p) for p in ORACLE_PRIMES] + [QF]:
+            one, batch = VectorSpan(m.ncols, f), VectorSpan(m.ncols, f)
+            rows = m.to_dense()
+            for row in rows:
+                one.add(row)
+            batch.extend(rows)
+            assert one.rank == batch.rank
+            for _ in range(4):
+                b = [rng.randint(-3, 3) for _ in range(m.ncols)]
+                assert one.contains(b) == batch.contains(b)
+            for row in rows:
+                assert one.contains(row) and batch.contains(row)
