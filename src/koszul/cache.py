@@ -33,12 +33,14 @@ class RankCache:
     One JSON object per line with stable key order; records from other
     engine versions are ignored.  A file may hold records of any ring, though
     cache_path gives each ring its own.  With path None the cache lives in
-    memory.
+    memory.  New records go through one append handle, opened at the first
+    and flushed after each, so the file stays current for other readers.
     """
 
     def __init__(self, path: str | None = None):
         self.path = path
         self._mem: dict[tuple, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        self._fh = None  # the append handle, opened at the first new record
         if path and os.path.exists(path):
             self._load(path)
 
@@ -117,8 +119,10 @@ class RankCache:
                 "engine": ENGINE_VERSION,
             }
             try:
-                with open(self.path, "a", encoding="utf-8") as fh:
-                    fh.write(json.dumps(rec, sort_keys=True) + "\n")
+                if self._fh is None:
+                    self._fh = open(self.path, "a", encoding="utf-8")
+                self._fh.write(json.dumps(rec, sort_keys=True) + "\n")
+                self._fh.flush()  # current for any other reader of the file
             except OSError as exc:
                 raise OSError(f"cannot append to cache {self.path}: {exc}") from exc
 

@@ -10,12 +10,13 @@ never assembled into the full graded component.
 The multidegree-alpha strand is the augmented chain complex of a simplicial
 complex Delta_alpha (see Strand), which algebraic Morse theory shrinks to a
 few critical cells before any elimination runs.  Strand never enumerates
-Delta_alpha: it walks the faces that survive the matching on the first
-vertex, and counts the rest along a chain of links.
+Delta_alpha: it walks once, over the faces that survive the matching on the
+first vertex, and counts the link of that vertex with a subset-sum DP.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import zip_longest
@@ -167,33 +168,61 @@ def graded_dim(params: RingParams, t: int, d: int) -> int:
     return math.comb(params.N, t) * monomial_count(params.n, d - t * params.c)
 
 
-def _survivors(
-    verts: list[ExponentVec], cands: list[int], width: int, res: ExponentVec, live: list[int]
-) -> list[list[int]]:
-    """Faces of D = {sigma subset of live : prod sigma | X^res} that survive
-    the element matching on v = verts[live[0]]: the sigma without v with
-    sigma + v not in D, i.e. v does not divide res - prod sigma.
+def _vertices(
+    params: RingParams, alpha: ExponentVec
+) -> tuple[list[ExponentVec], list[int], int, int]:
+    """(verts, cands, width, guard): the degree-c monomials dividing X^alpha
+    in rank order, each packed at width, and the guard bits of that width.
 
-    cands holds the vertices packed as in _link_chain.  One list of
-    bitmasks per face size (bit i is verts[i]); trailing lists may be
-    empty.  The walk passes fit lists down as it grows faces in rank order,
-    and drops a subtree once v divides its residual and the later vertices
-    together cannot take enough of v's support to change that.
+    Pack exponent vectors into one int, a guard bit above every field, so
+    "m divides r" is one subtraction: no field of (r | guard) - m borrows.
+    Fields are one bit wider than max(alpha) and c need: a monomial that
+    does not divide never borrows past its own field, and v + cap in
+    _survivors (each field at most 2 max alpha) never carries into a guard.
     """
-    guard = _guard(len(res), width)
-    v, pv = verts[live[0]], cands[live[0]]
+    width = max(*alpha, params.c).bit_length() + 2
+    guard = _guard(params.n, width)
+    monomials, packed = _monomial_table(params.n, params.c, width)
+    top = _pack(alpha, width) | guard
+    fit = [i for i, m in enumerate(packed) if (top - m) & guard == guard]
+    return [monomials[i] for i in fit], [packed[i] for i in fit], width, guard
+
+
+@functools.lru_cache(maxsize=None)
+def _monomial_table(n: int, c: int, width: int) -> tuple[list[ExponentVec], list[int]]:
+    """The degree-c monomials of the ring in rank order, and each packed at
+    width; one table per ring and width, whatever the strand."""
+    monomials = enumerate_monomials(RingParams(n, c), c)
+    return monomials, [_pack(m, width) for m in monomials]
+
+
+def _survivors(
+    verts: list[ExponentVec], cands: list[int], width: int, guard: int, alpha: ExponentVec
+) -> list[list[int]]:
+    """Faces of Delta_alpha that survive the element matching on its first
+    vertex v = verts[0]: the sigma without v with sigma + v not in
+    Delta_alpha, i.e. v does not divide alpha - prod sigma.
+
+    cands holds the vertices packed as in _vertices.  One list of bitmasks
+    per face size (bit i is verts[i]); trailing lists may be empty.  The
+    walk passes fit lists down as it grows faces in rank order, and drops a
+    subtree once v divides its residual and the later vertices together
+    cannot take enough of v's support to change that.
+    """
+    v, pv = verts[0], cands[0]
     support = [k for k, x in enumerate(v) if x]
     # need[i]: v plus what the vertices after i can take of its support,
-    # capped at res; a residual above need[i] keeps v whatever follows i
-    need = {}
-    take = [0] * len(res)
-    for i in reversed(live):
-        need[i] = pv + sum(min(take[k], res[k]) << (k * width) for k in support)
+    # capped at alpha; a residual above need[i] keeps v whatever follows i
+    need = [0] * len(verts)
+    take = [0] * len(alpha)
+    for i in reversed(range(len(verts))):
+        need[i] = pv + sum(min(take[k], alpha[k]) << (k * width) for k in support)
         for k in support:
             take[k] += verts[i][k]
-    root = _pack(res, width)
+    root = _pack(alpha, width)
     levels = []
-    level = [] if ((root | guard) - need[live[0]]) & guard == guard else [(0, root, live[1:])]
+    later = list(range(1, len(verts)))
+    level = [] if ((root | guard) - need[0]) & guard == guard else [(0, root, later)]
     while level:
         levels.append([face for face, r, _ in level if ((r | guard) - pv) & guard != guard])
         nxt = []
@@ -221,40 +250,51 @@ def _guard(n: int, width: int) -> int:
 
 
 def _link_chain(
-    verts: list[ExponentVec], alpha: ExponentVec
+    verts: list[ExponentVec], cands: list[int], width: int, guard: int, alpha: ExponentVec
 ) -> tuple[list[list[int]], list[int], list[int]]:
-    """(survivors, faces, link faces) of Delta_alpha on the vertices verts.
+    """(survivors, faces, link faces) of Delta_alpha on the vertices verts,
+    packed as cands (_vertices).  Face counts are indexed by size.
 
     With v the first vertex, every face is a survivor (_survivors), a face
     of lk v = {tau : tau + v in Delta_alpha}, or such a face plus v, so
     f(Delta) = a(Delta) + (1 + z) f(lk v), with a counting the survivors.
-    The link is again such a complex, on the later vertices dividing
-    alpha - v, and the chain stops at a complex with no vertices, whose
-    only face is the empty one.  Face counts are indexed by size.
+    The faces of lk v are the subsets of the later vertices whose product
+    divides alpha - v; they are counted, not walked (_subset_counts).
     """
-    # Pack exponent vectors into one int, a guard bit above every field, so
-    # "m divides r" is one subtraction: no field of (r | guard) - m borrows.
-    # Fields are one bit wider than alpha needs, so v + cap in _survivors
-    # (each field at most max alpha) never carries into a guard bit.
-    width = max(alpha).bit_length() + 2
-    guard = _guard(len(alpha), width)
-    cands = [_pack(u, width) for u in verts]
-    res, live = alpha, list(range(len(verts)))
-    survivors: list[list[int]] = [[0]]  # no vertex: the empty face survives
-    counts = []
-    while live:
-        levels = _survivors(verts, cands, width, res, live)
-        if not counts:
-            survivors = levels
-        counts.append([len(level) for level in levels])
-        res = vec_sub(res, verts[live[0]])
-        top = _pack(res, width) | guard
-        live = [j for j in live[1:] if (top - cands[j]) & guard == guard]
-    faces, link = [1], []
-    for a in reversed(counts):
-        link = faces
-        faces = [sum(f) for f in zip_longest(a, link + [0], [0] + link, fillvalue=0)]
+    if not verts:
+        return [[0]], [1], []  # no vertex: the empty face survives
+    survivors = _survivors(verts, cands, width, guard, alpha)
+    top = (_pack(alpha, width) | guard) - cands[0]
+    link = _subset_counts([m for m in cands[1:] if (top - m) & guard == guard], top, guard)
+    a = [len(level) for level in survivors]
+    faces = [sum(f) for f in zip_longest(a, link + [0], [0] + link, fillvalue=0)]
     return survivors, faces, link
+
+
+def _subset_counts(cands: list[int], top: int, guard: int) -> list[int]:
+    """The number of t-subsets of the packed vertices cands whose product
+    divides the residual top (packed, guard bits set), by t.
+
+    A subset-sum DP: states map a residual (guard bits set) to the number
+    of subsets of each size that leave it, one vertex per pass over a
+    snapshot of the states.  Those counts are one int, a digit of B bits
+    per size t; a count is at most comb(len(cands), t) < 2^B, so digits
+    never carry, multiplying by z is << B and adding is +.
+    """
+    B = len(cands) + 1
+    states = {top: 1}
+    for m in cands:
+        for r, f in list(states.items()):
+            k = r - m
+            if k & guard == guard:
+                states[k] = states.get(k, 0) + (f << B)
+    total = sum(states.values())
+    digit = (1 << B) - 1
+    counts = []
+    while total:
+        counts.append(total & digit)
+        total >>= B
+    return counts
 
 
 def _boundary(face: int):
@@ -289,19 +329,21 @@ class Strand:
 
     Delta_alpha is closed under taking subsets, so the first vertex v0
     pairs every face of its star; only the survivors (_survivors) are
-    walked, and the later matchings and the gradient flow run on them.  A
-    face matched with v0 flows to 0: every facet of its partner other than
-    itself contains v0, so is the upper face of a pair.  The face counts,
-    and the pairs of the first matching (one per face of lk v0), come from
-    the link chain (_link_chain).
+    walked, once, and the later matchings and the gradient flow run on
+    them.  A face matched with v0 flows to 0: every facet of its partner
+    other than itself contains v0, so is the upper face of a pair.  The
+    face counts, and the pairs of the first matching (one per face of
+    lk v0), come from the survivor counts and the face counts of lk v0,
+    which a subset-sum DP counts without walking (_link_chain).  The
+    vertices come from a table of the ring's packed degree-c monomials.
     """
 
     __slots__ = ("faces", "pairs", "crit", "_entries")
 
     def __init__(self, params: RingParams, alpha: ExponentVec):
         alpha = tuple(alpha)
-        verts = [m for m in enumerate_monomials(params, params.c) if divides(m, alpha)]
-        levels, self.faces, link = _link_chain(verts, alpha)
+        verts, cands, width, guard = _vertices(params, alpha)
+        levels, self.faces, link = _link_chain(verts, cands, width, guard, alpha)
         size = params.N + 2
         self.pairs = [0] * size
         # the first matching pairs each face tau of lk v0 with tau + v0
@@ -310,11 +352,13 @@ class Strand:
         up: dict[int, int] = {}  # lower face of a later pair -> vertex bit of its partner
         for i in range(1, len(verts)):  # the later vertices, rank order
             bit = 1 << i
-            for face in [f for f in alive if not f & bit and f | bit in alive]:
+            # the upper faces of this matching; alive shrinks fast enough
+            # that indexing the survivors by vertex costs more than the scan
+            for face in [f for f in alive if f & bit and f ^ bit in alive]:
                 alive.discard(face)
-                alive.discard(face | bit)
-                up[face] = bit
-                self.pairs[face.bit_count() + 1] += 1
+                alive.discard(face ^ bit)
+                up[face ^ bit] = bit
+                self.pairs[face.bit_count()] += 1
         nlevels = len(self.faces)
         crit_levels = [sorted(f for f in level if f in alive) for level in levels]
         crit_levels += [[] for _ in range(nlevels - len(crit_levels))]

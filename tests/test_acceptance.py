@@ -124,6 +124,18 @@ def test_criterion_03_index_n4_c2():
     print(f"\nPASS criterion 3: ind = 5 at (n,c) = (4,2) in {elapsed:.1f}s")
 
 
+@pytest.mark.parametrize("n, c, value, witness", [(6, 2, 5, (6, 8, 1764))])
+def test_criterion_03_index_sampled_rows(n, c, value, witness):
+    # a sampled rank never exceeds the true rank, so every sampled zero below
+    # the index is a proof and the "N_5 holds" half is certified; the witness
+    # Betti number itself is sampled (3-prime agreement), not certified
+    res = HomologyEngine(RingParams(n, c), Q3(), cache=RankCache(None)).gl_index()
+    assert res.value == value and res.witness == witness
+    assert res.value >= c + 1
+    print(f"\nPASS criterion 3: ind = {value} at (n,c) = ({n},{c}), "
+          f"sampled failure witness beta[{witness[0]},{witness[1]}] = {witness[2]}")
+
+
 @pytest.mark.parametrize("n, c, value, witness", [(5, 2, 5, (6, 8, 70)), (3, 4, 9, (10, 12, 55))])
 def test_criterion_03_index_fast_rows(n, c, value, witness):
     # fraction-free ranks certify the witness Betti number as well as the index

@@ -1,6 +1,8 @@
 """Differential tests of the Morse reduction of a strand (complex.Strand)
 against the raw differential blocks it replaces."""
 
+from math import comb
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -11,9 +13,16 @@ from koszul.combinatorics import (
     RingParams,
     divides,
     enumerate_monomials,
+    orbit_size,
     partitions_into,
 )
-from koszul.complex import Strand, _check_composite_zero, _Flow, differential_block
+from koszul.complex import (
+    Strand,
+    _check_composite_zero,
+    _Flow,
+    differential_block,
+    graded_dim,
+)
 from koszul.exactla import SparseIntMatrix, elementary_divisors, rank_fraction_free, rank_mod_p
 
 PRIMES = (2, 3, 32003)
@@ -180,6 +189,24 @@ def test_survivor_walk_matches_full_enumeration_property(data):
 def test_frontier_strand_sizes(n, c, alpha, faces, crit):
     s = Strand(RingParams(n, c), alpha)
     assert (sum(s.faces), sum(s.crit)) == (faces, crit)
+
+
+def test_full_simplex_face_counts():
+    # with c = 1 at (1,...,1) every set of the 12 variables is a face
+    s = Strand(RingParams(12, 1), (1,) * 12)
+    assert s.faces == [comb(12, t) for t in range(13)]
+
+
+@pytest.mark.parametrize("n,c,top", [(4, 2, 20), (7, 2, 12)])
+def test_orbit_weighted_face_counts_fill_each_degree(n, c, top):
+    # the strands of one degree, each counted once per permutation of alpha,
+    # share out the basis of every K_t in that degree
+    params = RingParams(n, c)
+    for d in range(top + 1):
+        strands = [(orbit_size(rep), Strand(params, rep).faces) for rep in partitions_into(d, n)]
+        for t in range(params.N + 1):
+            total = sum(size * faces[t] for size, faces in strands if t < len(faces))
+            assert total == graded_dim(params, t, d), (d, t)
 
 
 def test_matching_complex_of_k7_pins_the_char3_jump():
