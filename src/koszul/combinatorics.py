@@ -8,6 +8,7 @@ exponent vectors too, so the same utilities serve both roles.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -57,6 +58,15 @@ def compositions(n: int, d: int) -> Iterator[ExponentVec]:
 def enumerate_monomials(params: RingParams, d: int) -> list[ExponentVec]:
     """All degree-d monomials of the ring, in the canonical lex-decreasing order."""
     return list(compositions(params.n, d))
+
+
+@functools.lru_cache(maxsize=None)
+def monomial_table(n: int, d: int) -> tuple[tuple[ExponentVec, ...], dict[ExponentVec, int]]:
+    """The degree-d monomials in n variables in rank order, and the rank of
+    each: one table per (n, d), shared by every caller, who must not change
+    the dict."""
+    monomials = tuple(compositions(n, d))
+    return monomials, {m: r for r, m in enumerate(monomials)}
 
 
 def rank_monomial(params: RingParams, m: Sequence[int]) -> int:

@@ -26,9 +26,8 @@ from .combinatorics import (
     ExponentVec,
     RingParams,
     divides,
-    enumerate_monomials,
     monomial_count,
-    unrank_monomial,
+    monomial_table,
     vec_add,
     vec_sub,
 )
@@ -47,9 +46,10 @@ class KoszulBasisElement(NamedTuple):
         return len(self.gens)
 
     def multidegree(self, params: RingParams) -> ExponentVec:
+        monomials = monomial_table(params.n, params.c)[0]
         alpha = self.coeff
         for r in self.gens:
-            alpha = vec_add(alpha, unrank_monomial(params, r, params.c))
+            alpha = vec_add(alpha, monomials[r])
         return alpha
 
     def internal_degree(self, params: RingParams) -> int:
@@ -91,7 +91,7 @@ def block_basis(params: RingParams, t: int, alpha: ExponentVec) -> list[KoszulBa
 
     candidates = [
         (r, m)
-        for r, m in enumerate(enumerate_monomials(params, params.c))
+        for r, m in enumerate(monomial_table(params.n, params.c)[0])
         if divides(m, alpha)
     ]
     if len(candidates) < t:
@@ -189,10 +189,10 @@ def _vertices(
 
 
 @functools.lru_cache(maxsize=None)
-def _monomial_table(n: int, c: int, width: int) -> tuple[list[ExponentVec], list[int]]:
+def _monomial_table(n: int, c: int, width: int) -> tuple[tuple[ExponentVec, ...], list[int]]:
     """The degree-c monomials of the ring in rank order, and each packed at
     width; one table per ring and width, whatever the strand."""
-    monomials = enumerate_monomials(RingParams(n, c), c)
+    monomials = monomial_table(n, c)[0]
     return monomials, [_pack(m, width) for m in monomials]
 
 
@@ -297,18 +297,6 @@ def _subset_counts(cands: list[int], top: int, guard: int) -> list[int]:
     return counts
 
 
-def _boundary(face: int):
-    """(facet, sign) pairs of a face: deleting its k-th smallest vertex
-    (k = 1, 2, ...) carries (-1)^(k-1), as in differential_block."""
-    sign = 1
-    rest = face
-    while rest:
-        low = rest & -rest
-        yield face ^ low, sign
-        sign = -sign
-        rest ^= low
-
-
 class Strand:
     """The multidegree-alpha strand of K(m^c), Morse-reduced.
 
@@ -391,8 +379,12 @@ class _Flow:
     image(sigma) sums, over the alternating paths sigma -> tau_1 / tau_1 + v_1
     -> tau_2 / ... -> critical cell, the products of boundary signs, with
     -1/[d(tau + v) : tau] at every matched step.  The flow of each matched
-    face is memoized; a path that returns to a face means the matching is
-    not acyclic, and raises instead of looping.
+    face tau is memoized, and computed by one post-order sweep that walks
+    the boundary of its partner tau + v exactly once (_terms): the sweep
+    descends into the first facet not yet resolved, and once none is left it
+    sums the flows of that same facet list into memo[tau].  A path that
+    returns to a face still open on the sweep means the matching is not
+    acyclic, and raises instead of looping.
     """
 
     def __init__(self, index: dict[int, int], up: dict[int, int], alpha: ExponentVec):
@@ -403,53 +395,75 @@ class _Flow:
 
     def image(self, face: int) -> dict[int, int]:
         """The Morse differential of a critical face: d face, pushed to critical cells."""
-        return self._combine(face, None, 1)
+        terms = self._terms(face, None)
+        index, memo = self.index, self.memo
+        for facet, _ in terms:
+            if facet not in index and facet not in memo:
+                self._flow_of(facet)
+        return self._sum(terms, 1)
 
-    def _combine(self, face: int, skip: int | None, scale: int) -> dict[int, int]:
-        """scale * (d face minus its skip facet), each facet replaced by its flow."""
-        index, memo, up = self.index, self.memo, self.up
+    def _terms(self, face: int, skip: int | None) -> list[tuple[int, int]]:
+        """(facet, sign) pairs of face, other than skip, that are critical or
+        the lower face of a pair; the others flow to 0.  Deleting the k-th
+        smallest vertex (k = 1, 2, ...) carries (-1)^(k-1), as in
+        differential_block."""
+        index, up = self.index, self.up
+        out = []
+        sign = 1
+        rest = face
+        while rest:
+            low = rest & -rest
+            facet = face ^ low
+            if facet != skip and (facet in index or facet in up):
+                out.append((facet, sign))
+            sign = -sign
+            rest ^= low
+        return out
+
+    def _sum(self, terms: list[tuple[int, int]], scale: int) -> dict[int, int]:
+        """scale * the sum of sign * flow(facet) over terms, every matched
+        facet already memoized; a critical facet is its own flow."""
+        index, memo = self.index, self.memo
         out: dict[int, int] = {}
-        for facet, sign in _boundary(face):
-            if facet == skip:
-                continue
+        for facet, sign in terms:
             c = scale * sign
             j = index.get(facet)
             if j is not None:
                 out[j] = out.get(j, 0) + c
-            elif facet in up:
-                for j, v in self._flow_of(facet).items():
+            else:
+                for j, v in memo[facet].items():
                     out[j] = out.get(j, 0) + c * v
         return {j: v for j, v in out.items() if v}
 
-    def _flow_of(self, tau: int) -> dict[int, int]:
-        memo, up = self.memo, self.up
-        if tau in memo:
-            return memo[tau]
-        stack = [tau]
-        open_: set[int] = set()
+    def _flow_of(self, tau: int) -> None:
+        """Memoize the flow of the matched face tau and of every matched face
+        its gradient paths pass through."""
+        index, memo, up, walk = self.index, self.memo, self.up, self._terms
+        # [face, its partner's terms, the first position not yet resolved]
+        stack = [[tau, walk(tau | up[tau], tau), 0]]
+        open_ = {tau}
         while stack:
-            x = stack[-1]
-            if x in memo:
-                stack.pop()
+            top = stack[-1]
+            x, terms, pos = top
+            while pos < len(terms) and (terms[pos][0] in index or terms[pos][0] in memo):
+                pos += 1
+            if pos < len(terms):
+                y = terms[pos][0]
+                if y in open_:
+                    raise ArithmeticError(
+                        f"cyclic gradient path in the Morse matching at t={y.bit_count() + 1}, "
+                        f"alpha={self.alpha}"
+                    )
+                top[2] = pos + 1  # y is memoized by the time x is on top again
+                open_.add(y)
+                stack.append([y, walk(y | up[y], y), 0])
                 continue
-            partner = x | up[x]
-            todo = [y for y, _ in _boundary(partner) if y != x and y in up and y not in memo]
-            if not todo:
-                # the pivot [d partner : x] is (-1)^(vertices of x below the
-                # matched one), so -1/pivot is -pivot
-                pivot = -1 if (x & (up[x] - 1)).bit_count() % 2 else 1
-                memo[x] = self._combine(partner, x, -pivot)
-                open_.discard(x)
-                stack.pop()
-                continue
-            if x in open_ or any(y in open_ for y in todo):
-                raise ArithmeticError(
-                    f"cyclic gradient path in the Morse matching at t={x.bit_count() + 1}, "
-                    f"alpha={self.alpha}"
-                )
-            open_.add(x)
-            stack.extend(todo)
-        return memo[tau]
+            # the pivot [d partner : x] is (-1)^(vertices of x below the
+            # matched one), so -1/pivot is -pivot
+            pivot = -1 if (x & (up[x] - 1)).bit_count() % 2 else 1
+            memo[x] = self._sum(terms, -pivot)
+            open_.discard(x)
+            stack.pop()
 
 
 def _check_composite_zero(

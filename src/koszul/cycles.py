@@ -19,6 +19,7 @@ from .combinatorics import (
     divides,
     enumerate_monomials,
     monomial_count,
+    monomial_table,
     rank_monomial,
     unit_vector,
     unrank_monomial,
@@ -120,8 +121,12 @@ def z1_generator(params: RingParams, b: ExponentVec, i: int, j: int) -> CycleEle
         raise ValueError(f"variable indices out of range for n={params.n}")
     if sum(b) != params.c - 1:
         raise ValueError(f"expected a degree-{params.c - 1} monomial, got {b}")
-    u_j = rank_monomial(params, vec_add(b, unit_vector(params.n, j)))
-    u_i = rank_monomial(params, vec_add(b, unit_vector(params.n, i)))
+    rank = monomial_table(params.n, params.c)[1]
+    try:
+        u_j = rank[vec_add(b, unit_vector(params.n, j))]
+        u_i = rank[vec_add(b, unit_vector(params.n, i))]
+    except KeyError:
+        raise ValueError(f"{b} is not a monomial in {params.n} variables") from None
     return _collect(
         params,
         1,
@@ -246,11 +251,12 @@ def apply_differential(z: CycleElement) -> CycleElement:
     if z.t < 1:
         raise ValueError("the differential needs homological degree t >= 1")
     params = z.params
+    monomials = monomial_table(params.n, params.c)[0]
     items = []
     for elem, coeff in z.terms.items():
         sign = 1
         for k in range(z.t):
-            u = unrank_monomial(params, elem.gens[k], params.c)
+            u = monomials[elem.gens[k]]
             items.append(
                 (vec_add(elem.coeff, u), elem.gens[:k] + elem.gens[k + 1 :], sign * coeff)
             )

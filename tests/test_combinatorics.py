@@ -6,6 +6,7 @@ from koszul.combinatorics import (
     compositions,
     enumerate_monomials,
     monomial_count,
+    monomial_table,
     orbit_size,
     partitions_into,
     rank_monomial,
@@ -58,8 +59,10 @@ def test_rank_unrank_roundtrip_exhaustive():
     for n in range(1, 5):
         for d in range(0, 7):
             params = RingParams(n, 1)
-            for r, m in enumerate(enumerate_monomials(params, d)):
-                assert rank_monomial(params, m) == r
+            monomials, rank = monomial_table(n, d)
+            assert monomials == tuple(enumerate_monomials(params, d))
+            for r, m in enumerate(monomials):
+                assert rank_monomial(params, m) == r == rank[m]
                 assert unrank_monomial(params, r, d) == m
 
 

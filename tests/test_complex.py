@@ -168,3 +168,26 @@ def test_cyclic_flow_error_names_t_and_alpha():
     up = {0b001: 0b010, 0b010: 0b100, 0b100: 0b001}
     with pytest.raises(ArithmeticError, match=r"at t=2, alpha=\(1, 1, 1\)"):
         complex._Flow({}, up, (1, 1, 1)).image(0b011)
+
+
+def test_flow_walks_each_boundary_once(monkeypatch):
+    # the gradient flow walks the partner of every matched face it memoizes
+    # once, and every critical face whose image it takes once; no more
+    walks = []
+    images = []
+    terms, image = complex._Flow._terms, complex._Flow.image
+
+    def counted_terms(self, face, skip):
+        walks.append((self, face))
+        return terms(self, face, skip)
+
+    def counted_image(self, face):
+        images.append(face)
+        return image(self, face)
+
+    monkeypatch.setattr(complex._Flow, "_terms", counted_terms)
+    monkeypatch.setattr(complex._Flow, "image", counted_image)
+    Strand(RingParams(7, 2), (2, 2, 2, 1, 1, 1, 1))
+    memoized = sum(len(flow.memo) for flow in {flow for flow, _ in walks})
+    assert memoized == 349
+    assert len(walks) == len(set(walks)) == memoized + len(images)

@@ -68,6 +68,10 @@ def test_z1_generator_antisymmetry_and_errors():
     # wrong-degree coefficient
     with pytest.raises(ValueError):
         z1_generator(p, (1, 1, 0), 0, 1)
+    # right degree, but not a monomial of the ring
+    for b in [(1,), (2, -1, 0)]:
+        with pytest.raises(ValueError, match="not a monomial"):
+            z1_generator(p, b, 0, 2)
 
 
 def test_special_cycle_six_term_display():
