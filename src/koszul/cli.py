@@ -47,7 +47,8 @@ class RunConfig:
     fmt: str = "diagram"
     exact: bool = False
     primes: int = 2
-    no_orbit: bool = False
+    no_orbit: bool = False  # accepted and echoed; orbit reduction is always on
+    max_degree: int | None = None  # accepted and echoed when given; degrees are unbounded
 
     @property
     def params(self) -> RingParams:
@@ -74,7 +75,6 @@ class RunConfig:
             self.params,
             field or self.field(),
             cache=self.cache(),
-            use_orbits=not self.no_orbit,
             use_duality=use_duality,
         )
 
@@ -90,6 +90,8 @@ class RunConfig:
             "primes": self.primes,
             "no_orbit": self.no_orbit,
         }
+        if self.max_degree is not None:
+            base["max_degree"] = self.max_degree
         base.update(extra)
         return base
 
@@ -180,7 +182,8 @@ def cmd_homology(cfg: RunConfig, args) -> int:
     started = time.monotonic()
     field = cfg.field()
     engine = cfg.engine(field)
-    dim, parts = engine.homology_dim(args.t, args.deg, breakdown=True)
+    parts = engine.orbit_dims(args.t, args.deg)
+    dim = sum(parts.values())
     orbits = [
         {"rep": list(rep), "dim": v} for rep, v in sorted(parts.items(), reverse=True)
     ]
@@ -470,7 +473,8 @@ def _common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", dest="fmt", choices=("diagram", "csv", "json"), default="diagram")
     sub.add_argument("--exact", action="store_true", help="fraction-free rational ranks")
     sub.add_argument("--primes", type=int, default=2, help="multiprime sample size for char 0")
-    sub.add_argument("--no-orbit", action="store_true", help="disable symmetry reduction")
+    sub.add_argument("--no-orbit", action="store_true",
+                     help="ignored: accepted for compatibility, orbit reduction is always on")
     sub.add_argument("--max-degree", type=int, default=None,
                      help="ignored: accepted for compatibility, degrees are unbounded")
 
@@ -550,6 +554,7 @@ def main(argv=None) -> int:
         exact=args.exact,
         primes=args.primes,
         no_orbit=args.no_orbit,
+        max_degree=args.max_degree,
     )
     try:
         return args.func(cfg, args)

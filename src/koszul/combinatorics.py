@@ -55,11 +55,6 @@ def compositions(n: int, d: int) -> Iterator[ExponentVec]:
             yield (head,) + tail
 
 
-def enumerate_monomials(params: RingParams, d: int) -> list[ExponentVec]:
-    """All degree-d monomials of the ring, in the canonical lex-decreasing order."""
-    return list(compositions(params.n, d))
-
-
 @functools.lru_cache(maxsize=None)
 def monomial_table(n: int, d: int) -> tuple[tuple[ExponentVec, ...], dict[ExponentVec, int]]:
     """The degree-d monomials in n variables in rank order, and the rank of
@@ -67,46 +62,6 @@ def monomial_table(n: int, d: int) -> tuple[tuple[ExponentVec, ...], dict[Expone
     the dict."""
     monomials = tuple(compositions(n, d))
     return monomials, {m: r for r, m in enumerate(monomials)}
-
-
-def rank_monomial(params: RingParams, m: Sequence[int]) -> int:
-    """Index of m within enumerate_monomials(params, sum(m)).
-
-    Computed combinatorially in O(n*d); no table is built.
-    """
-    n = params.n
-    if len(m) != n:
-        raise ValueError(f"expected {n} coordinates, got {len(m)}")
-    rem = sum(m)
-    r = 0
-    for pos in range(n - 1):
-        parts = n - pos - 1  # remaining coordinates after this one
-        for head in range(rem, m[pos], -1):
-            r += monomial_count(parts, rem - head)
-        rem -= m[pos]
-    return r
-
-
-def unrank_monomial(params: RingParams, r: int, d: int) -> ExponentVec:
-    """Inverse of rank_monomial at degree d."""
-    n = params.n
-    if not 0 <= r < monomial_count(n, d):
-        raise ValueError(f"rank {r} out of range for n={n}, d={d}")
-    coords = []
-    rem = d
-    for pos in range(n - 1):
-        parts = n - pos - 1
-        head = rem
-        while True:
-            block = monomial_count(parts, rem - head)
-            if r < block:
-                break
-            r -= block
-            head -= 1
-        coords.append(head)
-        rem -= head
-    coords.append(rem)
-    return tuple(coords)
 
 
 def vec_add(a: ExponentVec, b: ExponentVec) -> ExponentVec:

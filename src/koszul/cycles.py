@@ -1,7 +1,10 @@
 """Explicit integer chains in the complex: two-term degree-(c+1) generators
-of Z_1, the alternating-sum cycles built from factorizations u = b*a, wedge
-products, differentials, boundary-membership tests, and the sampling
-verifier for the inclusion (c+1)! * m^(c-1) * Z_1^c inside the boundaries.
+of Z_1 (and the list of those dividing a multidegree, which the Z_t
+generator profiles of koszul.homology share), the alternating-sum cycles
+built from factorizations u = b*a, wedge products, differentials,
+boundary-membership tests, and the sampling verifier for the inclusion
+(c+1)! * m^(c-1) * Z_1^c inside the boundaries.  Monomials are ranked,
+listed and sampled through combinatorics.monomial_table.
 """
 
 from __future__ import annotations
@@ -17,12 +20,8 @@ from .combinatorics import (
     ExponentVec,
     RingParams,
     divides,
-    enumerate_monomials,
-    monomial_count,
     monomial_table,
-    rank_monomial,
     unit_vector,
-    unrank_monomial,
     vec_add,
     vec_sub,
 )
@@ -138,6 +137,23 @@ def z1_generator(params: RingParams, b: ExponentVec, i: int, j: int) -> CycleEle
     )
 
 
+def z1_generators_dividing(
+    params: RingParams, alpha: ExponentVec
+) -> list[tuple[ExponentVec, tuple[int, int], ExponentVec]]:
+    """(b, (i, j), multidegree) of every two-term Z_1 generator
+    z1_generator(params, b, i, j) whose multidegree divides alpha, in rank
+    order of b and then i < j."""
+    n = params.n
+    out = []
+    for b in monomial_table(n, params.c - 1)[0]:
+        for i in range(n):
+            for j in range(i + 1, n):
+                degree = vec_add(b, vec_add(unit_vector(n, i), unit_vector(n, j)))
+                if divides(degree, alpha):
+                    out.append((b, (i, j), degree))
+    return out
+
+
 @dataclass(frozen=True)
 class SpecialCycleSpec:
     """Data for the alternating-sum cycle: t+1 monomials a_* of degree s and
@@ -158,12 +174,14 @@ class SpecialCycleSpec:
             raise ValueError("need t >= 1")
         if len(self.a) != self.t + 1:
             raise ValueError(f"need {self.t + 1} monomials a_*, got {len(self.a)}")
-        for m in self.a:
-            if sum(m) != self.s:
-                raise ValueError(f"a-monomial {m} does not have degree {self.s}")
-        for m in self.b:
-            if sum(m) != params.c - self.s:
-                raise ValueError(f"b-monomial {m} does not have degree {params.c - self.s}")
+        for name, monomials, degree in (("a", self.a, self.s), ("b", self.b, params.c - self.s)):
+            for m in monomials:
+                if len(m) != params.n or min(m) < 0:
+                    raise ValueError(
+                        f"{name}-monomial {m} is not a monomial in {params.n} variables"
+                    )
+                if sum(m) != degree:
+                    raise ValueError(f"{name}-monomial {m} does not have degree {degree}")
 
 
 def _parity(perm: Sequence[int]) -> int:
@@ -188,13 +206,11 @@ def special_cycle(params: RingParams, spec: SpecialCycleSpec) -> CycleElement:
         raise SizeGuardError(
             f"alternating-sum cycles are guarded to t <= {SPECIAL_CYCLE_T_GUARD}"
         )
+    rank = monomial_table(params.n, params.c)[1]
     items = []
     for perm in permutations(range(t + 1)):
         sign = _parity(perm)
-        gens_raw = tuple(
-            rank_monomial(params, vec_add(spec.b[k], spec.a[perm[k]]))
-            for k in range(t)
-        )
+        gens_raw = tuple(rank[vec_add(spec.b[k], spec.a[perm[k]])] for k in range(t))
         items.append((spec.a[perm[t]], gens_raw, sign))
     return _collect(params, t, items, verified=True)
 
@@ -382,14 +398,8 @@ def _stratum_witnesses(
     params: RingParams, alpha: ExponentVec
 ) -> list[tuple[tuple[ExponentVec, ...], tuple[tuple[int, int], ...]]]:
     """Every product witness of multidegree alpha, factors unordered."""
-    n, c = params.n, params.c
-    choices = []
-    for b in enumerate_monomials(params, c - 1):
-        for i in range(n):
-            for j in range(i + 1, n):
-                degree = vec_add(b, vec_add(unit_vector(n, i), unit_vector(n, j)))
-                if divides(degree, alpha):
-                    choices.append((b, (i, j), degree))
+    c = params.c
+    choices = z1_generators_dividing(params, alpha)
     out = []
 
     def rec(start: int, residual: ExponentVec, chosen: list) -> None:
@@ -432,13 +442,10 @@ def verify_factorial_theorem(
         combos = _stratum_witnesses(params, tuple(stratum))
     else:
         rng = random.Random(seed)
-        count_b = monomial_count(n, c - 1)
+        monomials = monomial_table(n, c - 1)[0]
         combos = []
         for _ in range(samples):
-            bs = tuple(
-                unrank_monomial(params, rng.randrange(count_b), c - 1)
-                for _ in range(c + 1)
-            )
+            bs = tuple(rng.choice(monomials) for _ in range(c + 1))
             prs = tuple(tuple(rng.sample(range(n), 2)) for _ in range(c))
             combos.append((bs, prs))
     spaces: dict = {}
@@ -468,12 +475,8 @@ def verify_factorial_theorem(
 # seeded cycle sampling (shared by the CLI verifier and the test suites)
 
 
-def _random_monomial(rng: random.Random, params: RingParams, d: int) -> ExponentVec:
-    return unrank_monomial(params, rng.randrange(monomial_count(params.n, d)), d)
-
-
 def _random_z1(rng: random.Random, params: RingParams) -> CycleElement:
-    b = _random_monomial(rng, params, params.c - 1)
+    b = rng.choice(monomial_table(params.n, params.c - 1)[0])
     i, j = rng.sample(range(params.n), 2)
     return z1_generator(params, b, i, j)
 
@@ -504,8 +507,8 @@ def sample_nonzero_cycles(
         else:
             t = rng.randint(1, t_max)
             s = rng.randint(1, c)
-            a = tuple(_random_monomial(rng, params, s) for _ in range(t + 1))
-            b = tuple(_random_monomial(rng, params, c - s) for _ in range(t))
+            a = tuple(rng.choice(monomial_table(n, s)[0]) for _ in range(t + 1))
+            b = tuple(rng.choice(monomial_table(n, c - s)[0]) for _ in range(t))
             z = special_cycle(params, SpecialCycleSpec(s, a, b))
         if not z.is_zero():
             out.append(z)

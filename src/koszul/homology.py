@@ -6,8 +6,9 @@ and minimal generator profiles of the cycle modules Z_t.
 Throughout, dim H_t in internal degree d is computed multidegree by
 multidegree: each orbit of multidegrees under variable permutation
 contributes orbit_size * (faces_t - rank d_t - rank d_{t+1}), read from the
-record of one representative strand (koszul.cache), which holds the face
-count and the differential rank of every level.  The duality
+record of its sorted representative strand (koszul.cache), which holds the
+face count and the differential rank of every level.  HomologyEngine.orbit_dims
+gives these contributions and dim H_t(d) is their sum.  The duality
 dim H_t(d) = dim H_{N-n-t}(Nc-n-d) lets every query be served from
 whichever side has smaller blocks; it can be switched off to force direct
 computation (the duality and vanishing suites do exactly that).
@@ -19,18 +20,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from . import exactla
+from . import cycles, exactla
 from .cache import RankCache
 from .combinatorics import (
     ExponentVec,
     RingParams,
     compositions,
-    enumerate_monomials,
-    monomial_count,
     orbit_size,
     partitions_into,
-    unit_vector,
-    vec_add,
     vec_sub,
 )
 from .complex import Strand, differential_block, graded_dim
@@ -39,6 +36,13 @@ from .exactla import FieldSpec, SizeGuardError, SparseIntMatrix, UnsupportedPoli
 # Generator profiles build every block kernel up to degree t(c+1); factorial
 # growth in t makes large t pointless.
 Z_PROFILE_T_GUARD = 4
+# They scan this many degrees past t(c+1), so that the absence of later
+# generators is observed rather than assumed.
+Z_PROFILE_DEGREES_PAST_TOP = 2
+# check_duality computes a missing partner directly when its two chain
+# dimensions sum to at most this; a larger one is served by the duality
+# shortcut, which restates the identity being checked.
+DUALITY_DIRECT_WORK_CAP = 500_000
 
 
 @dataclass
@@ -97,7 +101,7 @@ def _record_dim(record, t: int) -> int:
 
 class HomologyEngine:
     """Shared context for a run: ring, field, strand-record memo, and
-    reduction options.
+    whether the duality shortcut may serve a query.
 
     Without a cache argument the engine memoizes strand records in memory.
     A record missing from the cache comes from the Morse-reduced strand of
@@ -109,13 +113,11 @@ class HomologyEngine:
         params: RingParams,
         field: FieldSpec,
         cache=None,
-        use_orbits: bool = True,
         use_duality: bool = True,
     ):
         self.params = params
         self.field = field
         self.cache = RankCache(None) if cache is None else cache
-        self.use_orbits = use_orbits
         self.use_duality = use_duality
         self.stats = {"eliminations": 0, "cache_hits": 0}
         self._strands: dict[ExponentVec, Strand] = {}
@@ -190,59 +192,44 @@ class HomologyEngine:
         """Work proxy for computing dim H_t in degree d directly."""
         return graded_dim(self.params, t, d) + graded_dim(self.params, t + 1, d)
 
-    def homology_dim(self, t: int, d: int, breakdown: bool = False):
-        """dim H_t in internal degree d; with breakdown=True also a map
-        orbit representative -> contribution (forces direct computation)."""
-        if (
-            self.use_duality
-            and not breakdown
-            and 0 < t <= self.params.N - self.params.n  # t = 0 has a closed form
-        ):
+    def homology_dim(self, t: int, d: int) -> int:
+        """dim H_t in internal degree d: the sum of orbit_dims on the side of
+        the duality with the cheaper blocks."""
+        if self.use_duality and 0 < t <= self.params.N - self.params.n:  # t = 0: closed form
             td, dd = duality_partner(self.params, t, d)
             if self.estimated_cost(td, dd) < self.estimated_cost(t, d):
-                return self.homology_dim_direct(td, dd)
-        return self.homology_dim_direct(t, d, breakdown)
+                t, d = td, dd
+        return sum(self.orbit_dims(t, d).values())
 
-    def homology_dim_direct(self, t: int, d: int, breakdown: bool = False):
-        """dim H_t in degree d without the duality shortcut (breakdown: see homology_dim)."""
+    def orbit_dims(self, t: int, d: int) -> dict[ExponentVec, int]:
+        """Map sorted representative -> orbit_size * dim H_t of its block in
+        degree d, for every orbit that contributes; computed directly,
+        without the duality shortcut."""
         params = self.params
-        zero = (0, {}) if breakdown else 0
         if t < 0 or d < t * params.c:
-            return zero
+            return {}
         if t > params.N - params.n:
             # depth sensitivity of the complex over the polynomial ring
-            return zero
+            return {}
         if self.use_duality and d > params.N * params.c - params.n:
-            return zero
+            return {}
         if t == 0:
             # H_0 is the quotient by the degree-c power: every monomial of
             # degree >= c is divisible by one of the generators
-            dim = monomial_count(params.n, d) if d < params.c else 0
-            if not breakdown:
-                return dim
-            if dim == 0:
-                return 0, {}
-            parts = {
-                rep: orbit_size(rep) for rep in partitions_into(d, params.n)
-            }
-            return dim, parts
+            if d >= params.c:
+                return {}
+            return {rep: orbit_size(rep) for rep in partitions_into(d, params.n)}
 
-        if self.use_orbits:
-            jobs = [(rep, orbit_size(rep)) for rep in partitions_into(d, params.n)]
-        else:
-            jobs = [(alpha, 1) for alpha in compositions(params.n, d)]
-
-        total = faces_t = 0
+        faces_t = 0
         parts: dict[ExponentVec, int] = {}
-        for alpha, weight in jobs:
-            record = self._record(alpha)
+        for rep in partitions_into(d, params.n):
+            weight = orbit_size(rep)
+            record = self._record(rep)
             if t < len(record[0]):
                 faces_t += weight * record[0][t]
             contribution = weight * _record_dim(record, t)
-            total += contribution
             if contribution:
-                rep = tuple(sorted(alpha, reverse=True))
-                parts[rep] = parts.get(rep, 0) + contribution
+                parts[rep] = contribution
         chain_dim = graded_dim(params, t, d)
         if faces_t != chain_dim:
             # the strands partition the basis of K_t in degree d
@@ -250,9 +237,7 @@ class HomologyEngine:
                 f"strand face counts sum to {faces_t}, not dim K_{t} = {chain_dim}, "
                 f"at t={t}, d={d}"
             )
-        if breakdown:
-            return total, parts
-        return total
+        return parts
 
     def homology_table(self, t_max: int, d_max: int) -> HomologyTable:
         """All dims for t <= t_max and t*c <= d <= d_max."""
@@ -326,19 +311,19 @@ class HomologyEngine:
 
     # -- Z_t generator profile ---------------------------------------------------
 
-    def z_generator_profile(self, t: int, extra_degrees: int = 2) -> "ZGeneratorProfile":
+    def z_generator_profile(self, t: int) -> "ZGeneratorProfile":
         """Minimal generator counts of the cycle module Z_t by degree.
 
         In each degree d the count is dim Z_{t,d} minus the dimension of the
         image of multiplication S_1 (x) Z_{t,d-1} -> Z_{t,d}, computed per
-        multidegree from kernel bases.  The scan runs through t(c+1) plus a
-        margin so the absence of higher generators is observed, and tests
-        whether the degree-t(c+1) layer is spanned by wedge products of the
-        two-term generators of Z_1 modulo the multiplication image.
+        multidegree from kernel bases.  The scan runs
+        Z_PROFILE_DEGREES_PAST_TOP degrees past t(c+1), and tests whether the
+        degree-t(c+1) layer is spanned by wedge products of the two-term
+        generators of Z_1 modulo the multiplication image.
         """
         params, field = self.params, self.field
         if t == 0:
-            return ZGeneratorProfile(params, 0, field, {0: 1}, 0, extra_degrees, None)
+            return ZGeneratorProfile(params, 0, field, {0: 1}, 0, None)
         if not field.certified:
             raise UnsupportedPolicyError(
                 "generator profiles need a certified field "
@@ -353,7 +338,7 @@ class HomologyEngine:
         counts: dict[int, int] = {}
         top_spanned = True
         prev_kernels: dict[ExponentVec, tuple[list, list]] = {}
-        for d in range(t * c, top + extra_degrees + 1):
+        for d in range(t * c, top + Z_PROFILE_DEGREES_PAST_TOP + 1):
             cur_kernels: dict[ExponentVec, tuple[list, list]] = {}
             new_gens = 0
             for alpha in compositions(n, d):
@@ -393,25 +378,18 @@ class HomologyEngine:
                         top_spanned = False
             counts[d] = new_gens
             prev_kernels = cur_kernels
-        return ZGeneratorProfile(
-            params, t, field, counts, top, extra_degrees, top_spanned
-        )
+        return ZGeneratorProfile(params, t, field, counts, top, top_spanned)
 
     def _z1_wedge_vectors(
         self, t: int, alpha: ExponentVec, index: dict, length: int
     ) -> Iterable[list[int]]:
         """Coordinate vectors of t-fold wedge products of the two-term Z_1
         generators whose multidegrees sum to alpha."""
-        from . import cycles
-
         params = self.params
-        gens = []
-        for b in enumerate_monomials(params, params.c - 1):
-            for i in range(params.n):
-                for j in range(i + 1, params.n):
-                    degree = vec_add(b, vec_add(unit_vector(params.n, i), unit_vector(params.n, j)))
-                    if all(x <= a for x, a in zip(degree, alpha)):
-                        gens.append((degree, cycles.z1_generator(params, b, i, j)))
+        gens = [
+            (degree, cycles.z1_generator(params, b, i, j))
+            for b, (i, j), degree in cycles.z1_generators_dividing(params, alpha)
+        ]
 
         out: list[list[int]] = []
 
@@ -465,7 +443,6 @@ class ZGeneratorProfile:
     field: FieldSpec
     counts: dict[int, int]
     top_degree: int
-    extra_degrees: int
     top_layer_in_z1_span: bool | None  # None when t = 0
 
     def generator_degrees(self) -> list[int]:
@@ -484,17 +461,14 @@ class DualityReport:
         return not self.mismatches
 
 
-def check_duality(
-    table: HomologyTable,
-    engine: HomologyEngine | None = None,
-    direct_cost_limit: int = 500_000,
-) -> DualityReport:
+def check_duality(table: HomologyTable, engine: HomologyEngine | None = None) -> DualityReport:
     """Verify dim(t,d) == dim(partner) for every table entry.
 
     Partners already in a directly-computed table count as independent
     confirmations; missing partners are recomputed directly when the block
-    work fits the limit, otherwise through the mirrored fast path (flagged,
-    since that path restates the identity being checked).
+    work is within DUALITY_DIRECT_WORK_CAP or the engine's duality is off,
+    otherwise through the mirrored fast path (flagged, since that path
+    restates the identity being checked).
     """
     if engine is None:
         engine = HomologyEngine(table.params, table.field)
@@ -505,15 +479,15 @@ def check_duality(
         partner = table.entries.get((td, dd)) if table.computed_directly else None
         if partner is not None:
             direct += 1
-        elif (
-            td <= table.params.N - table.params.n
-            and engine.estimated_cost(td, dd) <= direct_cost_limit
+        elif engine.use_duality and (
+            td > table.params.N - table.params.n
+            or engine.estimated_cost(td, dd) > DUALITY_DIRECT_WORK_CAP
         ):
-            partner = engine.homology_dim_direct(td, dd)
-            direct += 1
-        else:
             partner = engine.homology_dim(td, dd)
             mirrored += 1
+        else:
+            partner = sum(engine.orbit_dims(td, dd).values())
+            direct += 1
         checked += 1
         if partner != dim:
             mismatches.append((t, d, dim, partner))
@@ -578,25 +552,19 @@ class VanishingReport:
         return not self.failures and not self.sharp_failures
 
 
-def verify_vanishing(
-    params: RingParams,
-    field: FieldSpec,
-    margin: int | None = None,
-    cache=None,
-) -> VanishingReport:
+def verify_vanishing(params: RingParams, field: FieldSpec, cache=None) -> VanishingReport:
     """Directly compute H_t(tc+j) for all t <= N-n and j >= t+c and confirm
     the zeros.  The scan covers the degrees where chains exist on both
-    sides of the dual window plus a margin; beyond it the dual-degree basis
-    is empty.  The sharper char-0 statement (j = t+c-1 for t >= c) is
-    included when the characteristic allows."""
-    engine = HomologyEngine(params, field, cache=cache, use_orbits=True, use_duality=False)
-    margin = params.c if margin is None else margin
+    sides of the dual window, and c degrees past its top; beyond that the
+    dual-degree basis is empty.  The sharper char-0 statement
+    (j = t+c-1 for t >= c) is included when the characteristic allows."""
+    engine = HomologyEngine(params, field, cache=cache, use_duality=False)
     structural_top = params.N * params.c - params.n
     checked = 0
     failures = []
     for t in range(params.N - params.n + 1):
         j = t + params.c
-        while t * params.c + j <= structural_top + margin:
+        while t * params.c + j <= structural_top + params.c:
             d = t * params.c + j
             dim = engine.homology_dim(t, d)
             checked += 1

@@ -84,6 +84,10 @@ def test_verify_duality_ok(capsys):
     )
     assert code == 0
     assert out.startswith("OK (")
+    # the CLI engine has duality off, so partners past the direct-work cap or
+    # past N-n are still computed directly, and are counted as such
+    code, out = run_cli(capsys, "verify", "duality", "--n", "5", "--c", "2", "--tmax", "2")
+    assert code == 0 and out == "OK (72 entries checked, 72 direct, 0 mirrored)\n"
 
 
 def test_verify_vanishing_ok(capsys):
@@ -312,11 +316,20 @@ def test_output_determinism(capsys):
     assert pa == pb
 
 
-def test_no_orbit_changes_nothing_visible(capsys):
-    base = ["table", "--n", "3", "--c", "2", "--char", "0", "--format", "csv"]
-    _, plain = run_cli(capsys, *base)
-    _, reduced = run_cli(capsys, *(base + ["--no-orbit"]))
-    assert plain == reduced
+@pytest.mark.parametrize(
+    "flag, key, value",
+    [(["--no-orbit"], "no_orbit", True), (["--threads", "4"], "threads", 4),
+     (["--max-degree", "5"], "max_degree", 5)],
+    ids=["no-orbit", "threads", "max-degree"],
+)
+def test_no_orbit_changes_nothing_visible(capsys, flag, key, value):
+    # accepted for compatibility and ignored: only the JSON query echo differs
+    base = ["table", "--n", "3", "--c", "2", "--char", "0"]
+    _, plain = run_cli(capsys, *base, "--format", "csv")
+    _, flagged = run_cli(capsys, *base, "--format", "csv", *flag)
+    assert plain == flagged
+    _, out = run_cli(capsys, *base, "--format", "json", *flag)
+    assert json.loads(out)["query"][key] == value
 
 
 def test_env_cache_dir(tmp_path, monkeypatch, capsys):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from koszul import complex
-from koszul.combinatorics import RingParams, compositions, rank_monomial
+from koszul.combinatorics import RingParams, compositions, monomial_table
 from koszul.complex import (
     KoszulBasisElement,
     Strand,
@@ -24,9 +24,10 @@ def test_block_basis_examples():
 
     # only one distinct pair multiplies to x^2 y^2
     p22 = RingParams(2, 2)
+    rank22 = monomial_table(2, 2)[1]
     basis = block_basis(p22, 2, (2, 2))
     assert basis == [
-        KoszulBasisElement((0, 0), (rank_monomial(p22, (2, 0)), rank_monomial(p22, (0, 2))))
+        KoszulBasisElement((0, 0), (rank22[(2, 0)], rank22[(0, 2)]))
     ]
 
 
@@ -57,8 +58,9 @@ def test_differential_koszul_relation():
     assert blk.ncols == 1 and blk.nrows == 2
     by_row = {blk.rows[r]: s for r, _, s in blk.entries}
     x, y = (1, 0), (0, 1)
-    assert by_row[KoszulBasisElement(x, (rank_monomial(p, y),))] == 1
-    assert by_row[KoszulBasisElement(y, (rank_monomial(p, x),))] == -1
+    rank = monomial_table(2, 1)[1]
+    assert by_row[KoszulBasisElement(x, (rank[y],))] == 1
+    assert by_row[KoszulBasisElement(y, (rank[x],))] == -1
 
 
 def test_differential_t1_single_positive_entry():

@@ -47,28 +47,20 @@ def test_table_values():
 
 def test_char3_jump_with_orbit_support():
     e3 = engine(7, 2, FieldSpec.prime(3))
-    dim, parts = e3.homology_dim(2, 7, breakdown=True)
-    assert dim == 1
+    assert e3.homology_dim(2, 7) == 1
+    parts = e3.orbit_dims(2, 7)
     assert parts == {(1, 1, 1, 1, 1, 1, 1): 1}
     e0 = engine(7, 2)
     assert e0.homology_dim(2, 7) == 0
 
 
-def test_breakdown_totals_match():
+def test_orbit_dims_sum_to_homology_dim():
     e = engine(3, 2)
-    for t in (1, 2):
-        for d in (4, 5, 6, 7):
-            dim, parts = e.homology_dim(t, d, breakdown=True)
-            assert dim == sum(parts.values())
+    for t in (0, 1, 2):
+        for d in (0, 1, 4, 5, 6, 7):
+            parts = e.orbit_dims(t, d)
+            assert e.homology_dim(t, d) == sum(parts.values())
             assert all(v > 0 for v in parts.values())
-
-
-def test_orbit_reduction_parity():
-    plain = engine(3, 2, use_orbits=False)
-    reduced = engine(3, 2, use_orbits=True)
-    for t in range(0, 4):
-        for d in range(0, 9):
-            assert plain.homology_dim(t, d) == reduced.homology_dim(t, d)
 
 
 def test_duality_partner_involution():
@@ -81,9 +73,9 @@ def test_duality_partner_involution():
 
 
 def test_duality_dimensions_spot():
-    e = engine(3, 3)
-    assert e.homology_dim_direct(1, 4) == e.homology_dim_direct(6, 23) == 15
-    assert e.homology_dim_direct(0, 0) == e.homology_dim_direct(7, 27) == 1
+    e = engine(3, 3, use_duality=False)
+    assert e.homology_dim(1, 4) == e.homology_dim(6, 23) == 15
+    assert e.homology_dim(0, 0) == e.homology_dim(7, 27) == 1
 
 
 def test_check_duality_direct_small():
@@ -195,7 +187,7 @@ def test_acceleration_matches_direct():
     direct = engine(4, 2, use_duality=False)
     for t in range(0, 7):
         for d in range(2 * t, 17, 3):
-            assert e.homology_dim(t, d) == direct.homology_dim_direct(t, d)
+            assert e.homology_dim(t, d) == direct.homology_dim(t, d)
 
 
 def test_default_engine_memoizes_ranks():

@@ -13,7 +13,7 @@ from koszul.combinatorics import (
     ExponentVec,
     RingParams,
     divides,
-    enumerate_monomials,
+    monomial_table,
     orbit_size,
     partitions_into,
 )
@@ -48,7 +48,7 @@ def face_levels(params: RingParams, alpha: ExponentVec) -> list[list[int]]:
     def pack(v: ExponentVec) -> int:
         return sum(x << (i * width) for i, x in enumerate(v))
 
-    cands = [pack(m) for m in enumerate_monomials(params, params.c) if divides(m, alpha)]
+    cands = [pack(m) for m in monomial_table(params.n, params.c)[0] if divides(m, alpha)]
     # (face, residual, the later vertices that still divide the residual)
     level = [(0, pack(alpha), range(len(cands)))]
     levels = [[0]]
