@@ -41,27 +41,28 @@ class RankCache:
         self.path = path
         self._mem: dict[tuple, tuple[tuple[int, ...], tuple[int, ...]]] = {}
         self._fh = None  # the append handle, opened at the first new record
+        self.p_values: set[int] = set()  # the p of every record held; any other p misses
         if path and os.path.exists(path):
             self._load(path)
 
     def _load(self, path: str) -> None:
-        """Read the records of path.  Corrupt lines (including a key field
-        that is not a JSON integer) are skipped with a warning; so is a record
-        that fails a check, unless a later valid record for the same key
-        replaces it (as after a recompute).  A record's checks: faces and ranks
-        are JSON integers, as many faces as ranks, from 1 face and rank 0,
-        0 <= ranks[t] <= min(faces[t-1], faces[t]) and
+        """Read the records of path.  Corrupt lines (including one that is not
+        UTF-8, or a key field that is not a JSON integer) are skipped with a
+        warning; so is a record that fails a check, unless a later valid
+        record for the same key replaces it (as after a recompute).  A record's
+        checks: faces and ranks are JSON integers, as many faces as ranks,
+        from 1 face and rank 0, 0 <= ranks[t] <= min(faces[t-1], faces[t]) and
         ranks[t] + ranks[t+1] <= faces[t].  Of two valid records for one key
         that differ, the later is kept, with a warning."""
         kept: dict[tuple, int] = {}  # key -> line of the record in memory
         failed: dict[tuple, list[tuple[int, Exception]]] = {}  # key -> (line, fault)
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             for lineno, line in enumerate(fh, 1):
                 if line.isspace():
                     continue
                 key = None
                 try:
-                    rec = _decode(line)
+                    rec = _decode(line.decode("utf-8"))
                     if rec["engine"] != ENGINE_VERSION:
                         continue
                     n, c, alpha, p = rec["n"], rec["c"], tuple(rec["alpha"]), rec["p"]
@@ -97,6 +98,7 @@ class RankCache:
             for lineno, exc in faults:
                 log.warning("%s:%d: skipping cache record for alpha=%s, p=%d (%s)",
                             path, lineno, alpha, p, exc)
+        self.p_values.update(key[3] for key in self._mem)
 
     def get(self, n: int, c: int, alpha: tuple, p: int):
         """The (faces, ranks) record of the strand at sorted alpha, or None."""
@@ -108,6 +110,7 @@ class RankCache:
         if self._mem.get(key) == value:
             return
         self._mem[key] = value
+        self.p_values.add(p)
         if self.path:
             rec = {
                 "n": n,

@@ -103,9 +103,12 @@ class HomologyEngine:
     """Shared context for a run: ring, field, strand-record memo, and
     whether the duality shortcut may serve a query.
 
-    Without a cache argument the engine memoizes strand records in memory.
-    A record missing from the cache comes from the Morse-reduced strand of
-    its orbit (complex.Strand), built at most once per engine.
+    Each sorted representative's record over the engine field is resolved
+    at most once per engine and kept, as is the orbit list of each degree.
+    Without a cache argument the records are stored in memory.  A record
+    missing from the cache comes from the Morse-reduced strand of its orbit
+    (complex.Strand), built only for that record, shared by its sampled
+    primes, and then dropped.
     """
 
     def __init__(
@@ -120,7 +123,8 @@ class HomologyEngine:
         self.cache = RankCache(None) if cache is None else cache
         self.use_duality = use_duality
         self.stats = {"eliminations": 0, "cache_hits": 0}
-        self._strands: dict[ExponentVec, Strand] = {}
+        self._records: dict[ExponentVec, tuple] = {}  # sorted rep -> record over field
+        self._orbits: dict[int, list[tuple[ExponentVec, int]]] = {}  # d -> (rep, orbit size)
 
     # -- block level --------------------------------------------------------
 
@@ -130,45 +134,68 @@ class HomologyEngine:
             self.stats["cache_hits"] += 1
         return got
 
-    def _memo_record(self, rep: ExponentVec, p: int, rank: Callable[[SparseIntMatrix], int]):
+    def _memo_record(
+        self,
+        rep: ExponentVec,
+        p: int,
+        rank: Callable[[SparseIntMatrix], int],
+        strand: Callable[[], Strand],
+    ):
         """The (faces, ranks) record stored under (rep, p); on a miss, the
-        strand's face counts and, for every t, its matched pairs plus
+        face counts of strand() and, for every t, its matched pairs plus
         rank(Morse matrix of d_t)."""
         got = self._cached(rep, p)
         if got is None:
-            strand = self._strands.get(rep)  # built at most once per engine
-            if strand is None:
-                strand = self._strands[rep] = Strand(self.params, rep)
-            ranks = [strand.pairs[t] + rank(strand.morse(t)) for t in range(1, len(strand.faces))]
-            got = strand.faces, [0] + ranks
+            s = strand()
+            ranks = [s.pairs[t] + rank(s.morse(t)) for t in range(1, len(s.faces))]
+            got = s.faces, [0] + ranks
             self.stats["eliminations"] += 1
             self.cache.put(self.params.n, self.params.c, rep, p, *got)
         return got
 
-    def _rank_mod_p(self, rep: ExponentVec, p: int):
-        return self._memo_record(rep, p, lambda m: exactla.rank_mod_p(m, p))
+    def _rank_mod_p(self, rep: ExponentVec, p: int, strand: Callable[[], Strand]):
+        return self._memo_record(rep, p, lambda m: exactla.rank_mod_p(m, p), strand)
 
     def _record(self, alpha: ExponentVec):
-        """(faces, ranks) of alpha's strand over the engine field.
+        """(faces, ranks) of alpha's strand over the engine field, resolved
+        once per engine; a later call is a memo hit, counted as a cache hit."""
+        rep = tuple(sorted(alpha, reverse=True))
+        got = self._records.get(rep)
+        if got is None:
+            got = self._records[rep] = self._resolve(rep)
+        else:
+            self.stats["cache_hits"] += 1
+        return got
+
+    def _resolve(self, rep: ExponentVec):
+        """rep's record from the cache, or from its strand, built on the
+        first miss and shared by every prime this call samples.
 
         Records are cached per prime; a certified rational record is stored
         under p=0 (fraction-free runs, or agreement of three or more primes
-        at every t).
+        at every t), and looked up only if the cache holds some p=0 record.
         """
-        rep = tuple(sorted(alpha, reverse=True))
+        built: list[Strand] = []
+
+        def strand() -> Strand:
+            if not built:
+                built.append(Strand(self.params, rep))
+            return built[0]
+
         f = self.field
         if f.kind == "prime":
-            return self._rank_mod_p(rep, f.p)
+            return self._rank_mod_p(rep, f.p, strand)
         if f.policy == "fraction_free":
-            return self._memo_record(rep, 0, exactla.rank_fraction_free)
-        got = self._cached(rep, 0)
-        if got is not None:
-            return got
+            return self._memo_record(rep, 0, exactla.rank_fraction_free, strand)
+        if 0 in self.cache.p_values:
+            got = self._cached(rep, 0)
+            if got is not None:
+                return got
         faces = ()
 
         def ranks_at(p: int):
             nonlocal faces
-            faces, ranks = self._rank_mod_p(rep, p)
+            faces, ranks = self._rank_mod_p(rep, p, strand)
             return ranks
 
         best, ranks, agreed = exactla.sampled_rank(f, ranks_at)
@@ -201,6 +228,15 @@ class HomologyEngine:
                 t, d = td, dd
         return sum(self.orbit_dims(t, d).values())
 
+    def _orbits_of(self, d: int) -> list[tuple[ExponentVec, int]]:
+        """(sorted representative, orbit size) of every orbit of degree-d
+        multidegrees, in partitions_into order; listed once per engine."""
+        orbits = self._orbits.get(d)
+        if orbits is None:
+            n = self.params.n
+            orbits = self._orbits[d] = [(rep, orbit_size(rep)) for rep in partitions_into(d, n)]
+        return orbits
+
     def orbit_dims(self, t: int, d: int) -> dict[ExponentVec, int]:
         """Map sorted representative -> orbit_size * dim H_t of its block in
         degree d, for every orbit that contributes; computed directly,
@@ -218,12 +254,11 @@ class HomologyEngine:
             # degree >= c is divisible by one of the generators
             if d >= params.c:
                 return {}
-            return {rep: orbit_size(rep) for rep in partitions_into(d, params.n)}
+            return dict(self._orbits_of(d))
 
         faces_t = 0
         parts: dict[ExponentVec, int] = {}
-        for rep in partitions_into(d, params.n):
-            weight = orbit_size(rep)
+        for rep, weight in self._orbits_of(d):
             record = self._record(rep)
             if t < len(record[0]):
                 faces_t += weight * record[0][t]

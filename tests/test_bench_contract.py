@@ -42,16 +42,19 @@ def test_traced_queries_run_and_report(tmp_path):
     try:
         assert main(["homology", "--n", "3", "--c", "2", "--t", "1", "--deg", "4", "--char", "5"]) == 0
         assert main(["table", "--n", "2", "--c", "2", "--exact"]) == 0
-        # two rings filled cold into one directory, then one warm table, which
-        # must load the records of its own ring and no others
+        # two rings filled cold into one directory, then one warm table, traced
+        # on its own, which must load the records of its own ring and no others
         for n in ("2", "3"):
             assert main(["table", "--n", n, "--c", "2", "--cache-dir", str(tmp_path)]) == 0
+        cold = tracer.metrics()
+        tracer.reset()
         assert main(["table", "--n", "3", "--c", "2", "--cache-dir", str(tmp_path)]) == 0
     finally:
         tracer.restore()
-    metrics = tracer.metrics()
-    assert metrics["exactla.dense.calls"] > 0
-    assert metrics["exactla.fraction_free.calls"] > 0
+    warm = tracer.metrics()
+    assert cold["exactla.dense.calls"] > 0
+    assert cold["exactla.fraction_free.calls"] > 0
     own = Path(cache_path(str(tmp_path), 3, 2)).read_text().splitlines()
-    assert own and metrics["cli.cache.records_loaded"] == len(own)
-    assert metrics["cli.cache.get.calls"] > 0
+    assert own and warm["cli.cache.records_loaded"] == len(own)
+    assert warm["cli.cache.get.calls"] > 0
+    assert warm["cli.cache.hit_ratio"] == 1.0  # a warm table asks only for records it holds

@@ -278,9 +278,10 @@ def test_warm_command_loads_only_its_own_ring(tmp_path, monkeypatch, capsys, cap
 
 def test_warm_cache_replays_without_eliminations(tmp_path, monkeypatch):
     def enumerated(*args):
-        raise AssertionError("a warm engine enumerated the faces of a strand")
+        raise AssertionError("a warm engine built a strand or walked its faces")
 
-    survivors = complex._survivors
+    # a cache hit builds no strand: every name bound to either one traps
+    traps = (complex._survivors, complex.Strand)
 
     # with 3 primes the warm run reads certified p=0 records; with 2 it reads
     # the per-prime records, whose face counts it must reuse
@@ -292,12 +293,11 @@ def test_warm_cache_replays_without_eliminations(tmp_path, monkeypatch):
         with monkeypatch.context() as patch:
             for module in [m for name, m in sys.modules.items() if name.startswith("koszul")]:
                 for attr, value in vars(module).items():
-                    if value is survivors:
+                    if any(value is trap for trap in traps):
                         patch.setattr(module, attr, enumerated)
             warm_engine = cfg.engine()
             warm = warm_engine.homology_table(7, 27)
         assert warm_engine.stats["eliminations"] == 0
-        assert not warm_engine._strands  # a cache hit builds no Morse matching
         assert warm.entries == cold.entries
 
 
@@ -392,6 +392,26 @@ def test_corrupt_cached_rank_is_recomputed(tmp_path, capsys, caplog):
     assert code == 0 and out == clean
     assert not caplog.records
     assert path.stat().st_size == size
+
+
+def test_cache_line_not_utf8_is_skipped(tmp_path, capsys, caplog):
+    # one undecodable line is corrupt like any other: the rest of the file
+    # still serves the table, and the warning names the file and the line
+    argv = ["table", "--n", "2", "--c", "2", "--cache-dir", str(tmp_path)]
+    code, clean = run_cli(capsys, *argv)
+    assert code == 0
+    path = Path(cache_path(str(tmp_path), 2, 2))
+    lines = path.read_bytes().splitlines(keepends=True)
+    assert len(lines) > 1
+    path.write_bytes(lines[0] + b"\xff\xfe\n" + b"".join(lines[1:]))
+    size = path.stat().st_size
+    code, out = run_cli(capsys, *argv)
+    assert code == 0 and out == clean
+    warnings = [r.getMessage() for r in caplog.records]
+    assert len(warnings) == 1
+    assert warnings[0].startswith(f"{path}:2: skipping corrupt cache line (")
+    assert "can't decode byte 0xff" in warnings[0]
+    assert path.stat().st_size == size  # every record was read: nothing recomputed
 
 
 def test_over_large_cached_rank_is_recomputed(tmp_path, capsys, caplog):

@@ -1,7 +1,8 @@
 import pytest
 
+from koszul.cache import RankCache
 from koszul.combinatorics import RingParams
-from koszul.exactla import FieldSpec, UnsupportedPolicyError
+from koszul.exactla import FieldSpec, UnsupportedPolicyError, multiprime_primes
 from koszul.homology import (
     HomologyEngine,
     check_duality,
@@ -198,3 +199,41 @@ def test_default_engine_memoizes_ranks():
     assert e.homology_dim(2, 8) == 105
     assert e.stats["eliminations"] == before["eliminations"]
     assert e.stats["cache_hits"] > before["cache_hits"]
+
+
+def test_warm_engine_reads_each_record_once():
+    # a warm 2-prime engine reads the two per-prime records of each sorted
+    # representative once, however many (t, d) its strand serves, and never
+    # probes for the p=0 records that only 3 or more primes write
+    params, field = RingParams(3, 3), FieldSpec.rational(num_primes=2, seed=0)
+    cache = RankCache(None)
+    cold = HomologyEngine(params, field, cache=cache).homology_table(7, 27)
+    gets = []
+    get = cache.get
+
+    def spy(n, c, alpha, p):
+        got = get(n, c, alpha, p)
+        gets.append((tuple(alpha), p, got is not None))
+        return got
+
+    cache.get = spy
+    warm = HomologyEngine(params, field, cache=cache)
+    assert warm.homology_table(7, 27).entries == cold.entries
+    reps = {alpha for alpha, _, _ in gets}
+    assert len(gets) == 2 * len(reps)
+    assert all(hit for _, _, hit in gets)
+    assert {p for _, p, _ in gets} == set(multiprime_primes(0, 2))
+    assert warm.stats["eliminations"] == 0
+
+
+def test_one_cache_serves_two_fields():
+    # records are keyed by p: the F_3 engine and the sampled primes share a
+    # cache without reading each other's ranks, whichever fills it first
+    params, f3 = RingParams(7, 2), FieldSpec.prime(3)
+    for fields in ((f3, QM), (QM, f3)):
+        cache = RankCache(None)
+        for _ in range(2):  # the second pair of engines replays the first's records
+            engines = [HomologyEngine(params, f, cache=cache) for f in fields]
+            for _ in range(2):
+                dims = [e.homology_dim(2, 7) for e in engines]
+                assert dims == [1 if f is f3 else 0 for f in fields]
