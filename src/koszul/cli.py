@@ -11,6 +11,7 @@ the only varying output field is meta.elapsed_ms in JSON format.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -479,6 +480,7 @@ def _common_flags(sub: argparse.ArgumentParser) -> None:
                      help="ignored: accepted for compatibility, degrees are unbounded")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kosz",

@@ -36,13 +36,11 @@ SPECIAL_CYCLE_T_GUARD = 6
 class CycleElement:
     """Integer-coefficient chain of homological degree t, stored on the
     monomial basis.  Immutable by convention; all operations return fresh
-    elements.  verified_cycle is set by constructors whose output is a
-    cycle by construction."""
+    elements."""
 
     params: RingParams
     t: int
     terms: dict[KoszulBasisElement, int]
-    verified_cycle: bool = False
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -53,7 +51,7 @@ class CycleElement:
         for elem, coeff in self.terms.items():
             split.setdefault(elem.multidegree(self.params), {})[elem] = coeff
         return {
-            alpha: CycleElement(self.params, self.t, part, self.verified_cycle)
+            alpha: CycleElement(self.params, self.t, part)
             for alpha, part in sorted(split.items())
         }
 
@@ -82,7 +80,6 @@ def _collect(
     params: RingParams,
     t: int,
     items: Iterable[tuple[ExponentVec, Sequence[int], int]],
-    verified: bool = False,
 ) -> CycleElement:
     """Normalize (coefficient vector, raw bracket ranks, coefficient) terms:
     sort brackets with sign, merge, drop zeros."""
@@ -99,17 +96,17 @@ def _collect(
             terms[elem] = value
         else:
             terms.pop(elem, None)
-    return CycleElement(params, t, terms, verified)
+    return CycleElement(params, t, terms)
 
 
 def zero_element(params: RingParams, t: int) -> CycleElement:
-    return CycleElement(params, t, {}, verified_cycle=True)
+    return CycleElement(params, t, {})
 
 
 def unit_element(params: RingParams) -> CycleElement:
     """The empty bracket with coefficient 1, the unit of the wedge algebra."""
     one = KoszulBasisElement((0,) * params.n, ())
-    return CycleElement(params, 0, {one: 1}, verified_cycle=True)
+    return CycleElement(params, 0, {one: 1})
 
 
 def z1_generator(params: RingParams, b: ExponentVec, i: int, j: int) -> CycleElement:
@@ -133,7 +130,6 @@ def z1_generator(params: RingParams, b: ExponentVec, i: int, j: int) -> CycleEle
             (unit_vector(params.n, i), (u_j,), 1),
             (unit_vector(params.n, j), (u_i,), -1),
         ],
-        verified=True,
     )
 
 
@@ -212,7 +208,7 @@ def special_cycle(params: RingParams, spec: SpecialCycleSpec) -> CycleElement:
         sign = _parity(perm)
         gens_raw = tuple(rank[vec_add(spec.b[k], spec.a[perm[k]])] for k in range(t))
         items.append((spec.a[perm[t]], gens_raw, sign))
-    return _collect(params, t, items, verified=True)
+    return _collect(params, t, items)
 
 
 def add(z: CycleElement, w: CycleElement) -> CycleElement:
@@ -227,15 +223,13 @@ def add(z: CycleElement, w: CycleElement) -> CycleElement:
             terms[elem] = value
         else:
             terms.pop(elem, None)
-    return CycleElement(z.params, z.t, terms, z.verified_cycle and w.verified_cycle)
+    return CycleElement(z.params, z.t, terms)
 
 
 def integer_scale(z: CycleElement, k: int) -> CycleElement:
     if k == 0:
         return zero_element(z.params, z.t)
-    return CycleElement(
-        z.params, z.t, {e: k * v for e, v in z.terms.items()}, z.verified_cycle
-    )
+    return CycleElement(z.params, z.t, {e: k * v for e, v in z.terms.items()})
 
 
 def monomial_scale(z: CycleElement, v: ExponentVec) -> CycleElement:
@@ -245,7 +239,7 @@ def monomial_scale(z: CycleElement, v: ExponentVec) -> CycleElement:
         KoszulBasisElement(vec_add(e.coeff, v), e.gens): coeff
         for e, coeff in z.terms.items()
     }
-    return CycleElement(z.params, z.t, terms, z.verified_cycle)
+    return CycleElement(z.params, z.t, terms)
 
 
 def wedge(z: CycleElement, w: CycleElement) -> CycleElement:
@@ -256,9 +250,7 @@ def wedge(z: CycleElement, w: CycleElement) -> CycleElement:
     for ez, cz in z.terms.items():
         for ew, cw in w.terms.items():
             items.append((vec_add(ez.coeff, ew.coeff), ez.gens + ew.gens, cz * cw))
-    return _collect(
-        z.params, z.t + w.t, items, verified=z.verified_cycle and w.verified_cycle
-    )
+    return _collect(z.params, z.t + w.t, items)
 
 
 def apply_differential(z: CycleElement) -> CycleElement:
@@ -277,8 +269,7 @@ def apply_differential(z: CycleElement) -> CycleElement:
                 (vec_add(elem.coeff, u), elem.gens[:k] + elem.gens[k + 1 :], sign * coeff)
             )
             sign = -sign
-    # the boundary of anything is a cycle
-    return _collect(params, z.t - 1, items, verified=True)
+    return _collect(params, z.t - 1, items)
 
 
 def is_cycle(z: CycleElement) -> bool:
@@ -439,6 +430,9 @@ def verify_factorial_theorem(
     c, n = params.c, params.n
     fact = math.factorial(c + 1)
     if stratum is not None:
+        if len(stratum) != n or min(stratum) < 0:
+            got = " ".join(map(str, stratum))
+            raise ValueError(f"the stratum must be n={n} nonnegative integers, got {got}")
         combos = _stratum_witnesses(params, tuple(stratum))
     else:
         rng = random.Random(seed)

@@ -9,9 +9,11 @@ contributes orbit_size * (faces_t - rank d_t - rank d_{t+1}), read from the
 record of its sorted representative strand (koszul.cache), which holds the
 face count and the differential rank of every level.  HomologyEngine.orbit_dims
 gives these contributions and dim H_t(d) is their sum.  The duality
-dim H_t(d) = dim H_{N-n-t}(Nc-n-d) lets every query be served from
-whichever side has smaller blocks; it can be switched off to force direct
-computation (the duality and vanishing suites do exactly that).
+dim H_t(d) = dim H_{N-n-t}(Nc-n-d) lets a query be served from its partner:
+a side without t-chains (d < tc) first, since it reads 0 at no cost, and
+otherwise the lower internal degree, whose strands are fewer and smaller.
+It can be switched off to force direct computation (the duality and
+vanishing suites do exactly that).
 """
 
 from __future__ import annotations
@@ -39,10 +41,6 @@ Z_PROFILE_T_GUARD = 4
 # They scan this many degrees past t(c+1), so that the absence of later
 # generators is observed rather than assumed.
 Z_PROFILE_DEGREES_PAST_TOP = 2
-# check_duality computes a missing partner directly when its two chain
-# dimensions sum to at most this; a larger one is served by the duality
-# shortcut, which restates the identity being checked.
-DUALITY_DIRECT_WORK_CAP = 500_000
 
 
 @dataclass
@@ -215,18 +213,21 @@ class HomologyEngine:
 
     # -- degree level --------------------------------------------------------
 
-    def estimated_cost(self, t: int, d: int) -> int:
-        """Work proxy for computing dim H_t in degree d directly."""
-        return graded_dim(self.params, t, d) + graded_dim(self.params, t + 1, d)
+    def _side(self, t: int, d: int) -> tuple[int, int]:
+        """The position that serves dim H_t(d): (t, d) or, with duality on,
+        its partner when that sorts first by (has t-chains, internal
+        degree); on a tie the query stays put."""
+        params = self.params
+        if self.use_duality and 0 < t <= params.N - params.n:  # t = 0: closed form
+            td, dd = duality_partner(params, t, d)
+            if (dd >= td * params.c, dd) < (d >= t * params.c, d):
+                return td, dd
+        return t, d
 
     def homology_dim(self, t: int, d: int) -> int:
-        """dim H_t in internal degree d: the sum of orbit_dims on the side of
-        the duality with the cheaper blocks."""
-        if self.use_duality and 0 < t <= self.params.N - self.params.n:  # t = 0: closed form
-            td, dd = duality_partner(self.params, t, d)
-            if self.estimated_cost(td, dd) < self.estimated_cost(t, d):
-                t, d = td, dd
-        return sum(self.orbit_dims(t, d).values())
+        """dim H_t in internal degree d: the sum of orbit_dims on the side
+        of the duality that _side picks."""
+        return sum(self.orbit_dims(*self._side(t, d)).values())
 
     def _orbits_of(self, d: int) -> list[tuple[ExponentVec, int]]:
         """(sorted representative, orbit size) of every orbit of degree-d
@@ -500,10 +501,10 @@ def check_duality(table: HomologyTable, engine: HomologyEngine | None = None) ->
     """Verify dim(t,d) == dim(partner) for every table entry.
 
     Partners already in a directly-computed table count as independent
-    confirmations; missing partners are recomputed directly when the block
-    work is within DUALITY_DIRECT_WORK_CAP or the engine's duality is off,
-    otherwise through the mirrored fast path (flagged, since that path
-    restates the identity being checked).
+    confirmations.  A missing partner is computed directly, unless the
+    engine's duality is on and would serve the partner from the entry
+    itself: then it is counted as mirrored, since that path restates the
+    identity being checked.
     """
     if engine is None:
         engine = HomologyEngine(table.params, table.field)
@@ -514,10 +515,7 @@ def check_duality(table: HomologyTable, engine: HomologyEngine | None = None) ->
         partner = table.entries.get((td, dd)) if table.computed_directly else None
         if partner is not None:
             direct += 1
-        elif engine.use_duality and (
-            td > table.params.N - table.params.n
-            or engine.estimated_cost(td, dd) > DUALITY_DIRECT_WORK_CAP
-        ):
+        elif engine.use_duality and engine._side(td, dd) == (t, d):
             partner = engine.homology_dim(td, dd)
             mirrored += 1
         else:

@@ -114,6 +114,17 @@ def test_verify_factorial_char3_reports_findings(capsys):
     assert "findings: 630" in out
 
 
+
+@pytest.mark.parametrize("stratum", [["4", "3"], ["3", "2", "2", "5"], ["9", "-1", "-1"]])
+def test_verify_factorial_stratum_must_be_n_nonnegative_integers(capsys, stratum):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "factorial", "--n", "3", "--c", "2", "--stratum", *stratum])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n=3" in captured.err
+
+
 def test_verify_coeffdim(capsys):
     code, out = run_cli(
         capsys, "verify", "coeffdim", "--n", "3", "--c", "2", "--samples", "25", "--seed", "5"
@@ -181,6 +192,25 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["table", "--n", "3", "--c", "2", "--char", "9"])  # 9 not prime
     assert exc.value.code == 2
+
+
+
+def test_parser_is_reused_and_left_unchanged(capsys):
+    # one parser serves every call of a process; a call's options never
+    # leak into the next one's defaults
+    assert build_parser() is build_parser()
+    table = ["table", "--n", "3", "--c", "2", "--format", "json"]
+    code, out = run_cli(capsys, *table, "--exact", "--primes", "3", "--seed", "7")
+    assert code == 0
+    assert json.loads(out)["query"]["exact"] is True
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--n", "3"])  # missing --c
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out = run_cli(capsys, *table)
+    assert code == 0
+    query = json.loads(out)["query"]
+    assert (query["exact"], query["primes"], query["seed"]) == (False, 2, 0)
 
 
 def test_structural_zero_positions():

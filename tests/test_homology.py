@@ -96,6 +96,35 @@ def test_duality_acceleration_picks_cheap_side():
     assert e.stats["eliminations"] == before["eliminations"]
 
 
+# Over one prime, stats["eliminations"] counts the strand records an engine
+# resolves, one per sorted representative.
+FP = FieldSpec.prime(32003)
+
+
+def test_duality_side_keeps_the_table_and_resolves_fewer_records():
+    e = HomologyEngine(RingParams(3, 3), FP)
+    table = e.homology_table(7, 27)
+    assert e.stats["eliminations"] == 119
+    direct = HomologyEngine(RingParams(3, 3), FP, use_duality=False)
+    assert table.entries == direct.homology_table(7, 27).entries
+
+
+def test_duality_side_index_scan_resolves_fewer_records():
+    e = HomologyEngine(RingParams(6, 2), FP)
+    result = e.gl_index()
+    assert e.stats["eliminations"] == 319
+    assert result.value == 5
+    assert result.witness == (6, 8, 1764)
+
+
+def test_duality_side_prefers_a_chainless_partner():
+    # H_2 in degree 21 has chains; its partner (19, 28) has none (28 < 38)
+    # and reads 0 at once, though its degree is the higher one
+    e = HomologyEngine(RingParams(7, 2), FieldSpec.prime(3))
+    assert e.homology_dim(2, 21) == 0
+    assert e.stats["eliminations"] == 0
+
+
 def test_euler_characteristic():
     e = engine(3, 3)
     for d in (0, 1, 5, 9, 12, 20, 27):
