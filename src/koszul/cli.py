@@ -329,6 +329,11 @@ def _verify_factorial(cfg: RunConfig, args) -> int:
     # membership must be certified: fraction-free over char 0
     field = cfg.field(certified=True)
     stratum = tuple(args.stratum) if args.stratum else None
+    if stratum is None:
+        if args.samples < 1:
+            raise ValueError(f"--samples must be positive, got {args.samples}")
+        if params.n < 2:
+            raise ValueError("verify factorial samples products of two-term cycles, which need --n >= 2")
     report = cycles.verify_factorial_theorem(
         params, args.samples, cfg.seed, field, stratum=stratum
     )
@@ -356,6 +361,8 @@ def _verify_coeffdim(cfg: RunConfig, args) -> int:
     params = cfg.params
     if params.n < 2:
         raise ValueError("verify coeffdim samples two-term cycles, which need --n >= 2")
+    if args.samples < 1:
+        raise ValueError(f"--samples must be positive, got {args.samples}")
     sampled = cycles.sample_nonzero_cycles(
         args.samples, cfg.seed, n_max=params.n, c_max=params.c
     )
@@ -391,6 +398,8 @@ def _verify_greenbound(cfg: RunConfig, args) -> int:
 
 
 def _verify_zgen(cfg: RunConfig, args) -> int:
+    if args.t < 0:
+        raise ValueError(f"--t must be nonnegative, got {args.t}")
     field = cfg.field(certified=True)
     engine = cfg.engine(field)
     profile = engine.z_generator_profile(args.t)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -65,12 +66,12 @@ def monomial_table(n: int, d: int) -> tuple[tuple[ExponentVec, ...], dict[Expone
 
 
 def vec_add(a: ExponentVec, b: ExponentVec) -> ExponentVec:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def vec_sub(a: ExponentVec, b: ExponentVec) -> ExponentVec:
     """Componentwise difference; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def divides(m: ExponentVec, alpha: Sequence[int]) -> bool:

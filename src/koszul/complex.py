@@ -22,15 +22,7 @@ from dataclasses import dataclass
 from itertools import zip_longest
 from typing import NamedTuple, Sequence
 
-from .combinatorics import (
-    ExponentVec,
-    RingParams,
-    divides,
-    monomial_count,
-    monomial_table,
-    vec_add,
-    vec_sub,
-)
+from .combinatorics import ExponentVec, RingParams, monomial_count, monomial_table, vec_add
 from .exactla import SparseIntMatrix
 
 
@@ -79,40 +71,39 @@ def sort_gens(gens: Sequence[int]) -> tuple[tuple[int, ...], int]:
 def block_basis(params: RingParams, t: int, alpha: ExponentVec) -> list[KoszulBasisElement]:
     """Basis of the multidegree-alpha slice of K_t, sorted by bracket ranks.
 
-    Empty when no element exists (in particular when |alpha| < t*c).
+    Empty when no element exists (in particular when |alpha| < t*c).  The
+    brackets grow one rank at a time over the packed degree-c monomials
+    that divide X^alpha (_vertices), each carrying its residual and the
+    later monomials that still divide it, as the faces of a strand do.
     """
     if t < 0 or any(a < 0 for a in alpha):
         return []
-    total = sum(alpha)
-    if total < t * params.c:
+    if sum(alpha) < t * params.c:
         return []
     if t == 0:
         return [KoszulBasisElement(tuple(alpha), ())]
-
-    candidates = [
-        (r, m)
-        for r, m in enumerate(monomial_table(params.n, params.c)[0])
-        if divides(m, alpha)
+    ranks, _, width, guard = _vertices(params, alpha)
+    packed = _monomial_table(params.n, params.c, width)
+    # (ranks chosen, residual with guard bits set, later ranks dividing it)
+    level = [((), _pack(alpha, width) | guard, ranks)]
+    for left in range(t - 1, 0, -1):
+        nxt = []
+        for chosen, res, fits in level:
+            for pos in range(len(fits) - left):
+                r = fits[pos]
+                child = res - packed[r]
+                later = [j for j in fits[pos + 1 :] if (child - packed[j]) & guard == guard]
+                if len(later) >= left:
+                    nxt.append((chosen + (r,), child, later))
+        level = nxt
+    # the last bracket entry is any rank that still divides the residual
+    mask = (1 << (width - 1)) - 1  # a field without its guard bit
+    shifts = range(0, params.n * width, width)
+    return [
+        KoszulBasisElement(tuple((res - packed[r]) >> s & mask for s in shifts), chosen + (r,))
+        for chosen, res, fits in level
+        for r in fits
     ]
-    if len(candidates) < t:
-        return []
-
-    out: list[KoszulBasisElement] = []
-    c = params.c
-
-    def extend(start: int, residual: ExponentVec, left: int, chosen: tuple[int, ...]) -> None:
-        if left == 0:
-            out.append(KoszulBasisElement(residual, chosen))
-            return
-        if sum(residual) < left * c:
-            return
-        for idx in range(start, len(candidates) - left + 1):
-            r, m = candidates[idx]
-            if divides(m, residual):
-                extend(idx + 1, vec_sub(residual, m), left - 1, chosen + (r,))
-
-    extend(0, tuple(alpha), t, ())
-    return out
 
 
 @dataclass
@@ -168,11 +159,10 @@ def graded_dim(params: RingParams, t: int, d: int) -> int:
     return math.comb(params.N, t) * monomial_count(params.n, d - t * params.c)
 
 
-def _vertices(
-    params: RingParams, alpha: ExponentVec
-) -> tuple[list[ExponentVec], list[int], int, int]:
-    """(verts, cands, width, guard): the degree-c monomials dividing X^alpha
-    in rank order, each packed at width, and the guard bits of that width.
+def _vertices(params: RingParams, alpha: ExponentVec) -> tuple[list[int], list[int], int, int]:
+    """(ranks, cands, width, guard): the ranks of the degree-c monomials
+    dividing X^alpha, in rank order, each packed at width, and the guard
+    bits of that width.
 
     Pack exponent vectors into one int, a guard bit above every field, so
     "m divides r" is one subtraction: no field of (r | guard) - m borrows.
@@ -182,18 +172,17 @@ def _vertices(
     """
     width = max(*alpha, params.c).bit_length() + 2
     guard = _guard(params.n, width)
-    monomials, packed = _monomial_table(params.n, params.c, width)
+    packed = _monomial_table(params.n, params.c, width)
     top = _pack(alpha, width) | guard
-    fit = [i for i, m in enumerate(packed) if (top - m) & guard == guard]
-    return [monomials[i] for i in fit], [packed[i] for i in fit], width, guard
+    ranks = [r for r, m in enumerate(packed) if (top - m) & guard == guard]
+    return ranks, [packed[r] for r in ranks], width, guard
 
 
 @functools.lru_cache(maxsize=None)
-def _monomial_table(n: int, c: int, width: int) -> tuple[tuple[ExponentVec, ...], list[int]]:
-    """The degree-c monomials of the ring in rank order, and each packed at
+def _monomial_table(n: int, c: int, width: int) -> list[int]:
+    """The degree-c monomials of the ring in rank order, each packed at
     width; one table per ring and width, whatever the strand."""
-    monomials = monomial_table(n, c)[0]
-    return monomials, [_pack(m, width) for m in monomials]
+    return [_pack(m, width) for m in monomial_table(n, c)[0]]
 
 
 def _survivors(
@@ -330,7 +319,9 @@ class Strand:
 
     def __init__(self, params: RingParams, alpha: ExponentVec):
         alpha = tuple(alpha)
-        verts, cands, width, guard = _vertices(params, alpha)
+        ranks, cands, width, guard = _vertices(params, alpha)
+        monomials = monomial_table(params.n, params.c)[0]
+        verts = [monomials[r] for r in ranks]
         levels, self.faces, link = _link_chain(verts, cands, width, guard, alpha)
         size = params.N + 2
         self.pairs = [0] * size

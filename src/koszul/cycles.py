@@ -9,11 +9,12 @@ listed and sampled through combinatorics.monomial_table.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import exactla
 from .combinatorics import (
@@ -378,10 +379,12 @@ def _build_product(
     params: RingParams,
     bs: tuple[ExponentVec, ...],
     pairs: tuple[tuple[int, int], ...],
+    z1: Callable[[ExponentVec, tuple[int, int]], CycleElement],
 ) -> CycleElement:
-    z = z1_generator(params, bs[0], *pairs[0])
+    """b_{c+1} * z1(b_1, pair_1) ^ ... ^ z1(b_c, pair_c)."""
+    z = z1(bs[0], pairs[0])
     for idx in range(1, params.c):
-        z = wedge(z, z1_generator(params, bs[idx], *pairs[idx]))
+        z = wedge(z, z1(bs[idx], pairs[idx]))
     return monomial_scale(z, bs[params.c])
 
 
@@ -425,7 +428,8 @@ def verify_factorial_theorem(
 
     With stratum set, every witness of that multidegree is enumerated
     instead of sampling.  Each witness also records whether the unscaled f
-    is already a boundary; misses there are findings, not failures.
+    is already a boundary; misses there are findings, not failures.  Each
+    two-term generator is built once per run and shared by its witnesses.
     """
     c, n = params.c, params.n
     fact = math.factorial(c + 1)
@@ -433,6 +437,12 @@ def verify_factorial_theorem(
         if len(stratum) != n or min(stratum) < 0:
             got = " ".join(map(str, stratum))
             raise ValueError(f"the stratum must be n={n} nonnegative integers, got {got}")
+        degree = c * (c + 1) + c - 1
+        if sum(stratum) != degree:
+            raise ValueError(
+                f"every witness at c={c} has degree {degree} = c(c+1) + c-1, "
+                f"but the stratum has degree {sum(stratum)}"
+            )
         combos = _stratum_witnesses(params, tuple(stratum))
     else:
         rng = random.Random(seed)
@@ -442,10 +452,11 @@ def verify_factorial_theorem(
             bs = tuple(rng.choice(monomials) for _ in range(c + 1))
             prs = tuple(tuple(rng.sample(range(n), 2)) for _ in range(c))
             combos.append((bs, prs))
+    z1 = functools.cache(lambda b, pair: z1_generator(params, b, *pair))
     spaces: dict = {}
     witnesses = []
     for bs, prs in combos:
-        f = _build_product(params, bs, prs)
+        f = _build_product(params, bs, prs, z1)
         if f.is_zero():
             witnesses.append(FactorialWitness(bs, prs, True, True, True))
             continue

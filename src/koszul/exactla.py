@@ -2,8 +2,10 @@
 
 Rank, kernel and column-space membership never touch floating point.  One
 echelon routine per certified field, VectorSpan, serves all three: dense
-int64 elimination over F_p, and fraction-free integer echelon form over
-the rationals, which aborts when a pivot outgrows EXACT_PIVOT_BIT_GUARD.
+int64 elimination over F_p, where a membership test is one product with
+the reduced echelon form, and fraction-free integer echelon form over the
+rationals, with sparse rows, which aborts when a pivot outgrows
+EXACT_PIVOT_BIT_GUARD.
 The multiprime rational policy gives ranks only: the max rank over a
 seeded set of random word-sized primes, a certified lower bound that
 equals the rational rank unless every sampled prime is bad.  Smith normal
@@ -13,12 +15,11 @@ where ranks can jump.
 
 from __future__ import annotations
 
-import bisect
+import heapq
 import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -278,12 +279,16 @@ class VectorSpan:
     """Span of integer vectors in echelon form, with exact membership; the
     one echelon routine behind every rank, kernel and column space.
 
-    Rows are kept in pivot order, each zero before its pivot, and a vector
-    is reduced against them in that order.  Over F_p the rows are int64
-    arrays with unit pivots, and extend eliminates a whole batch at once,
-    column by column.  Over the rationals (fraction-free) rows are
-    primitive integer vectors and incoming vectors are reduced by
-    cross-multiplication, so no fractions are ever formed; a pivot longer
+    Rows are kept by pivot, each zero before its pivot.  Over F_p the rows
+    are int64 arrays with unit pivots, and extend eliminates a whole batch
+    at once, column by column.  A vector is reduced in one product,
+    v - v[pivots] R mod p, with R the reduced echelon form of the rows,
+    built once per change of the span: that is the one vector of v + span
+    zero at every pivot, which reducing row by row would also leave.  Over
+    the rationals (fraction-free) rows are primitive integer vectors,
+    stored sparse as {index: value} dicts, and incoming vectors are reduced
+    pivot by pivot by cross-multiplication, so no fractions are ever formed
+    and a reduction costs the nonzeros of the rows it uses; a pivot longer
     than EXACT_PIVOT_BIT_GUARD bits aborts it.  Multiprime sampling proves
     no span, so that policy is refused.
     """
@@ -296,7 +301,10 @@ class VectorSpan:
             )
         self.length = length
         self.field = f
-        self._rows: list[tuple[int, object]] = []  # (pivot, row) sorted by pivot
+        # pivot -> row: an int64 array over F_p, {index: nonzero} over the rationals
+        self._rows: dict[int, object] = {}
+        # F_p: (pivots, reduced echelon rows), built on the first reduction after a change
+        self._reduced: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def rank(self) -> int:
@@ -304,9 +312,17 @@ class VectorSpan:
 
     def rows(self) -> list[tuple[int, list[int]]]:
         """The echelon rows as (pivot, integer list), in pivot order."""
-        if self.field.kind == "prime":
-            return [(piv, row.tolist()) for piv, row in self._rows]
-        return self._rows
+        out = []
+        for piv in sorted(self._rows):
+            row = self._rows[piv]
+            if self.field.kind == "prime":
+                out.append((piv, row.tolist()))
+                continue
+            dense = [0] * self.length
+            for i, v in row.items():
+                dense[i] = v
+            out.append((piv, dense))
+        return out
 
     def add(self, vec: Sequence[int]) -> None:
         """Insert one vector."""
@@ -318,9 +334,9 @@ class VectorSpan:
         EXACT_PIVOT_BIT_GUARD bits raises ExactEliminationError."""
         if self.field.kind == "prime":
             p = self.field.p
-            B = np.asarray(vecs, dtype=np.int64).reshape(len(vecs), self.length) % p
+            B = self._residues(vecs)
             if self._rows:
-                B = np.array([self._reduce(v) for v in B]).reshape(B.shape)
+                B = self._reduce_mod_p(B)
             # Dense elimination of what is left, column by column.  A column
             # zero in every row of B stays zero, so only the others can pivot.
             nr, r = len(B), 0
@@ -335,56 +351,110 @@ class VectorSpan:
                 below = r + 1 + B[r + 1 :, col].nonzero()[0]
                 if below.size:
                     B[below] = (B[below] - B[below, col, None] * B[r]) % p
-                bisect.insort(self._rows, (col, B[r]), key=itemgetter(0))
+                self._rows[col] = B[r]
+                self._reduced = None
                 r += 1
                 if r == nr:
                     break
             return
         for vec in vecs:
-            reduced = self._reduce(vec)
-            piv = next((i for i, v in enumerate(reduced) if v), None)
-            if piv is None:
+            reduced = self._reduce_rational(vec)
+            if not reduced:
                 continue
-            g = math.gcd(*reduced)
+            piv = min(reduced)
+            g = math.gcd(*reduced.values())
             if reduced[piv] < 0:
                 g = -g
-            reduced = [v // g for v in reduced]
-            if reduced[piv].bit_length() > EXACT_PIVOT_BIT_GUARD:
+            row = {i: v // g for i, v in reduced.items()}
+            if row[piv].bit_length() > EXACT_PIVOT_BIT_GUARD:
                 raise ExactEliminationError(
                     f"fraction-free pivot exceeded the {EXACT_PIVOT_BIT_GUARD}-bit guard; "
                     "retry over a prime field, or with the multiprime policy where "
                     "a sampled rank suffices"
                 )
-            bisect.insort(self._rows, (piv, reduced), key=itemgetter(0))
+            self._rows[piv] = row
 
     def contains(self, vec: Sequence[int]) -> bool:
         if self.field.kind == "prime":
-            p = self.field.p
-            return not self._reduce(np.array([int(v) % p for v in vec], dtype=np.int64)).any()
-        return not any(self._reduce(vec))
+            B = self._residues([vec])
+            if self._rows:
+                B = self._reduce_mod_p(B)
+            return not B.any()
+        return not self._reduce_rational(vec)
 
-    def _reduce(self, vec):
-        """vec less its multiples of the rows, pivot by pivot; over F_p vec
-        is an int64 array of residues."""
-        if self.field.kind == "prime":
-            p = self.field.p
-            for piv, row in self._rows:
-                v = int(vec[piv])
-                if v:
-                    vec = (vec - v * row) % p
-            return vec
-        out = [int(v) for v in vec]
-        for piv, row in self._rows:
-            v = out[piv]
-            if v:
-                rp = row[piv]
-                if rp == 1:  # a unit pivot scales nothing up: skip the gcd
-                    out = [x - v * y for x, y in zip(out, row)]
-                    continue
-                out = [rp * x - v * y for x, y in zip(out, row)]
-                g = math.gcd(*out)
+    def _residues(self, vecs) -> np.ndarray:
+        """vecs mod p as a 2-D int64 array, one row per vector."""
+        p = self.field.p
+        try:
+            A = np.asarray(vecs, dtype=np.int64)
+        except OverflowError:  # entries past int64: reduce them as Python ints
+            A = np.array([[int(x) % p for x in v] for v in vecs], dtype=np.int64)
+        return A.reshape(len(vecs), self.length) % p
+
+    def _reduce_mod_p(self, B: np.ndarray) -> np.ndarray:
+        """The rows of B (residues) less their multiples of the span, each
+        zero at every pivot.
+
+        One product B[:, pivots] R sums rank terms below p^2 each, exact in
+        int64 while that stays below 2^63.  Past it, 15-bit limbs of
+        B[:, pivots] and at most 2^15 pivots per product keep every sum
+        below 2^15 * 2^16 * 2^31 = 2^62 for any p < 2^31.
+        """
+        p = self.field.p
+        if self._reduced is None:
+            pivots = sorted(self._rows)
+            R = np.array([self._rows[q] for q in pivots])
+            # back substitution: clear each pivot column above its row
+            for j in range(len(pivots) - 1, 0, -1):
+                above = R[:j, pivots[j]].nonzero()[0]
+                if above.size:
+                    R[above] = (R[above] - R[above, pivots[j], None] * R[j]) % p
+            self._reduced = (np.array(pivots), R)
+        pivots, R = self._reduced
+        X = B[:, pivots]
+        if len(pivots) * (p - 1) ** 2 < 1 << 63:
+            return (B - X @ R) % p
+        for s in range(0, len(pivots), 1 << 15):
+            x, rows = X[:, s : s + (1 << 15)], R[s : s + (1 << 15)]
+            B = (B - (x & 0x7FFF) @ rows % p - ((x >> 15) @ rows % p << 15)) % p
+        return B
+
+    def _reduce_rational(self, vec: Sequence[int]) -> dict[int, int]:
+        """The nonzeros of vec less its multiples of the rows, pivot by
+        pivot in increasing order: rows that meet a zero entry are skipped,
+        and a row touches no index below its pivot."""
+        out = {i: int(v) for i, v in enumerate(vec) if v}
+        rows = self._rows
+        todo = [i for i in out if i in rows]
+        heapq.heapify(todo)
+        while todo:
+            piv = heapq.heappop(todo)
+            v = out.get(piv)
+            if not v:  # pushed twice, or cancelled since
+                continue
+            row = rows[piv]
+            rp = row[piv]
+            scaled = rp != 1  # a unit pivot scales nothing up: skip the gcd
+            if scaled:
+                # rp*out - v*row is h times (rp/h)*out - (v/h)*row, h = gcd(rp, v):
+                # both leave the same vector once divided by their gcd
+                h = math.gcd(rp, v)
+                rp //= h
+                v //= h
+                if rp != 1:
+                    out = {i: rp * x for i, x in out.items()}
+            for i, y in row.items():
+                x = out.get(i, 0) - v * y
+                if x:
+                    if i not in out and i in rows:
+                        heapq.heappush(todo, i)
+                    out[i] = x
+                else:
+                    del out[i]
+            if scaled:
+                g = math.gcd(*out.values())
                 if g > 1:
-                    out = [x // g for x in out]
+                    out = {i: x // g for i, x in out.items()}
         return out
 
 

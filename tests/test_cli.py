@@ -125,6 +125,38 @@ def test_verify_factorial_stratum_must_be_n_nonnegative_integers(capsys, stratum
     assert "n=3" in captured.err
 
 
+def _exits_2(capsys, *argv) -> str:
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
+
+
+def test_verify_factorial_stratum_of_the_wrong_degree_exits_2(capsys):
+    # every witness at c=2 has degree c(c+1) + c-1 = 7
+    err = _exits_2(capsys, "verify", "factorial", "--n", "3", "--c", "2", "--stratum", "2", "2", "2")
+    assert "degree 7" in err
+    # the right degree with no witness is a true, empty check
+    code, out = run_cli(capsys, "verify", "factorial", "--n", "3", "--c", "2", "--stratum", "7", "0", "0")
+    assert code == 0
+    assert out.startswith("factorial check: 0 witnesses")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["verify", "zgen", "--n", "3", "--c", "2", "--t", "-1"], "--t"),
+        (["verify", "factorial", "--n", "3", "--c", "2", "--samples", "-5"], "--samples"),
+        (["verify", "coeffdim", "--n", "3", "--c", "2", "--samples", "-1"], "--samples"),
+        (["verify", "factorial", "--n", "1", "--c", "2"], "--n >= 2"),
+    ],
+)
+def test_vacuous_verifier_inputs_exit_2(capsys, argv, flag):
+    assert flag in _exits_2(capsys, *argv)
+
+
 def test_verify_coeffdim(capsys):
     code, out = run_cli(
         capsys, "verify", "coeffdim", "--n", "3", "--c", "2", "--samples", "25", "--seed", "5"

@@ -38,6 +38,38 @@ def test_block_basis_t0_and_infeasible():
     assert block_basis(p, 2, (5, 0, 0)) == []  # only one cubic divides
 
 
+def tuple_block_basis(params, t, alpha):
+    """block_basis as a walk over exponent tuples: bracket ranks grow, and
+    each degree-c monomial must divide what the earlier ones left of alpha."""
+    if t < 0 or any(a < 0 for a in alpha) or sum(alpha) < t * params.c:
+        return []
+    out = []
+
+    def extend(start, residual, left, chosen):
+        if left == 0:
+            out.append(KoszulBasisElement(residual, chosen))
+            return
+        for r in range(start, params.N):
+            m = monomial_table(params.n, params.c)[0][r]
+            if all(x <= a for x, a in zip(m, residual)):
+                rest = tuple(a - x for a, x in zip(residual, m))
+                extend(r + 1, rest, left - 1, chosen + (r,))
+
+    extend(0, tuple(alpha), t, ())
+    return out
+
+
+@pytest.mark.parametrize("n, c, top", [(3, 2, 8), (4, 2, 8), (3, 3, 12), (1, 3, 7), (2, 4, 12)])
+def test_block_basis_matches_tuple_enumerator(n, c, top):
+    params = RingParams(n, c)
+    for d in range(top + 1):
+        for alpha in compositions(n, d):
+            for t in range(d // c + 2):
+                got = block_basis(params, t, alpha)
+                assert got == tuple_block_basis(params, t, alpha), (t, alpha)
+                assert all(type(x) is int for e in got for x in e.coeff)
+
+
 def test_block_basis_sorted_by_gens():
     basis = block_basis(RingParams(3, 2), 2, (2, 2, 2))
     gens = [e.gens for e in basis]

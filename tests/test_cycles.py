@@ -256,6 +256,28 @@ def test_factorial_theorem_char3_stratum_findings():
     assert len(r.findings) == 630  # every unscaled witness escapes the boundaries
 
 
+def test_factorial_stratum_builds_each_z1_generator_once(monkeypatch):
+    # the (1^7) stratum at n=7, c=2 has 105 distinct two-term generators,
+    # shared by its 630 witnesses (two factors each)
+    from koszul import cycles
+
+    built = []
+    original = cycles.z1_generator
+
+    def counting(*args):
+        built.append(args[1:])
+        return original(*args)
+
+    monkeypatch.setattr(cycles, "z1_generator", counting)
+    r = verify_factorial_theorem(
+        RingParams(7, 2), 0, 0, FieldSpec.prime(3), stratum=(1,) * 7
+    )
+    assert len(built) == 105
+    assert len(r.witnesses) == 630
+    assert len(r.findings) == 630
+    assert not r.failures
+
+
 def test_char3_witness_is_rational_boundary():
     # the same product chain is a boundary over the rationals but not mod 3
     p = RingParams(7, 2)

@@ -414,3 +414,123 @@ def test_vector_span_add_matches_extend():
                 assert one.contains(b) == batch.contains(b)
             for row in rows:
                 assert one.contains(row) and batch.contains(row)
+
+
+# SHA-256 of the kernel bases and the echelon rows of the column span of
+# every raw differential block of these rings up to these degrees (3,169
+# blocks), over the rationals (fraction-free), F_3 and F_32003; recorded
+# before the rational rows became sparse and F_p membership one product.
+PINNED_LA_RINGS = [(3, 2, 8), (4, 2, 8), (3, 3, 12)]
+PINNED_LA_DIGEST = "aa2e8ffd9464e7e39a20a85b15f20d18feab22ea6819f1b7ca85ce0d93dcec71"
+
+
+def test_exact_linear_algebra_output_is_pinned():
+    from hashlib import sha256
+
+    from koszul.combinatorics import compositions
+
+    digest = sha256()
+    for n, c, top in PINNED_LA_RINGS:
+        params = RingParams(n, c)
+        for d in range(top + 1):
+            for alpha in compositions(n, d):
+                for t in range(1, d // c + 1):
+                    blk = differential_block(params, t, alpha)
+                    m = SparseIntMatrix(blk.nrows, blk.ncols, blk.entries)
+                    for f in (QF, FieldSpec.prime(3), FieldSpec.prime(32003)):
+                        span = VectorSpan(m.nrows, f)
+                        span.extend(m.columns())
+                        digest.update(
+                            repr((alpha, t, f.describe(), kernel_basis(m, f), span.rows())).encode()
+                        )
+    assert digest.hexdigest() == PINNED_LA_DIGEST
+
+
+def _reduces_to_zero(rows, vec, p):
+    """Sequential reduction of vec against echelon rows with unit pivots, mod p."""
+    v = [x % p for x in vec]
+    for piv, row in rows:
+        if v[piv]:
+            f = v[piv]
+            v = [(x - f * y) % p for x, y in zip(v, row)]
+    return not any(v)
+
+
+@pytest.mark.parametrize("p", [3, 2_147_483_647])
+def test_prime_membership_matches_sequential_reduction(p):
+    # 2^31 - 1 is the largest prime a FieldSpec admits: products of two
+    # residues reach 2^62, so a membership test that sums them over many
+    # pivots must not overflow int64
+    rng = random.Random(p)
+    for length, nvecs in ((1, 1), (6, 3), (40, 25), (120, 100), (90, 120)):
+        rows = [[rng.randrange(-p, p) for _ in range(length)] for _ in range(nvecs)]
+        span = VectorSpan(length, FieldSpec.prime(p))
+        span.extend(rows)
+        echelon = span.rows()
+        probes = [[rng.randrange(p) for _ in range(length)] for _ in range(6)]
+        for _ in range(6):
+            coeffs = [rng.randrange(p) for _ in rows]
+            probes.append([sum(k * r[j] for k, r in zip(coeffs, rows)) for j in range(length)])
+        probes.append([p - 1] * length)
+        for vec in probes:
+            assert span.contains(vec) == _reduces_to_zero(echelon, vec, p)
+        for vec in probes[6:12]:
+            assert span.contains(vec)
+        # entries past int64 are reduced mod p first
+        for vec in probes[5:7]:
+            assert span.contains([x + (p << 70) for x in vec]) == span.contains(vec)
+
+
+def test_rational_membership_of_a_vector_at_index_zero():
+    # the only nonzero entry sits at index 0: a sparse reduced vector is the
+    # dict {0: 1}, whose keys are all falsy
+    span = VectorSpan(3, QF)
+    span.extend([[0, 1, 1], [0, 0, 2]])
+    assert not span.contains([1, 0, 0])
+    assert not span.contains([5, 0, 0])
+    assert span.contains([0, 3, -1])
+    assert not span.contains([1, 1, 1])
+    assert ColumnSpace(SparseIntMatrix.from_dense([[0], [1]]), QF).contains([0, 7])
+    assert not ColumnSpace(SparseIntMatrix.from_dense([[0], [1]]), QF).contains([7, 0])
+
+
+def _fraction_free_rows_oracle(vecs, length):
+    """Echelon rows of the fraction-free span, from Fractions: each inserted
+    vector leaves the one vector of v + span zero at every earlier pivot, up
+    to scale, stored primitive with a positive pivot."""
+    import math
+
+    basis = {}  # pivot -> Fraction row with a unit pivot
+    rows = {}
+    for vec in vecs:
+        v = [Fraction(x) for x in vec]
+        for piv in sorted(basis):
+            if v[piv]:
+                f = v[piv]
+                v = [x - f * y for x, y in zip(v, basis[piv])]
+        piv = next((i for i, x in enumerate(v) if x), None)
+        if piv is None:
+            continue
+        basis[piv] = [x / v[piv] for x in v]
+        scale = math.lcm(*(x.denominator for x in v))
+        ints = [int(x * scale) for x in v]
+        g = math.gcd(*ints) * (1 if ints[piv] > 0 else -1)
+        rows[piv] = [x // g for x in ints]
+    return sorted(rows.items())
+
+
+def test_fraction_free_rows_match_a_fraction_oracle():
+    # general integer entries make non-unit pivots, so the cross-multiplied
+    # reduction and its gcd normalisation run; the raw blocks pinned above
+    # almost never need them
+    rng = random.Random(79)
+    for m in _oracle_cases(rng):
+        span = VectorSpan(m.ncols, QF)
+        rows = m.to_dense()
+        span.extend(rows)
+        assert span.rows() == _fraction_free_rows_oracle(rows, m.ncols)
+    for nr, nc in ((12, 9), (9, 12), (20, 20)):
+        rows = [[rng.randint(-9, 9) for _ in range(nc)] for _ in range(nr)]
+        span = VectorSpan(nc, QF)
+        span.extend(rows)
+        assert span.rows() == _fraction_free_rows_oracle(rows, nc)
