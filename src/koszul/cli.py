@@ -554,6 +554,10 @@ def main(argv=None) -> int:
         parser.error(f"--char must be 0 or a prime, got {args.char}")
     if args.max_degree is not None and args.max_degree < 1:
         parser.error("--max-degree must be positive")
+    for flag in ("tmax", "jmax", "imax"):
+        bound = getattr(args, flag, None)
+        if bound is not None and bound < 0:
+            parser.exit(2, f"kosz: error: --{flag} must be nonnegative, got {bound}\n")
     cfg = RunConfig(
         n=args.n,
         c=args.c,

@@ -18,6 +18,7 @@ vanishing suites do exactly that).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -27,9 +28,9 @@ from .cache import RankCache
 from .combinatorics import (
     ExponentVec,
     RingParams,
-    compositions,
     orbit_size,
     partitions_into,
+    unit_vector,
     vec_sub,
 )
 from .complex import Strand, differential_block, graded_dim
@@ -356,6 +357,15 @@ class HomologyEngine:
         Z_PROFILE_DEGREES_PAST_TOP degrees past t(c+1), and tests whether the
         degree-t(c+1) layer is spanned by wedge products of the two-term
         generators of Z_1 modulo the multiplication image.
+
+        Only the sorted representative of each orbit is examined, its count
+        weighted by the orbit size: permuting the variables is an
+        automorphism of the complex that preserves Z_t, the multiplication
+        image and the Z_1 wedge products up to sign, so both the count and
+        the spanning test are constant on an orbit, over every field.  The
+        kernel of each representative and of each neighbour alpha - e_i its
+        multiplication image needs is computed once per call; so is each
+        two-term Z_1 generator.
         """
         params, field = self.params, self.field
         if t == 0:
@@ -369,62 +379,61 @@ class HomologyEngine:
             raise SizeGuardError(
                 f"generator profiles are limited to t <= {Z_PROFILE_T_GUARD}, a fixed limit"
             )
-        n, c = params.n, params.c
-        top = t * (c + 1)
+        top = t * (params.c + 1)
+        z1 = functools.cache(lambda b, pair: cycles.z1_generator(params, b, *pair))
+        # composition -> (position of each basis bracket, kernel basis) of
+        # K_t there, for the degrees d - 1 and d of the scan
+        memo: dict[ExponentVec, tuple[dict, list]] = {}
+
+        def kernel(alpha: ExponentVec) -> tuple[dict, list]:
+            got = memo.get(alpha)
+            if got is None:
+                blk = differential_block(params, t, alpha)
+                index = {e.gens: pos for pos, e in enumerate(blk.cols)}
+                kern = []
+                if index:
+                    mat = SparseIntMatrix(blk.nrows, blk.ncols, blk.entries)
+                    kern = exactla.kernel_basis(mat, field)
+                got = memo[alpha] = index, kern
+            return got
+
         counts: dict[int, int] = {}
         top_spanned = True
-        prev_kernels: dict[ExponentVec, tuple[list, list]] = {}
-        for d in range(t * c, top + Z_PROFILE_DEGREES_PAST_TOP + 1):
-            cur_kernels: dict[ExponentVec, tuple[list, list]] = {}
+        for d in range(t * params.c, top + Z_PROFILE_DEGREES_PAST_TOP + 1):
+            memo = {alpha: got for alpha, got in memo.items() if sum(alpha) == d - 1}
             new_gens = 0
-            for alpha in compositions(n, d):
-                blk = differential_block(params, t, alpha)
-                basis = blk.cols
-                if not basis:
-                    continue
-                mat = SparseIntMatrix(blk.nrows, blk.ncols, blk.entries)
-                kern = exactla.kernel_basis(mat, field)
-                index = {e.gens: pos for pos, e in enumerate(basis)}
-                cur_kernels[alpha] = (basis, kern)
+            for rep, weight in self._orbits_of(d):
+                index, kern = kernel(rep)
                 if not kern:
                     continue
                 images = []
-                for var in range(n):
-                    if alpha[var] == 0:
-                        continue
-                    beta = tuple(
-                        a - (1 if idx == var else 0) for idx, a in enumerate(alpha)
-                    )
-                    prev = prev_kernels.get(beta)
-                    if prev is None:
-                        continue
-                    b_basis, b_kern = prev
-                    for vec in b_kern:
-                        mapped = [0] * len(basis)
-                        for pos, value in enumerate(vec):
-                            if value:
-                                mapped[index[b_basis[pos].gens]] = value
-                        images.append(mapped)
-                span = exactla.VectorSpan(len(basis), field)
+                for var in range(params.n):
+                    if rep[var]:
+                        b_index, b_kern = kernel(vec_sub(rep, unit_vector(params.n, var)))
+                        for vec in b_kern:
+                            mapped = [0] * len(index)
+                            for gens, value in zip(b_index, vec):
+                                if value:
+                                    mapped[index[gens]] = value
+                            images.append(mapped)
+                span = exactla.VectorSpan(len(index), field)
                 span.extend(images)
-                new_gens += len(kern) - span.rank
-                if d == top:
-                    span.extend(self._z1_wedge_vectors(t, alpha, index, len(basis)))
-                    if not all(span.contains(v) for v in kern):
-                        top_spanned = False
+                new_gens += weight * (len(kern) - span.rank)
+                if d == top and top_spanned:
+                    span.extend(self._z1_wedge_vectors(t, rep, index, z1))
+                    top_spanned = all(span.contains(v) for v in kern)
             counts[d] = new_gens
-            prev_kernels = cur_kernels
         return ZGeneratorProfile(params, t, field, counts, top, top_spanned)
 
     def _z1_wedge_vectors(
-        self, t: int, alpha: ExponentVec, index: dict, length: int
+        self, t: int, alpha: ExponentVec, index: dict, z1: Callable
     ) -> Iterable[list[int]]:
-        """Coordinate vectors of t-fold wedge products of the two-term Z_1
-        generators whose multidegrees sum to alpha."""
-        params = self.params
+        """Coordinate vectors, at the basis positions of index, of t-fold
+        wedge products of the two-term Z_1 generators whose multidegrees sum
+        to alpha; z1(b, (i, j)) builds the generator of b and the pair i < j."""
         gens = [
-            (degree, cycles.z1_generator(params, b, i, j))
-            for b, (i, j), degree in cycles.z1_generators_dividing(params, alpha)
+            (degree, z1(b, pair))
+            for b, pair, degree in cycles.z1_generators_dividing(self.params, alpha)
         ]
 
         out: list[list[int]] = []
@@ -438,7 +447,7 @@ class HomologyEngine:
                     w = cycles.wedge(w, z)
                 if w.is_zero():
                     return
-                vec = [0] * length
+                vec = [0] * len(index)
                 for elem, coeff in w.terms.items():
                     vec[index[elem.gens]] = coeff
                 out.append(vec)

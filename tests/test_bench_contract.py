@@ -42,11 +42,12 @@ def test_traced_queries_run_and_report(tmp_path):
     try:
         assert main(["homology", "--n", "3", "--c", "2", "--t", "1", "--deg", "4", "--char", "5"]) == 0
         assert main(["table", "--n", "2", "--c", "2", "--exact"]) == 0
+        assert main(["verify", "zgen", "--n", "3", "--c", "2", "--t", "2", "--char", "0"]) == 0
         # two rings filled cold into one directory, then one warm table, traced
         # on its own, which must load the records of its own ring and no others
         for n in ("2", "3"):
             assert main(["table", "--n", n, "--c", "2", "--cache-dir", str(tmp_path)]) == 0
-        cold = tracer.metrics()
+        cold, cold_calls = tracer.metrics(), dict(tracer.calls)
         tracer.reset()
         assert main(["table", "--n", "3", "--c", "2", "--cache-dir", str(tmp_path)]) == 0
     finally:
@@ -54,6 +55,10 @@ def test_traced_queries_run_and_report(tmp_path):
     warm = tracer.metrics()
     assert cold["exactla.dense.calls"] > 0
     assert cold["exactla.fraction_free.calls"] > 0
+    # the generator profile, its kernels and its Z_1 generators stay visible
+    assert cold_calls["homology.z_generator_profile"] == 1
+    assert cold["exactla.kernel.calls"] > 0
+    assert cold_calls["cycles.z1_generator"] > 0
     own = Path(cache_path(str(tmp_path), 3, 2)).read_text().splitlines()
     assert own and warm["cli.cache.records_loaded"] == len(own)
     assert warm["cli.cache.get.calls"] > 0

@@ -157,6 +157,23 @@ def test_vacuous_verifier_inputs_exit_2(capsys, argv, flag):
     assert flag in _exits_2(capsys, *argv)
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["table", "--n", "3", "--c", "2", "--tmax", "-1"], "--tmax"),
+        (["table", "--n", "3", "--c", "2", "--jmax", "-1"], "--jmax"),
+        (["betti", "--n", "3", "--c", "2", "--imax", "-1"], "--imax"),
+        (["index", "--n", "3", "--c", "2", "--imax", "-1"], "--imax"),
+        (["verify", "duality", "--n", "3", "--c", "2", "--tmax", "-1"], "--tmax"),
+        (["verify", "greenbound", "--n", "3", "--c", "2", "--imax", "-1"], "--imax"),
+    ],
+)
+def test_negative_bounds_exit_2(capsys, argv, flag):
+    # a negative bound would check nothing and report success
+    err = _exits_2(capsys, *argv)
+    assert err == f"kosz: error: {flag} must be nonnegative, got -1\n"
+
+
 def test_verify_coeffdim(capsys):
     code, out = run_cli(
         capsys, "verify", "coeffdim", "--n", "3", "--c", "2", "--samples", "25", "--seed", "5"

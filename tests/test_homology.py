@@ -1,9 +1,14 @@
+import functools
+
 import pytest
 
+from koszul import cycles, exactla
 from koszul.cache import RankCache
-from koszul.combinatorics import RingParams
-from koszul.exactla import FieldSpec, UnsupportedPolicyError, multiprime_primes
+from koszul.combinatorics import RingParams, compositions, unit_vector, vec_sub
+from koszul.complex import differential_block
+from koszul.exactla import FieldSpec, SparseIntMatrix, UnsupportedPolicyError, multiprime_primes
 from koszul.homology import (
+    Z_PROFILE_DEGREES_PAST_TOP,
     HomologyEngine,
     check_duality,
     check_green_bound,
@@ -210,6 +215,88 @@ def test_mod_p_profile_agrees_with_rational_here():
     pf = engine(3, 2, FieldSpec.prime(10007)).z_generator_profile(2)
     qf = engine(3, 2, QF).z_generator_profile(2)
     assert pf.counts == qf.counts
+
+
+def _profile_over_compositions(e, t):
+    """(counts, top_layer_in_z1_span) of Z_t from every composition of each
+    degree, unweighted: the scan the orbit profile replaced, kept as its
+    oracle."""
+    params, field = e.params, e.field
+    top = t * (params.c + 1)
+    z1 = functools.cache(lambda b, pair: cycles.z1_generator(params, b, *pair))
+    counts, spanned, prev = {}, True, {}
+    for d in range(t * params.c, top + Z_PROFILE_DEGREES_PAST_TOP + 1):
+        cur, counts[d] = {}, 0
+        for alpha in compositions(params.n, d):
+            blk = differential_block(params, t, alpha)
+            if not blk.cols:
+                continue
+            mat = SparseIntMatrix(blk.nrows, blk.ncols, blk.entries)
+            index = {b.gens: pos for pos, b in enumerate(blk.cols)}
+            kern = exactla.kernel_basis(mat, field)
+            cur[alpha] = blk.cols, kern
+            if not kern:
+                continue
+            images = []
+            for var in range(params.n):
+                b_cols, b_kern = prev.get(vec_sub(alpha, unit_vector(params.n, var)), ((), ()))
+                for vec in b_kern:
+                    mapped = [0] * len(index)
+                    for b, value in zip(b_cols, vec):
+                        mapped[index[b.gens]] = value
+                    images.append(mapped)
+            span = exactla.VectorSpan(len(index), field)
+            span.extend(images)
+            counts[d] += len(kern) - span.rank
+            if d == top:
+                span.extend(e._z1_wedge_vectors(t, alpha, index, z1))
+                spanned = spanned and all(span.contains(v) for v in kern)
+        prev = cur
+    return counts, spanned
+
+
+@pytest.mark.parametrize(
+    "field", [QF, FieldSpec.prime(2), FieldSpec.prime(3), FP], ids=lambda f: f.describe()
+)
+@pytest.mark.parametrize("n, c, t", [(2, 2, 1), (3, 2, 1), (3, 2, 2), (3, 2, 3), (4, 2, 2), (3, 3, 2)])
+def test_orbit_profile_matches_the_composition_scan(n, c, t, field):
+    e = HomologyEngine(RingParams(n, c), field)
+    prof = e.z_generator_profile(t)
+    assert (prof.counts, prof.top_layer_in_z1_span) == _profile_over_compositions(e, t)
+
+
+@pytest.mark.parametrize(
+    "n, c, t, field, counts",
+    [
+        (4, 2, 2, QF, {4: 0, 5: 36, 6: 50, 7: 0, 8: 0}),
+        (5, 2, 2, FP, {4: 0, 5: 126, 6: 175, 7: 0, 8: 0}),
+        (3, 3, 3, FieldSpec.prime(3), {9: 0, 10: 0, 11: 147, 12: 28, 13: 0, 14: 0}),
+    ],
+)
+def test_z_profile_pinned(n, c, t, field, counts):
+    prof = HomologyEngine(RingParams(n, c), field).z_generator_profile(t)
+    assert prof.counts == counts
+    assert prof.top_layer_in_z1_span is True
+
+
+def test_z_profile_builds_each_kernel_and_z1_generator_once(monkeypatch):
+    # one kernel per orbit representative and per neighbour alpha - e_i it
+    # needs, one build per two-term generator; the per-composition scan
+    # took 440 kernels and 444 builds
+    calls = {"kernel": 0, "z1": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(exactla, "kernel_basis", counting("kernel", exactla.kernel_basis))
+    monkeypatch.setattr(cycles, "z1_generator", counting("z1", cycles.z1_generator))
+    prof = engine(4, 2, QF).z_generator_profile(2)
+    assert prof.counts == {4: 0, 5: 36, 6: 50, 7: 0, 8: 0}
+    assert calls == {"kernel": 74, "z1": 20}
 
 
 def test_acceleration_matches_direct():
