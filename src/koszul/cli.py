@@ -1,5 +1,9 @@
 """Command-line surface: homology queries, diagram/CSV/JSON rendering, the
-verification subcommands, and the characteristic-dependence scan.
+verification suites, and the characteristic-dependence scan.
+
+Every command, and every `verify` suite, is a function of the parsed
+namespace alone, bound by its own subparser. Each takes the common flags
+plus only the flags it reads, so a flag given to the wrong suite exits 2.
 
 Exit codes: 0 success; 1 verification failure or an arithmetic
 inconsistency (such as Morse matrices that do not compose to zero); 2 usage
@@ -17,7 +21,6 @@ import logging
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 from . import cycles, exactla
 from .cache import ENGINE_VERSION, RankCache, cache_path
@@ -34,70 +37,51 @@ from .homology import (
 
 
 # ---------------------------------------------------------------------------
-# configuration
+# configuration: every command reads the parsed namespace alone
 
 
-@dataclass
-class RunConfig:
-    n: int
-    c: int
-    char: int = 0
-    threads: int = 1  # accepted and echoed in the JSON query; runs are single-threaded
-    seed: int = 0
-    cache_dir: str | None = None
-    fmt: str = "diagram"
-    exact: bool = False
-    primes: int = 2
-    no_orbit: bool = False  # accepted and echoed; orbit reduction is always on
-    max_degree: int | None = None  # accepted and echoed when given; degrees are unbounded
-
-    @property
-    def params(self) -> RingParams:
-        return RingParams(self.n, self.c)
-
-    def field(self, certified: bool = False) -> FieldSpec:
-        if self.char:
-            return FieldSpec.prime(self.char)
-        if self.exact or certified:
-            return FieldSpec.rational(policy="fraction_free")
-        return FieldSpec.rational(
-            policy="multiprime", num_primes=self.primes, seed=self.seed
-        )
-
-    def cache(self) -> RankCache:
-        directory = self.cache_dir or os.environ.get("KOSZ_CACHE_DIR")
-        if not directory:
-            return RankCache(None)  # memory-only: dedupes shared strand records
-        os.makedirs(directory, exist_ok=True)
-        return RankCache(cache_path(directory, self.n, self.c))
-
-    def engine(self, field: FieldSpec | None = None, use_duality: bool = True) -> HomologyEngine:
-        return HomologyEngine(
-            self.params,
-            field or self.field(),
-            cache=self.cache(),
-            use_duality=use_duality,
-        )
-
-    def query_echo(self, **extra) -> dict:
-        base = {
-            "n": self.n,
-            "c": self.c,
-            "char": self.char,
-            "threads": self.threads,
-            "seed": self.seed,
-            "format": self.fmt,
-            "exact": self.exact,
-            "primes": self.primes,
-            "no_orbit": self.no_orbit,
-        }
-        if self.max_degree is not None:
-            base["max_degree"] = self.max_degree
-        base.update(extra)
-        return base
+def _field(args, certified: bool = False) -> FieldSpec:
+    if args.char:
+        return FieldSpec.prime(args.char)
+    if args.exact or certified:
+        return FieldSpec.rational(policy="fraction_free")
+    return FieldSpec.rational(policy="multiprime", num_primes=args.primes, seed=args.seed)
 
 
-def _meta(cfg: RunConfig, field: FieldSpec, started: float) -> dict:
+def _cache(args) -> RankCache:
+    directory = args.cache_dir or os.environ.get("KOSZ_CACHE_DIR")
+    if not directory:
+        return RankCache(None)  # memory-only: dedupes shared strand records
+    os.makedirs(directory, exist_ok=True)
+    return RankCache(cache_path(directory, args.n, args.c))
+
+
+def _engine(args, field: FieldSpec, use_duality: bool = True) -> HomologyEngine:
+    return HomologyEngine(
+        RingParams(args.n, args.c), field, cache=_cache(args), use_duality=use_duality
+    )
+
+
+def _query(args, **extra) -> dict:
+    """The JSON echo of the common flags; --threads and --no-orbit are echoed
+    though ignored, --max-degree only when given."""
+    query = {
+        "n": args.n,
+        "c": args.c,
+        "char": args.char,
+        "threads": args.threads,
+        "seed": args.seed,
+        "format": args.fmt,
+        "exact": args.exact,
+        "primes": args.primes,
+        "no_orbit": args.no_orbit,
+    }
+    if args.max_degree is not None:
+        query["max_degree"] = args.max_degree
+    return query | extra
+
+
+def _meta(args, field: FieldSpec, started: float) -> dict:
     if field.kind == "prime":
         primes_used = [field.p]
     elif field.policy == "multiprime":
@@ -109,11 +93,11 @@ def _meta(cfg: RunConfig, field: FieldSpec, started: float) -> dict:
         "primes_used": primes_used,
         "elapsed_ms": int((time.monotonic() - started) * 1000),
         "engine_version": ENGINE_VERSION,
-        "seed": cfg.seed,
+        "seed": args.seed,
     }
 
 
-def _emit_json(cfg: RunConfig, query: dict, result, meta: dict) -> None:
+def _emit_json(query: dict, result, meta: dict) -> None:
     print(json.dumps({"query": query, "result": result, "meta": meta}))
 
 
@@ -179,20 +163,20 @@ def render_diagram(
 # subcommands
 
 
-def cmd_homology(cfg: RunConfig, args) -> int:
+def cmd_homology(args) -> int:
     started = time.monotonic()
-    field = cfg.field()
-    engine = cfg.engine(field)
+    field = _field(args)
+    engine = _engine(args, field)
     parts = engine.orbit_dims(args.t, args.deg)
     dim = sum(parts.values())
     orbits = [
         {"rep": list(rep), "dim": v} for rep, v in sorted(parts.items(), reverse=True)
     ]
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         result = [{"t": args.t, "d": args.deg, "dim": dim, "orbits": orbits}]
-        _emit_json(cfg, cfg.query_echo(command="homology", t=args.t, deg=args.deg),
-                   result, _meta(cfg, field, started))
-    elif cfg.fmt == "csv":
+        _emit_json(_query(args, command="homology", t=args.t, deg=args.deg),
+                   result, _meta(args, field, started))
+    elif args.fmt == "csv":
         print("t,d,dim")
         print(f"{args.t},{args.deg},{dim}")
     else:
@@ -202,100 +186,75 @@ def cmd_homology(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _table_ranges(cfg: RunConfig, args) -> tuple[int, int, int]:
-    params = cfg.params
+def cmd_table(args) -> int:
+    started = time.monotonic()
+    field = _field(args)
+    engine = _engine(args, field)
+    params = engine.params
     t_max = args.tmax if args.tmax is not None else params.N - params.n
     j_cap = params.n * (params.c - 1)
     j_max = args.jmax if args.jmax is not None else min(t_max + params.c - 1, j_cap)
-    d_max = t_max * params.c + j_max
-    return t_max, j_max, d_max
-
-
-def cmd_table(cfg: RunConfig, args) -> int:
-    started = time.monotonic()
-    field = cfg.field()
-    engine = cfg.engine(field)
-    t_max, j_max, d_max = _table_ranges(cfg, args)
-    table = engine.homology_table(t_max, d_max)
-    query = cfg.query_echo(command="table", tmax=t_max, jmax=j_max)
-    if cfg.fmt == "json":
+    table = engine.homology_table(t_max, t_max * params.c + j_max)
+    query = _query(args, command="table", tmax=t_max, jmax=j_max)
+    if args.fmt == "json":
         result = [
             {"t": t, "d": d, "dim": v} for (t, d), v in sorted(table.entries.items())
         ]
-        _emit_json(cfg, query, result, _meta(cfg, field, started))
-    elif cfg.fmt == "csv":
+        _emit_json(query, result, _meta(args, field, started))
+    elif args.fmt == "csv":
         print("t,d,dim")
         for (t, d), v in sorted(table.entries.items()):
             print(f"{t},{d},{v}")
     else:
-        print(render_diagram(cfg.params, table.entries, t_max, j_max))
+        print(render_diagram(params, table.entries, t_max, j_max))
     return 0
 
 
-def cmd_betti(cfg: RunConfig, args) -> int:
+def cmd_betti(args) -> int:
     started = time.monotonic()
-    field = cfg.field()
-    engine = cfg.engine(field)
-    i_max = args.imax if args.imax is not None else cfg.params.N - cfg.params.n
+    field = _field(args)
+    engine = _engine(args, field)
+    i_max = args.imax if args.imax is not None else engine.params.N - engine.params.n
     btable = engine.betti_table(args.k, i_max)
-    query = cfg.query_echo(command="betti", k=args.k, imax=i_max)
-    if cfg.fmt == "json":
+    query = _query(args, command="betti", k=args.k, imax=i_max)
+    if args.fmt == "json":
         result = [
             {"i": i, "j": j, "beta": v} for (i, j), v in sorted(btable.entries.items())
         ]
-        _emit_json(cfg, query, result, _meta(cfg, field, started))
-    elif cfg.fmt == "csv":
+        _emit_json(query, result, _meta(args, field, started))
+    elif args.fmt == "csv":
         print("i,j,beta")
         for (i, j), v in sorted(btable.entries.items()):
             print(f"{i},{j},{v}")
     else:
-        c = cfg.params.c
         j_grid = max((j for (_, j), v in btable.entries.items() if v), default=0)
-        print(f"Betti table of V({c},{args.k})   [{field.describe()}]")
+        print(f"Betti table of V({args.c},{args.k})   [{field.describe()}]")
         for i in range(i_max + 1):
             row = [str(btable.beta(i, j)) for j in range(j_grid + 1)]
             print(f"  i={i}: " + " ".join(row))
     return 0
 
 
-def cmd_index(cfg: RunConfig, args) -> int:
+def cmd_index(args) -> int:
     started = time.monotonic()
-    field = cfg.field()
-    engine = cfg.engine(field)
+    field = _field(args)
+    engine = _engine(args, field)
     res = engine.gl_index(args.imax)
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         witness = None
         if res.witness:
             witness = {"i": res.witness[0], "j": res.witness[1], "beta": res.witness[2]}
         result = [{"index": res.value, "i_max": res.i_max, "witness": witness}]
-        _emit_json(cfg, cfg.query_echo(command="index", imax=res.i_max), result,
-                   _meta(cfg, field, started))
+        _emit_json(_query(args, command="index", imax=res.i_max), result,
+                   _meta(args, field, started))
     else:
         print(str(res))
     return 0
 
 
-def cmd_verify(cfg: RunConfig, args) -> int:
-    what = args.what
-    if what == "duality":
-        return _verify_duality(cfg, args)
-    if what == "vanishing":
-        return _verify_vanishing(cfg, args)
-    if what == "factorial":
-        return _verify_factorial(cfg, args)
-    if what == "coeffdim":
-        return _verify_coeffdim(cfg, args)
-    if what == "greenbound":
-        return _verify_greenbound(cfg, args)
-    if what == "zgen":
-        return _verify_zgen(cfg, args)
-    raise AssertionError(f"unknown verification {what!r}")
-
-
-def _verify_duality(cfg: RunConfig, args) -> int:
-    params = cfg.params
-    field = cfg.field()
-    engine = cfg.engine(field, use_duality=False)
+def _verify_duality(args) -> int:
+    engine = _engine(args, _field(args), use_duality=False)
+    params = engine.params
     t_max = args.tmax if args.tmax is not None else params.N - params.n
     d_max = params.N * params.c - params.n
     table = engine.homology_table(t_max, d_max)
@@ -311,8 +270,8 @@ def _verify_duality(cfg: RunConfig, args) -> int:
     return 1
 
 
-def _verify_vanishing(cfg: RunConfig, args) -> int:
-    report = verify_vanishing(cfg.params, cfg.field(), cache=cfg.cache())
+def _verify_vanishing(args) -> int:
+    report = verify_vanishing(RingParams(args.n, args.c), _field(args), cache=_cache(args))
     if report.ok:
         print(
             f"OK ({report.checked} window zeros checked, "
@@ -324,10 +283,10 @@ def _verify_vanishing(cfg: RunConfig, args) -> int:
     return 1
 
 
-def _verify_factorial(cfg: RunConfig, args) -> int:
-    params = cfg.params
+def _verify_factorial(args) -> int:
+    params = RingParams(args.n, args.c)
     # membership must be certified: fraction-free over char 0
-    field = cfg.field(certified=True)
+    field = _field(args, certified=True)
     stratum = tuple(args.stratum) if args.stratum else None
     if stratum is None:
         if args.samples < 1:
@@ -335,7 +294,7 @@ def _verify_factorial(cfg: RunConfig, args) -> int:
         if params.n < 2:
             raise ValueError("verify factorial samples products of two-term cycles, which need --n >= 2")
     report = cycles.verify_factorial_theorem(
-        params, args.samples, cfg.seed, field, stratum=stratum
+        params, args.samples, args.seed, field, stratum=stratum
     )
     small_char = 0 < field.characteristic <= params.c + 1
     print(
@@ -357,14 +316,14 @@ def _verify_factorial(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _verify_coeffdim(cfg: RunConfig, args) -> int:
-    params = cfg.params
+def _verify_coeffdim(args) -> int:
+    params = RingParams(args.n, args.c)
     if params.n < 2:
         raise ValueError("verify coeffdim samples two-term cycles, which need --n >= 2")
     if args.samples < 1:
         raise ValueError(f"--samples must be positive, got {args.samples}")
     sampled = cycles.sample_nonzero_cycles(
-        args.samples, cfg.seed, n_max=params.n, c_max=params.c
+        args.samples, args.seed, n_max=params.n, c_max=params.c
     )
     bad = []
     for z in sampled:
@@ -382,10 +341,10 @@ def _verify_coeffdim(cfg: RunConfig, args) -> int:
     return 1
 
 
-def _verify_greenbound(cfg: RunConfig, args) -> int:
-    field = cfg.field()
-    engine = cfg.engine(field)
-    i_max = args.imax if args.imax is not None else cfg.params.N - cfg.params.n
+def _verify_greenbound(args) -> int:
+    field = _field(args)
+    engine = _engine(args, field)
+    i_max = args.imax if args.imax is not None else engine.params.N - engine.params.n
     btable = engine.betti_table(args.k, i_max)
     report = check_green_bound(btable)
     if report.ok:
@@ -397,11 +356,11 @@ def _verify_greenbound(cfg: RunConfig, args) -> int:
     return 1
 
 
-def _verify_zgen(cfg: RunConfig, args) -> int:
+def _verify_zgen(args) -> int:
     if args.t < 0:
         raise ValueError(f"--t must be nonnegative, got {args.t}")
-    field = cfg.field(certified=True)
-    engine = cfg.engine(field)
+    field = _field(args, certified=True)
+    engine = _engine(args, field)
     profile = engine.z_generator_profile(args.t)
     print(f"Z_{args.t} generator degrees: "
           + ", ".join(f"{d}:{profile.counts[d]}" for d in sorted(profile.counts)))
@@ -432,14 +391,14 @@ def _prime_factors(value: int) -> set[int]:
     return out
 
 
-def cmd_chardep(cfg: RunConfig, args) -> int:
+def cmd_chardep(args) -> int:
     """Scan the elementary divisors of the blocks at (t, deg) and report the
     primes where any rank, hence any dimension, can jump.
 
     Each block is equivalent over Z to an identity on its matched Morse
     pairs plus the strand's Morse matrix, so only the Morse matrix is
     factored; the --snf-guard applies to its cells."""
-    params = cfg.params
+    params = RingParams(args.n, args.c)
     jump_primes: set[int] = set()
     skipped = []
     for rep in partitions_into(args.deg, params.n):
@@ -489,6 +448,14 @@ def _common_flags(sub: argparse.ArgumentParser) -> None:
                      help="ignored: accepted for compatibility, degrees are unbounded")
 
 
+def _command(subs, name: str, func, help: str) -> argparse.ArgumentParser:
+    # no abbreviations: `--t` to a suite without --t would mean --threads
+    p = subs.add_parser(name, help=help, allow_abbrev=False)
+    _common_flags(p)
+    p.set_defaults(func=func)
+    return p
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -498,50 +465,58 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("homology", help="one dimension with its orbit support")
-    _common_flags(p)
+    p = _command(subs, "homology", cmd_homology, "one dimension with its orbit support")
     p.add_argument("--t", type=int, required=True, help="homological degree")
     p.add_argument("--deg", type=int, required=True, help="internal degree")
-    p.set_defaults(func=cmd_homology)
 
-    p = subs.add_parser("table", help="dimension table / diagram")
-    _common_flags(p)
+    p = _command(subs, "table", cmd_table, "dimension table / diagram")
     p.add_argument("--tmax", type=int, default=None)
     p.add_argument("--jmax", type=int, default=None, help="max internal degree offset row")
-    p.set_defaults(func=cmd_table)
 
-    p = subs.add_parser("betti", help="graded Betti table of a Veronese module")
-    _common_flags(p)
+    p = _command(subs, "betti", cmd_betti, "graded Betti table of a Veronese module")
     p.add_argument("--k", type=int, default=0, help="Veronese module shift, 0 <= k < c")
     p.add_argument("--imax", type=int, default=None)
-    p.set_defaults(func=cmd_betti)
 
-    p = subs.add_parser("index", help="syzygy-linearity (Green-Lazarsfeld) index")
-    _common_flags(p)
+    p = _command(subs, "index", cmd_index, "syzygy-linearity (Green-Lazarsfeld) index")
     p.add_argument("--imax", type=int, default=None)
-    p.set_defaults(func=cmd_index)
 
-    p = subs.add_parser("verify", help="verification suites; nonzero exit on violation")
-    p.add_argument(
-        "what",
-        choices=("duality", "vanishing", "factorial", "coeffdim", "greenbound", "zgen"),
-    )
-    _common_flags(p)
+    # each suite accepts only the flags it reads, so a misplaced bound is a
+    # usage error instead of a silently ignored one
+    suites = subs.add_parser(
+        "verify", help="verification suites; nonzero exit on violation"
+    ).add_subparsers(dest="what", required=True)
+
+    p = _command(suites, "duality", _verify_duality, "every dimension equals its dual partner's")
     p.add_argument("--tmax", type=int, default=None)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--k", type=int, default=0)
-    p.add_argument("--t", type=int, default=1)
-    p.add_argument("--imax", type=int, default=None)
-    p.add_argument("--stratum", type=int, nargs="+", default=None,
-                   help="exhaustive factorial check over one multidegree")
-    p.set_defaults(func=cmd_verify)
 
-    p = subs.add_parser("chardep", help="primes where dimensions can jump")
-    _common_flags(p)
+    _command(suites, "vanishing", _verify_vanishing, "H_t is zero in degrees t*c+j, j >= t+c")
+
+    p = _command(suites, "factorial", _verify_factorial,
+                 "(c+1)! times a product of two-term cycles is a boundary")
+    sampled_or_exhaustive = p.add_mutually_exclusive_group()
+    # a string default is converted after parsing, so it is never the object
+    # an explicit --samples parses to and the exclusion check sees every value
+    sampled_or_exhaustive.add_argument("--samples", type=int, default="200")
+    sampled_or_exhaustive.add_argument("--stratum", type=int, nargs="+", default=None,
+                                       help="exhaustive check over one multidegree")
+
+    p = _command(suites, "coeffdim", _verify_coeffdim,
+                 "a nonzero t-cycle's coefficients span at least t+1 dimensions")
+    p.add_argument("--samples", type=int, default=200)
+
+    p = _command(suites, "greenbound", _verify_greenbound,
+                 "the Betti table columns stay within the degree bound")
+    p.add_argument("--k", type=int, default=0)
+    p.add_argument("--imax", type=int, default=None)
+
+    p = _command(suites, "zgen", _verify_zgen,
+                 "Z_t is generated in degree <= t(c+1), its top layer by Z_1 products")
+    p.add_argument("--t", type=int, default=1)
+
+    p = _command(subs, "chardep", cmd_chardep, "primes where dimensions can jump")
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--deg", type=int, required=True)
     p.add_argument("--snf-guard", type=int, default=exactla.SNF_CELL_GUARD)
-    p.set_defaults(func=cmd_chardep)
 
     return parser
 
@@ -558,21 +533,8 @@ def main(argv=None) -> int:
         bound = getattr(args, flag, None)
         if bound is not None and bound < 0:
             parser.exit(2, f"kosz: error: --{flag} must be nonnegative, got {bound}\n")
-    cfg = RunConfig(
-        n=args.n,
-        c=args.c,
-        char=args.char,
-        threads=args.threads,
-        seed=args.seed,
-        cache_dir=args.cache_dir,
-        fmt=args.fmt,
-        exact=args.exact,
-        primes=args.primes,
-        no_orbit=args.no_orbit,
-        max_degree=args.max_degree,
-    )
     try:
-        return args.func(cfg, args)
+        return args.func(args)
     except (ValueError, SizeGuardError, exactla.ExactEliminationError, OSError) as exc:
         parser.exit(2, f"kosz: error: {exc}\n")
     except ArithmeticError as exc:

@@ -59,23 +59,6 @@ class CycleElement:
     def internal_degrees(self) -> set[int]:
         return {e.internal_degree(self.params) for e in self.terms}
 
-    def __neg__(self) -> "CycleElement":
-        return integer_scale(self, -1)
-
-    def __add__(self, other: "CycleElement") -> "CycleElement":
-        return add(self, other)
-
-    def __sub__(self, other: "CycleElement") -> "CycleElement":
-        return add(self, integer_scale(other, -1))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CycleElement)
-            and self.params == other.params
-            and self.t == other.t
-            and self.terms == other.terms
-        )
-
 
 def _collect(
     params: RingParams,

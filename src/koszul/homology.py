@@ -56,9 +56,6 @@ class HomologyTable:
     def dim(self, t: int, d: int) -> int:
         return self.entries.get((t, d), 0)
 
-    def nonzero(self) -> dict[tuple[int, int], int]:
-        return {key: v for key, v in self.entries.items() if v}
-
 
 @dataclass
 class BettiTable:

@@ -11,7 +11,8 @@ from koszul.cache import cache_path
 from koszul.cli import (
     ENGINE_VERSION,
     RankCache,
-    RunConfig,
+    _engine,
+    _field,
     build_parser,
     main,
     render_diagram,
@@ -172,6 +173,40 @@ def test_negative_bounds_exit_2(capsys, argv, flag):
     # a negative bound would check nothing and report success
     err = _exits_2(capsys, *argv)
     assert err == f"kosz: error: {flag} must be nonnegative, got -1\n"
+
+
+@pytest.mark.parametrize(
+    "argv, refusal",
+    [
+        (["vanishing", "--tmax", "1"], "unrecognized arguments: --tmax 1"),
+        (["zgen", "--imax", "0"], "unrecognized arguments: --imax 0"),
+        (["zgen", "--k", "1"], "unrecognized arguments: --k 1"),
+        (["duality", "--samples", "3"], "unrecognized arguments: --samples 3"),
+        (["greenbound", "--t", "2"], "unrecognized arguments: --t 2"),
+        (["coeffdim", "--stratum", "7", "0", "0"], "unrecognized arguments: --stratum 7 0 0"),
+        (["factorial", "--stratum", "7", "0", "0", "--samples", "3"],
+         "argument --samples: not allowed with argument --stratum"),
+        # the default value given explicitly is refused as well
+        (["factorial", "--stratum", "7", "0", "0", "--samples", "200"],
+         "argument --samples: not allowed with argument --stratum"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_verify_suite_refuses_flags_it_does_not_read(capsys, argv, refusal):
+    # a bound given to the wrong suite would otherwise be dropped silently
+    suite, *flags = argv
+    err = _exits_2(capsys, "verify", suite, "--n", "3", "--c", "2", *flags)
+    assert err.splitlines()[-1].endswith(f"error: {refusal}")
+
+
+def test_readme_commands_parse():
+    # every `kosz ...` line of the README's command-line block is a valid call
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    commands = [line.split()[1:] for line in block.splitlines() if line.startswith("kosz ")]
+    assert len(commands) >= 11
+    for argv in commands:
+        assert build_parser().parse_args(argv).func.__module__ == "koszul.cli"
 
 
 def test_verify_coeffdim(capsys):
@@ -365,8 +400,11 @@ def test_warm_cache_replays_without_eliminations(tmp_path, monkeypatch):
     # with 3 primes the warm run reads certified p=0 records; with 2 it reads
     # the per-prime records, whose face counts it must reuse
     for primes in (2, 3):
-        cfg = RunConfig(n=3, c=3, cache_dir=str(tmp_path / str(primes)), primes=primes)
-        engine = cfg.engine()
+        args = build_parser().parse_args([
+            "table", "--n", "3", "--c", "3", "--cache-dir", str(tmp_path / str(primes)),
+            "--primes", str(primes),
+        ])
+        engine = _engine(args, _field(args))
         cold = engine.homology_table(7, 27)
         assert engine.stats["eliminations"] > 0
         with monkeypatch.context() as patch:
@@ -374,7 +412,7 @@ def test_warm_cache_replays_without_eliminations(tmp_path, monkeypatch):
                 for attr, value in vars(module).items():
                     if any(value is trap for trap in traps):
                         patch.setattr(module, attr, enumerated)
-            warm_engine = cfg.engine()
+            warm_engine = _engine(args, _field(args))
             warm = warm_engine.homology_table(7, 27)
         assert warm_engine.stats["eliminations"] == 0
         assert warm.entries == cold.entries
@@ -393,6 +431,49 @@ def test_output_determinism(capsys):
     pa["meta"].pop("elapsed_ms")
     pb["meta"].pop("elapsed_ms")
     assert pa == pb
+
+
+_COMMON_ECHO = {"n": 3, "c": 2, "char": 0, "threads": 1, "seed": 0, "format": "json",
+                "exact": False, "primes": 2, "no_orbit": False}
+
+
+@pytest.mark.parametrize(
+    "argv, query, meta",
+    [
+        (["homology", "--t", "1", "--deg", "4"],
+         dict(_COMMON_ECHO, command="homology", t=1, deg=4),
+         {"char_policy": "multiprime(k=2, seed=0)", "primes_used": [950524921, 988456229],
+          "engine_version": ENGINE_VERSION, "seed": 0}),
+        (["table", "--seed", "3", "--max-degree", "9", "--tmax", "1"],
+         dict(_COMMON_ECHO, seed=3, max_degree=9, command="table", tmax=1, jmax=2),
+         {"char_policy": "multiprime(k=2, seed=3)", "primes_used": [792383497, 676911427],
+          "engine_version": ENGINE_VERSION, "seed": 3}),
+        (["betti", "--k", "1", "--char", "5", "--threads", "4"],
+         dict(_COMMON_ECHO, char=5, threads=4, command="betti", k=1, imax=3),
+         {"char_policy": "prime(5)", "primes_used": [5], "engine_version": ENGINE_VERSION,
+          "seed": 0}),
+        (["index", "--exact", "--no-orbit", "--imax", "2"],
+         dict(_COMMON_ECHO, exact=True, no_orbit=True, command="index", imax=2),
+         {"char_policy": "fraction_free", "primes_used": [], "engine_version": ENGINE_VERSION,
+          "seed": 0}),
+        (["index", "--primes", "3", "--seed", "5"],
+         dict(_COMMON_ECHO, seed=5, primes=3, command="index", imax=3),
+         {"char_policy": "multiprime(k=3, seed=5)",
+          "primes_used": [811152949, 921845521, 568015037],
+          "engine_version": ENGINE_VERSION, "seed": 5}),
+    ],
+    ids=["homology", "table", "betti", "index-exact", "index-primes"],
+)
+def test_json_echoes_query_and_meta(capsys, argv, query, meta):
+    # the echo keeps its key order: the common flags, max_degree only when
+    # given, then the command and its own bounds
+    command, *rest = argv
+    code, out = run_cli(capsys, command, "--n", "3", "--c", "2", "--format", "json", *rest)
+    assert code == 0
+    payload = json.loads(out)
+    assert list(payload["query"].items()) == list(query.items())
+    assert isinstance(payload["meta"].pop("elapsed_ms"), int)
+    assert list(payload["meta"].items()) == list(meta.items())
 
 
 @pytest.mark.parametrize(
