@@ -30,6 +30,10 @@ class RankCache:
     t-vertex faces of Delta_alpha, the basis of K_t at alpha (faces[0] = 1),
     and ranks[t] is the rank of d_t at alpha over F_p, or over Q when p = 0
     (ranks[0] = 0), so dim H_t at alpha is faces[t] - ranks[t] - ranks[t+1].
+    A p = 0 record is always proven: by fraction-free elimination, or by an
+    F_p record whose homology is never nonzero at two adjacent levels (see
+    homology.proves_rational); sampled ranks that lack that proof are kept
+    under their primes.
     One JSON object per line with stable key order; records from other
     engine versions are ignored.  A file may hold records of any ring, though
     cache_path gives each ring its own.  With path None the cache lives in
@@ -41,7 +45,6 @@ class RankCache:
         self.path = path
         self._mem: dict[tuple, tuple[tuple[int, ...], tuple[int, ...]]] = {}
         self._fh = None  # the append handle, opened at the first new record
-        self.p_values: set[int] = set()  # the p of every record held; any other p misses
         if path and os.path.exists(path):
             self._load(path)
 
@@ -98,7 +101,6 @@ class RankCache:
             for lineno, exc in faults:
                 log.warning("%s:%d: skipping cache record for alpha=%s, p=%d (%s)",
                             path, lineno, alpha, p, exc)
-        self.p_values.update(key[3] for key in self._mem)
 
     def get(self, n: int, c: int, alpha: tuple, p: int):
         """The (faces, ranks) record of the strand at sorted alpha, or None."""
@@ -110,7 +112,6 @@ class RankCache:
         if self._mem.get(key) == value:
             return
         self._mem[key] = value
-        self.p_values.add(p)
         if self.path:
             rec = {
                 "n": n,

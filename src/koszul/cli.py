@@ -357,8 +357,6 @@ def _verify_greenbound(args) -> int:
 
 
 def _verify_zgen(args) -> int:
-    if args.t < 0:
-        raise ValueError(f"--t must be nonnegative, got {args.t}")
     field = _field(args, certified=True)
     engine = _engine(args, field)
     profile = engine.z_generator_profile(args.t)
@@ -529,7 +527,7 @@ def main(argv=None) -> int:
         parser.error(f"--char must be 0 or a prime, got {args.char}")
     if args.max_degree is not None and args.max_degree < 1:
         parser.error("--max-degree must be positive")
-    for flag in ("tmax", "jmax", "imax"):
+    for flag in ("tmax", "jmax", "imax", "t", "deg"):
         bound = getattr(args, flag, None)
         if bound is not None and bound < 0:
             parser.exit(2, f"kosz: error: --{flag} must be nonnegative, got {bound}\n")

@@ -95,6 +95,17 @@ def _record_dim(record, t: int) -> int:
     return faces[t] - r[t] - r[t + 1] if 0 <= t < len(faces) else 0
 
 
+def proves_rational(record) -> bool:
+    """Whether an F_p strand record is also the strand's record over Q.
+
+    Over Q each rank is rank_p d_t + delta_t with delta_t >= 0, so
+    h_t(Q) = h_t(F_p) - delta_t - delta_{t+1} >= 0 bounds delta_t by
+    min(h_{t-1}(F_p), h_t(F_p)).  Every delta_t is then 0 unless the F_p
+    homology is nonzero at two adjacent levels."""
+    dims = [_record_dim(record, t) for t in range(len(record[0]))]
+    return not any(low and high for low, high in zip(dims, dims[1:]))
+
+
 class HomologyEngine:
     """Shared context for a run: ring, field, strand-record memo, and
     whether the duality shortcut may serve a query.
@@ -104,7 +115,10 @@ class HomologyEngine:
     Without a cache argument the records are stored in memory.  A record
     missing from the cache comes from the Morse-reduced strand of its orbit
     (complex.Strand), built only for that record, shared by its sampled
-    primes, and then dropped.
+    primes, and then dropped.  Under the multiprime policy one prime
+    usually proves the rational record (proves_rational), which is then
+    stored once under p = 0; only the strands it leaves open are sampled
+    at every seeded prime and stored per prime.
     """
 
     def __init__(
@@ -130,27 +144,34 @@ class HomologyEngine:
             self.stats["cache_hits"] += 1
         return got
 
+    def _put(self, rep: ExponentVec, p: int, record) -> None:
+        self.cache.put(self.params.n, self.params.c, rep, p, *record)
+
     def _memo_record(
         self,
         rep: ExponentVec,
         p: int,
         rank: Callable[[SparseIntMatrix], int],
         strand: Callable[[], Strand],
+        store: bool = True,
     ):
         """The (faces, ranks) record stored under (rep, p); on a miss, the
         face counts of strand() and, for every t, its matched pairs plus
-        rank(Morse matrix of d_t)."""
+        rank(Morse matrix of d_t), stored unless store is False."""
         got = self._cached(rep, p)
         if got is None:
             s = strand()
             ranks = [s.pairs[t] + rank(s.morse(t)) for t in range(1, len(s.faces))]
             got = s.faces, [0] + ranks
             self.stats["eliminations"] += 1
-            self.cache.put(self.params.n, self.params.c, rep, p, *got)
+            if store:
+                self._put(rep, p, got)
         return got
 
-    def _rank_mod_p(self, rep: ExponentVec, p: int, strand: Callable[[], Strand]):
-        return self._memo_record(rep, p, lambda m: exactla.rank_mod_p(m, p), strand)
+    def _rank_mod_p(
+        self, rep: ExponentVec, p: int, strand: Callable[[], Strand], store: bool = True
+    ):
+        return self._memo_record(rep, p, lambda m: exactla.rank_mod_p(m, p), strand, store)
 
     def _record(self, alpha: ExponentVec):
         """(faces, ranks) of alpha's strand over the engine field, resolved
@@ -167,9 +188,13 @@ class HomologyEngine:
         """rep's record from the cache, or from its strand, built on the
         first miss and shared by every prime this call samples.
 
-        Records are cached per prime; a certified rational record is stored
-        under p=0 (fraction-free runs, or agreement of three or more primes
-        at every t), and looked up only if the cache holds some p=0 record.
+        A p = 0 record is a proof of the rational record: fraction-free
+        elimination wrote it, or proves_rational accepted it at one prime.
+        Under the multiprime policy a p = 0 miss reads or builds the record
+        at the first seeded prime; when proves_rational accepts it, it is
+        stored under p = 0 alone (so a cache of per-prime records is
+        upgraded as it is read).  Otherwise that record is stored under its
+        prime and the seeded primes are sampled, reusing it.
         """
         built: list[Strand] = []
 
@@ -183,21 +208,22 @@ class HomologyEngine:
             return self._rank_mod_p(rep, f.p, strand)
         if f.policy == "fraction_free":
             return self._memo_record(rep, 0, exactla.rank_fraction_free, strand)
-        if 0 in self.cache.p_values:
-            got = self._cached(rep, 0)
-            if got is not None:
-                return got
-        faces = ()
+        got = self._cached(rep, 0)
+        if got is not None:
+            return got
+        first = exactla.multiprime_primes(f.seed, f.num_primes)[0]
+        got = self._rank_mod_p(rep, first, strand, store=False)
+        if proves_rational(got):
+            self._put(rep, 0, got)
+            return got
+        if built:  # the record came from the strand, not the cache
+            self._put(rep, first, got)
 
         def ranks_at(p: int):
-            nonlocal faces
-            faces, ranks = self._rank_mod_p(rep, p, strand)
-            return ranks
+            return (got if p == first else self._rank_mod_p(rep, p, strand))[1]
 
-        best, ranks, agreed = exactla.sampled_rank(f, ranks_at)
-        if agreed and len(ranks) >= 3:
-            self.cache.put(self.params.n, self.params.c, rep, 0, faces, best)
-        return faces, best
+        best, _, _ = exactla.sampled_rank(f, ranks_at)
+        return got[0], best
 
     def block_rank(self, t: int, alpha: ExponentVec) -> int:
         """Rank of the t-th differential block at alpha over the engine field."""

@@ -52,7 +52,7 @@ DIAGRAM_33 = {
 @pytest.fixture(scope="module")
 def run33():
     """Criterion-1 run: direct (no duality shortcut) full table over the
-    3-prime-agreement rational policy, with its engine and elapsed time."""
+    3-prime multiprime rational policy, with its engine and elapsed time."""
     engine = HomologyEngine(
         RingParams(3, 3), Q3(), cache=RankCache(None), use_duality=False
     )
@@ -92,18 +92,21 @@ def test_criterion_01_paper_diagram(run33):
     assert not mismatches, mismatches
     assert nonzero == 26
 
-    # certification: every strand with a sampled-prime record must carry a
-    # p=0 record, written only under fraction-free elimination or agreement
-    # of >= 3 primes at every t
+    # certification: every strand the engine resolved carries a p=0 record,
+    # which only a proof writes (fraction-free elimination, or one prime's
+    # record with no two adjacent nonzero homology levels), and no sampled
+    # per-prime record is left
     keys = engine.cache._mem
-    strands = {alpha for (n, c, alpha, p) in keys if p > 0}
+    strands = set(engine._records)
     assert strands
     uncertified = [alpha for alpha in strands if (3, 3, alpha, 0) not in keys]
-    assert not uncertified, f"{len(uncertified)} strands lack 3-prime agreement"
+    assert not uncertified, f"{len(uncertified)} strands lack a certified record"
+    sampled = [key for key in keys if key[3] > 0]
+    assert not sampled, f"{len(sampled)} per-prime records left"
 
     assert elapsed < 300, f"criterion-1 run took {elapsed:.0f}s"
     print(f"\nPASS criterion 1: diagram exact (26 nonzero entries, "
-          f"3-prime agreement, {elapsed:.1f}s)")
+          f"{len(strands)} strands certified at one prime, {elapsed:.1f}s)")
 
 
 def test_criterion_02_index_n3_c3():

@@ -20,6 +20,8 @@ from koszul.cli import (
 )
 from koszul.combinatorics import RingParams
 from koszul.cycles import sample_nonzero_cycles
+from koszul.exactla import FieldSpec, multiprime_primes
+from koszul.homology import HomologyEngine
 
 
 def run_cli(capsys, *argv):
@@ -167,6 +169,10 @@ def test_vacuous_verifier_inputs_exit_2(capsys, argv, flag):
         (["index", "--n", "3", "--c", "2", "--imax", "-1"], "--imax"),
         (["verify", "duality", "--n", "3", "--c", "2", "--tmax", "-1"], "--tmax"),
         (["verify", "greenbound", "--n", "3", "--c", "2", "--imax", "-1"], "--imax"),
+        (["homology", "--n", "3", "--c", "2", "--t", "-1", "--deg", "4"], "--t"),
+        (["homology", "--n", "3", "--c", "2", "--t", "1", "--deg", "-1"], "--deg"),
+        (["chardep", "--n", "3", "--c", "2", "--t", "-1", "--deg", "4"], "--t"),
+        (["chardep", "--n", "3", "--c", "2", "--t", "1", "--deg", "-1"], "--deg"),
     ],
 )
 def test_negative_bounds_exit_2(capsys, argv, flag):
@@ -397,8 +403,8 @@ def test_warm_cache_replays_without_eliminations(tmp_path, monkeypatch):
     # a cache hit builds no strand: every name bound to either one traps
     traps = (complex._survivors, complex.Strand)
 
-    # with 3 primes the warm run reads certified p=0 records; with 2 it reads
-    # the per-prime records, whose face counts it must reuse
+    # with 2 or 3 primes one prime proves every (3,3) record, so the warm run
+    # reads the p=0 records alone
     for primes in (2, 3):
         args = build_parser().parse_args([
             "table", "--n", "3", "--c", "3", "--cache-dir", str(tmp_path / str(primes)),
@@ -416,6 +422,67 @@ def test_warm_cache_replays_without_eliminations(tmp_path, monkeypatch):
             warm = warm_engine.homology_table(7, 27)
         assert warm_engine.stats["eliminations"] == 0
         assert warm.entries == cold.entries
+
+
+def test_strand_open_to_one_prime_is_sampled_per_prime(capsys, tmp_path):
+    # (3,3,1,1,1) has homology in degrees 3 and 4 at (5,2), so one prime
+    # cannot prove its record: its records stay per prime, and the sampled
+    # dimension is the fraction-free one
+    exact = HomologyEngine(RingParams(5, 2), FieldSpec.rational(policy="fraction_free"))
+    assert [exact.block_dim(t, (3, 3, 1, 1, 1)) for t in range(5)] == [0, 0, 0, 1, 1]
+    argv = ["homology", "--n", "5", "--c", "2", "--t", "3", "--deg", "9"]
+    code, out = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
+    assert code == 0 and out.startswith(f"dim H_3 in degree 9 = {exact.homology_dim(3, 9)} ")
+    lines = Path(cache_path(str(tmp_path), 5, 2)).read_text().splitlines()
+    ps = {}
+    for rec in map(json.loads, lines):
+        ps.setdefault(tuple(rec["alpha"]), set()).add(rec["p"])
+    assert ps[3, 3, 1, 1, 1] == set(multiprime_primes(0, 2))
+    assert {0} in ps.values()
+    assert all(p in ({0}, set(multiprime_primes(0, 2))) for p in ps.values())
+
+
+def test_per_prime_cache_is_upgraded_on_read(capsys, tmp_path, monkeypatch):
+    # a cache holding the records of each seeded prime and no p=0 record, as
+    # versions that stored every sampled prime wrote it
+    legacy, fresh = str(tmp_path / "legacy"), str(tmp_path / "fresh")
+    table = ["table", "--n", "3", "--c", "3"]
+    for p in multiprime_primes(0, 2):
+        assert main([*table, "--char", str(p), "--cache-dir", legacy]) == 0
+    capsys.readouterr()
+    path = Path(cache_path(legacy, 3, 3))
+    per_prime = path.read_text().splitlines()
+    _, cold = run_cli(capsys, *table, "--cache-dir", fresh)
+    proven = Path(cache_path(fresh, 3, 3)).read_text().splitlines()
+
+    def built(*args):
+        raise AssertionError("a replay built a strand or walked its faces")
+
+    with monkeypatch.context() as patch:
+        for module in [m for name, m in sys.modules.items() if name.startswith("koszul")]:
+            for attr, value in vars(module).items():
+                if value is complex.Strand or value is complex._survivors:
+                    patch.setattr(module, attr, built)
+        code, replay = run_cli(capsys, *table, "--cache-dir", legacy)
+    assert code == 0 and replay == cold
+    # the replay appends the p=0 record of every strand, proven at one prime
+    lines = path.read_text().splitlines()
+    assert lines[: len(per_prime)] == per_prime
+    assert sorted(lines[len(per_prime):]) == sorted(proven)
+    assert {json.loads(line)["p"] for line in proven} == {0}
+
+    gets = []
+    get = RankCache.get
+
+    def spy(cache, n, c, alpha, p):
+        gets.append(p)
+        return get(cache, n, c, alpha, p)
+
+    monkeypatch.setattr(RankCache, "get", spy)
+    code, again = run_cli(capsys, *table, "--cache-dir", legacy)
+    assert code == 0 and again == cold
+    assert gets and set(gets) == {0}  # a second replay reads p=0 records only
+    assert path.read_text().splitlines() == lines
 
 
 def test_output_determinism(capsys):

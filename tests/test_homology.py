@@ -6,7 +6,7 @@ from koszul import cycles, exactla
 from koszul.cache import RankCache
 from koszul.combinatorics import RingParams, compositions, unit_vector, vec_sub
 from koszul.complex import differential_block
-from koszul.exactla import FieldSpec, SparseIntMatrix, UnsupportedPolicyError, multiprime_primes
+from koszul.exactla import FieldSpec, SparseIntMatrix, UnsupportedPolicyError
 from koszul.homology import (
     Z_PROFILE_DEGREES_PAST_TOP,
     HomologyEngine,
@@ -318,9 +318,10 @@ def test_default_engine_memoizes_ranks():
 
 
 def test_warm_engine_reads_each_record_once():
-    # a warm 2-prime engine reads the two per-prime records of each sorted
-    # representative once, however many (t, d) its strand serves, and never
-    # probes for the p=0 records that only 3 or more primes write
+    # a warm 2-prime engine reads the p=0 record of each sorted
+    # representative once, however many (t, d) its strand serves: at (3,3)
+    # one prime proves every strand's rational record, so no per-prime
+    # record exists to be read
     params, field = RingParams(3, 3), FieldSpec.rational(num_primes=2, seed=0)
     cache = RankCache(None)
     cold = HomologyEngine(params, field, cache=cache).homology_table(7, 27)
@@ -336,10 +337,21 @@ def test_warm_engine_reads_each_record_once():
     warm = HomologyEngine(params, field, cache=cache)
     assert warm.homology_table(7, 27).entries == cold.entries
     reps = {alpha for alpha, _, _ in gets}
-    assert len(gets) == 2 * len(reps)
+    assert len(gets) == len(reps)
     assert all(hit for _, _, hit in gets)
-    assert {p for _, p, _ in gets} == set(multiprime_primes(0, 2))
+    assert {p for _, p, _ in gets} == {0}
     assert warm.stats["eliminations"] == 0
+
+
+def test_one_prime_record_is_stored_once_under_p0():
+    # a cold 2-prime engine proves each (3,3) strand record at the first
+    # seeded prime and stores it under p=0 alone, with one elimination each
+    params, field = RingParams(3, 3), FieldSpec.rational(num_primes=2, seed=0)
+    cache = RankCache(None)
+    e = HomologyEngine(params, field, cache=cache)
+    assert e.homology_dim(2, 8) == 105
+    assert set(cache._mem) == {(3, 3, rep, 0) for rep in e._records}
+    assert e.stats["eliminations"] == len(e._records)
 
 
 def test_one_cache_serves_two_fields():

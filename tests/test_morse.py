@@ -25,6 +25,7 @@ from koszul.complex import (
     graded_dim,
 )
 from koszul.exactla import SparseIntMatrix, elementary_divisors, rank_fraction_free, rank_mod_p
+from koszul.homology import proves_rational
 
 PRIMES = (2, 3, 32003)
 
@@ -156,6 +157,33 @@ def test_reduction_matches_raw_blocks(n, c):
                 assert not any(any(row) for row in product(s.morse(t - 1), m)), (rep, t)
             checked += 1
     assert checked > 0
+
+
+def test_one_prime_certificate_is_sound():
+    # whenever proves_rational accepts a strand's F_p record, that record is
+    # the fraction-free one: on every case strand, the degree-9 strands at
+    # (5,2) and (6,2), and (1^7) at (7,2), whose F_3 record is wrong over Q
+    cases = CASES + [(RingParams(n, 2), rep) for n in (5, 6) for rep in partitions_into(9, n)]
+    cases.append((RingParams(7, 2), (1,) * 7))
+    accepted = rejected = wrong = 0
+    for params, rep in cases:
+        s = Strand(params, rep)
+        morse = [s.morse(t) for t in range(1, len(s.faces))]
+
+        def record(rank):
+            return tuple(s.faces), (0, *(s.pairs[t] + rank(m) for t, m in enumerate(morse, 1)))
+
+        rational = record(rank_fraction_free)
+        for p in PRIMES:
+            rec = record(lambda m: rank_mod_p(m, p))
+            wrong += rec != rational
+            if proves_rational(rec):
+                assert rec == rational, (params.n, params.c, rep, p)
+                accepted += 1
+            else:
+                rejected += 1
+    assert wrong == 1  # the char-3 jump at (1^7)
+    assert accepted > 10 * rejected > 0
 
 
 @pytest.mark.parametrize("alpha", [(2, 2, 1, 1, 1, 1, 1), (2, 2, 2, 1, 1, 1, 1)])
