@@ -3,7 +3,7 @@ monomials of a polynomial ring, with graded Betti tables of Veronese
 modules, duality and vanishing checks, syzygy-linearity index scans, and
 explicit cycle/boundary verifiers."""
 
-from .combinatorics import ExponentVec, Orbit, RingParams, canonicalize
+from .combinatorics import ExponentVec, RingParams
 from .complex import KoszulBasisElement, block_basis, differential_block, graded_dim
 from .cycles import (
     CycleElement,
@@ -16,7 +16,7 @@ from .cycles import (
     wedge,
     z1_generator,
 )
-from .exactla import FieldSpec, SparseIntMatrix, elementary_divisors, in_column_space, kernel_basis, rank
+from .exactla import FieldSpec, SparseIntMatrix, elementary_divisors, kernel_basis, rank
 from .homology import (
     BettiTable,
     HomologyEngine,

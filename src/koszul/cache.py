@@ -129,6 +129,3 @@ class RankCache:
                 self._fh.flush()  # current for any other reader of the file
             except OSError as exc:
                 raise OSError(f"cannot append to cache {self.path}: {exc}") from exc
-
-    def __len__(self) -> int:
-        return len(self._mem)

@@ -2,8 +2,9 @@
 verification suites, and the characteristic-dependence scan.
 
 Every command, and every `verify` suite, is a function of the parsed
-namespace alone, bound by its own subparser. Each takes the common flags
-plus only the flags it reads, so a flag given to the wrong suite exits 2.
+namespace alone, bound by its own subparser. Each takes --n --c, the three
+compatibility flags, and only the flags it reads, so a flag given to a
+command that would ignore it exits 2.
 
 Exit codes: 0 success; 1 verification failure or an arithmetic
 inconsistency (such as Morse matrices that do not compose to zero); 2 usage
@@ -40,10 +41,10 @@ from .homology import (
 # configuration: every command reads the parsed namespace alone
 
 
-def _field(args, certified: bool = False) -> FieldSpec:
+def _field(args) -> FieldSpec:
     if args.char:
         return FieldSpec.prime(args.char)
-    if args.exact or certified:
+    if args.exact:
         return FieldSpec.rational(policy="fraction_free")
     return FieldSpec.rational(policy="multiprime", num_primes=args.primes, seed=args.seed)
 
@@ -63,7 +64,7 @@ def _engine(args, field: FieldSpec, use_duality: bool = True) -> HomologyEngine:
 
 
 def _query(args, **extra) -> dict:
-    """The JSON echo of the common flags; --threads and --no-orbit are echoed
+    """The JSON echo of the shared flags; --threads and --no-orbit are echoed
     though ignored, --max-degree only when given."""
     query = {
         "n": args.n,
@@ -285,8 +286,7 @@ def _verify_vanishing(args) -> int:
 
 def _verify_factorial(args) -> int:
     params = RingParams(args.n, args.c)
-    # membership must be certified: fraction-free over char 0
-    field = _field(args, certified=True)
+    field = _field(args)
     stratum = tuple(args.stratum) if args.stratum else None
     if stratum is None:
         if args.samples < 1:
@@ -357,8 +357,8 @@ def _verify_greenbound(args) -> int:
 
 
 def _verify_zgen(args) -> int:
-    field = _field(args, certified=True)
-    engine = _engine(args, field)
+    # a generator profile reads no strand record, so it opens no cache
+    engine = HomologyEngine(RingParams(args.n, args.c), _field(args))
     profile = engine.z_generator_profile(args.t)
     print(f"Z_{args.t} generator degrees: "
           + ", ".join(f"{d}:{profile.counts[d]}" for d in sorted(profile.counts)))
@@ -429,27 +429,34 @@ def cmd_chardep(args) -> int:
 # parser
 
 
-def _common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--n", type=int, required=True, help="number of variables")
-    sub.add_argument("--c", type=int, required=True, help="power of the maximal ideal")
-    sub.add_argument("--char", type=int, default=0, help="coefficient characteristic: 0 or a prime")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="ignored: accepted for compatibility, runs are single-threaded")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--cache-dir", default=None, help="rank cache directory (default $KOSZ_CACHE_DIR)")
-    sub.add_argument("--format", dest="fmt", choices=("diagram", "csv", "json"), default="diagram")
-    sub.add_argument("--exact", action="store_true", help="fraction-free rational ranks")
-    sub.add_argument("--primes", type=int, default=2, help="multiprime sample size for char 0")
-    sub.add_argument("--no-orbit", action="store_true",
-                     help="ignored: accepted for compatibility, orbit reduction is always on")
-    sub.add_argument("--max-degree", type=int, default=None,
-                     help="ignored: accepted for compatibility, degrees are unbounded")
+# The field, cache and output flags, each given only to the commands that
+# read it.
+_SHARED = {
+    "--char": dict(type=int, default=0, help="coefficient characteristic: 0 or a prime"),
+    "--seed": dict(type=int, default=0),
+    "--cache-dir": dict(default=None, help="rank cache directory (default $KOSZ_CACHE_DIR)"),
+    "--exact": dict(action="store_true", help="fraction-free rational ranks"),
+    "--primes": dict(type=int, default=2, help="multiprime sample size for char 0"),
+}
+_ENGINE = ("--char", "--seed", "--cache-dir", "--exact", "--primes")
+_FORMATS = ("diagram", "csv", "json")
 
 
-def _command(subs, name: str, func, help: str) -> argparse.ArgumentParser:
+def _command(subs, name: str, func, help: str, reads=(), formats=()) -> argparse.ArgumentParser:
     # no abbreviations: `--t` to a suite without --t would mean --threads
     p = subs.add_parser(name, help=help, allow_abbrev=False)
-    _common_flags(p)
+    p.add_argument("--n", type=int, required=True, help="number of variables")
+    p.add_argument("--c", type=int, required=True, help="power of the maximal ideal")
+    for flag in reads:
+        p.add_argument(flag, **_SHARED[flag])
+    if formats:
+        p.add_argument("--format", dest="fmt", choices=formats, default="diagram")
+    p.add_argument("--threads", type=int, default=1,
+                   help="ignored: accepted for compatibility, runs are single-threaded")
+    p.add_argument("--no-orbit", action="store_true",
+                   help="ignored: accepted for compatibility, orbit reduction is always on")
+    p.add_argument("--max-degree", type=int, default=None,
+                   help="ignored: accepted for compatibility, degrees are unbounded")
     p.set_defaults(func=func)
     return p
 
@@ -463,34 +470,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = _command(subs, "homology", cmd_homology, "one dimension with its orbit support")
+    p = _command(subs, "homology", cmd_homology, "one dimension with its orbit support",
+                 _ENGINE, _FORMATS)
     p.add_argument("--t", type=int, required=True, help="homological degree")
     p.add_argument("--deg", type=int, required=True, help="internal degree")
 
-    p = _command(subs, "table", cmd_table, "dimension table / diagram")
+    p = _command(subs, "table", cmd_table, "dimension table / diagram", _ENGINE, _FORMATS)
     p.add_argument("--tmax", type=int, default=None)
     p.add_argument("--jmax", type=int, default=None, help="max internal degree offset row")
 
-    p = _command(subs, "betti", cmd_betti, "graded Betti table of a Veronese module")
+    p = _command(subs, "betti", cmd_betti, "graded Betti table of a Veronese module",
+                 _ENGINE, _FORMATS)
     p.add_argument("--k", type=int, default=0, help="Veronese module shift, 0 <= k < c")
     p.add_argument("--imax", type=int, default=None)
 
-    p = _command(subs, "index", cmd_index, "syzygy-linearity (Green-Lazarsfeld) index")
+    p = _command(subs, "index", cmd_index, "syzygy-linearity (Green-Lazarsfeld) index",
+                 _ENGINE, ("diagram", "json"))
     p.add_argument("--imax", type=int, default=None)
 
-    # each suite accepts only the flags it reads, so a misplaced bound is a
-    # usage error instead of a silently ignored one
     suites = subs.add_parser(
         "verify", help="verification suites; nonzero exit on violation"
     ).add_subparsers(dest="what", required=True)
 
-    p = _command(suites, "duality", _verify_duality, "every dimension equals its dual partner's")
+    p = _command(suites, "duality", _verify_duality, "every dimension equals its dual partner's",
+                 _ENGINE)
     p.add_argument("--tmax", type=int, default=None)
 
-    _command(suites, "vanishing", _verify_vanishing, "H_t is zero in degrees t*c+j, j >= t+c")
+    _command(suites, "vanishing", _verify_vanishing, "H_t is zero in degrees t*c+j, j >= t+c",
+             _ENGINE)
 
+    # memberships must be certified: over char 0 they run fraction-free
     p = _command(suites, "factorial", _verify_factorial,
-                 "(c+1)! times a product of two-term cycles is a boundary")
+                 "(c+1)! times a product of two-term cycles is a boundary", ("--char", "--seed"))
+    p.set_defaults(exact=True)
     sampled_or_exhaustive = p.add_mutually_exclusive_group()
     # a string default is converted after parsing, so it is never the object
     # an explicit --samples parses to and the exclusion check sees every value
@@ -499,16 +511,17 @@ def build_parser() -> argparse.ArgumentParser:
                                        help="exhaustive check over one multidegree")
 
     p = _command(suites, "coeffdim", _verify_coeffdim,
-                 "a nonzero t-cycle's coefficients span at least t+1 dimensions")
+                 "a nonzero t-cycle's coefficients span at least t+1 dimensions", ("--seed",))
     p.add_argument("--samples", type=int, default=200)
 
     p = _command(suites, "greenbound", _verify_greenbound,
-                 "the Betti table columns stay within the degree bound")
+                 "the Betti table columns stay within the degree bound", _ENGINE)
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--imax", type=int, default=None)
 
     p = _command(suites, "zgen", _verify_zgen,
-                 "Z_t is generated in degree <= t(c+1), its top layer by Z_1 products")
+                 "Z_t is generated in degree <= t(c+1), its top layer by Z_1 products", ("--char",))
+    p.set_defaults(exact=True)  # kernels too, as for factorial
     p.add_argument("--t", type=int, default=1)
 
     p = _command(subs, "chardep", cmd_chardep, "primes where dimensions can jump")
@@ -523,14 +536,15 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.char and not exactla.is_prime(args.char):
+    if getattr(args, "char", 0) and not exactla.is_prime(args.char):
         parser.error(f"--char must be 0 or a prime, got {args.char}")
     if args.max_degree is not None and args.max_degree < 1:
         parser.error("--max-degree must be positive")
-    for flag in ("tmax", "jmax", "imax", "t", "deg"):
-        bound = getattr(args, flag, None)
+    for dest in ("tmax", "jmax", "imax", "t", "deg", "snf_guard"):
+        bound = getattr(args, dest, None)
         if bound is not None and bound < 0:
-            parser.exit(2, f"kosz: error: --{flag} must be nonnegative, got {bound}\n")
+            flag = "--" + dest.replace("_", "-")
+            parser.exit(2, f"kosz: error: {flag} must be nonnegative, got {bound}\n")
     try:
         return args.func(args)
     except (ValueError, SizeGuardError, exactla.ExactEliminationError, OSError) as exc:

@@ -83,14 +83,6 @@ def unit_vector(n: int, i: int) -> ExponentVec:
     return tuple(1 if k == i else 0 for k in range(n))
 
 
-@dataclass(frozen=True)
-class Orbit:
-    """A multidegree orbit under permutation of the variables."""
-
-    representative: ExponentVec  # weakly decreasing
-    size: int
-
-
 def orbit_size(alpha: Sequence[int]) -> int:
     """Number of distinct coordinate permutations of alpha."""
     size = math.factorial(len(alpha))
@@ -100,12 +92,6 @@ def orbit_size(alpha: Sequence[int]) -> int:
     for mult in counts.values():
         size //= math.factorial(mult)
     return size
-
-
-def canonicalize(alpha: Sequence[int]) -> Orbit:
-    """Sorted-representative orbit of alpha under coordinate permutations."""
-    rep = tuple(sorted(alpha, reverse=True))
-    return Orbit(rep, orbit_size(tuple(alpha)))
 
 
 def partitions_into(d: int, n: int) -> Iterator[ExponentVec]:

@@ -303,13 +303,8 @@ def coefficient_space_dim(z: CycleElement) -> int:
         by_gens.setdefault(elem.gens, {})[elem.coeff] = coeff
         monomials.add(elem.coeff)
     columns = sorted(monomials)
-    col_index = {m: i for i, m in enumerate(columns)}
     span = exactla.VectorSpan(len(columns), FieldSpec.rational(policy="fraction_free"))
-    for poly in by_gens.values():
-        vec = [0] * len(columns)
-        for m, coeff in poly.items():
-            vec[col_index[m]] = coeff
-        span.add(vec)
+    span.extend([[poly.get(m, 0) for m in columns] for poly in by_gens.values()])
     return span.rank
 
 
@@ -334,8 +329,6 @@ class FactorialReport:
     unscaled element failing is a recorded finding (it shows the factorial
     scaling is doing real work in small characteristic)."""
 
-    params: RingParams
-    field: FieldSpec
     factorial: int
     seed: int | None
     exhaustive: bool
@@ -454,8 +447,7 @@ def verify_factorial_theorem(
             )
         )
     return FactorialReport(
-        params, field, fact, None if stratum is not None else seed,
-        stratum is not None, witnesses,
+        fact, None if stratum is not None else seed, stratum is not None, witnesses
     )
 
 

@@ -324,10 +324,6 @@ class VectorSpan:
             out.append((piv, dense))
         return out
 
-    def add(self, vec: Sequence[int]) -> None:
-        """Insert one vector."""
-        self.extend([vec])
-
     def extend(self, vecs) -> None:
         """Insert every vector of vecs (a sequence of vectors, or a 2-D
         int64 array of rows).  A fraction-free pivot longer than
@@ -474,12 +470,6 @@ class ColumnSpace:
         if len(b) != self.nrows:
             raise ValueError(f"vector length {len(b)} != nrows {self.nrows}")
         return self._span.contains(b)
-
-
-def in_column_space(m: SparseIntMatrix, b: Sequence[int], f: FieldSpec) -> bool:
-    """True iff appending b to the columns of m leaves the rank unchanged,
-    over F_p or the rationals (fraction-free); multiprime is refused."""
-    return ColumnSpace(m, f).contains(b)
 
 
 # ---------------------------------------------------------------------------

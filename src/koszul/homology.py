@@ -49,7 +49,6 @@ class HomologyTable:
     """Map (homological degree t, internal degree d) -> dimension."""
 
     params: RingParams
-    field: FieldSpec
     entries: dict[tuple[int, int], int]
     computed_directly: bool = False
 
@@ -305,9 +304,7 @@ class HomologyEngine:
         for t in range(t_max + 1):
             for d in range(t * self.params.c, d_max + 1):
                 entries[(t, d)] = self.homology_dim(t, d)
-        return HomologyTable(
-            self.params, self.field, entries, computed_directly=not self.use_duality
-        )
+        return HomologyTable(self.params, entries, computed_directly=not self.use_duality)
 
     # -- Betti tables ---------------------------------------------------------
 
@@ -350,9 +347,9 @@ class HomologyEngine:
             while j * params.c <= degree_top:
                 beta = self.betti(0, i, j)
                 if beta:
-                    return GLIndexResult(params, self.field, i_max, i - 1, (i, j, beta))
+                    return GLIndexResult(i_max, i - 1, (i, j, beta))
                 j += 1
-        return GLIndexResult(params, self.field, i_max, None, None)
+        return GLIndexResult(i_max, None, None)
 
     # -- structural checks ------------------------------------------------------
 
@@ -392,7 +389,7 @@ class HomologyEngine:
         """
         params, field = self.params, self.field
         if t == 0:
-            return ZGeneratorProfile(params, 0, field, {0: 1}, 0, None)
+            return ZGeneratorProfile({0: 1}, 0, None)
         if not field.certified:
             raise UnsupportedPolicyError(
                 "generator profiles need a certified field "
@@ -446,7 +443,7 @@ class HomologyEngine:
                     span.extend(self._z1_wedge_vectors(t, rep, index, z1))
                     top_spanned = all(span.contains(v) for v in kern)
             counts[d] = new_gens
-        return ZGeneratorProfile(params, t, field, counts, top, top_spanned)
+        return ZGeneratorProfile(counts, top, top_spanned)
 
     def _z1_wedge_vectors(
         self, t: int, alpha: ExponentVec, index: dict, z1: Callable
@@ -491,8 +488,6 @@ class GLIndexResult:
     """Outcome of an index scan: the exact value, or a certified lower bound
     when no linearity failure occurs up to i_max."""
 
-    params: RingParams
-    field: FieldSpec
     i_max: int
     value: int | None
     witness: tuple[int, int, int] | None  # (i, j, beta) of the first failure
@@ -506,9 +501,6 @@ class GLIndexResult:
 
 @dataclass
 class ZGeneratorProfile:
-    params: RingParams
-    t: int
-    field: FieldSpec
     counts: dict[int, int]
     top_degree: int
     top_layer_in_z1_span: bool | None  # None when t = 0
@@ -529,7 +521,7 @@ class DualityReport:
         return not self.mismatches
 
 
-def check_duality(table: HomologyTable, engine: HomologyEngine | None = None) -> DualityReport:
+def check_duality(table: HomologyTable, engine: HomologyEngine) -> DualityReport:
     """Verify dim(t,d) == dim(partner) for every table entry.
 
     Partners already in a directly-computed table count as independent
@@ -538,8 +530,6 @@ def check_duality(table: HomologyTable, engine: HomologyEngine | None = None) ->
     itself: then it is counted as mirrored, since that path restates the
     identity being checked.
     """
-    if engine is None:
-        engine = HomologyEngine(table.params, table.field)
     checked = direct = mirrored = 0
     mismatches = []
     for (t, d), dim in sorted(table.entries.items()):
@@ -569,9 +559,6 @@ class GreenBoundViolation:
 
 @dataclass
 class GreenBoundReport:
-    params: RingParams
-    k: int
-    field: FieldSpec
     columns_checked: int
     violations: list[GreenBoundViolation]
 
@@ -600,13 +587,11 @@ def check_green_bound(btable: BettiTable) -> GreenBoundReport:
             sharp = 1 + i + Fraction(i - btable.k - 1, c)
             if not t_i < sharp:
                 violations.append(GreenBoundViolation(i, t_i, sharp, True))
-    return GreenBoundReport(btable.params, btable.k, btable.field, columns, violations)
+    return GreenBoundReport(columns, violations)
 
 
 @dataclass
 class VanishingReport:
-    params: RingParams
-    field: FieldSpec
     checked: int
     failures: list[tuple[int, int, int]]  # (t, d, dim)
     sharp_checked: int
@@ -645,5 +630,5 @@ def verify_vanishing(params: RingParams, field: FieldSpec, cache=None) -> Vanish
             sharp_checked += 1
             if dim:
                 sharp_failures.append((t, d, dim))
-    return VanishingReport(params, field, checked, failures, sharp_checked, sharp_failures)
+    return VanishingReport(checked, failures, sharp_checked, sharp_failures)
 

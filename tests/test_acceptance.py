@@ -186,8 +186,8 @@ def test_criterion_05_duality(run33, run42, run72):
     # the n=7 entries: partners live at t=19, degree 42, far past direct
     # feasibility, so those equalities ride the mirrored path (flagged)
     (e3, dim3, _), (e0, dim0, _) = run72
-    t3 = HomologyTable(e3.params, e3.field, {(2, 7): dim3})
-    t0 = HomologyTable(e0.params, e0.field, {(2, 7): dim0})
+    t3 = HomologyTable(e3.params, {(2, 7): dim3})
+    t0 = HomologyTable(e0.params, {(2, 7): dim0})
     rep3 = check_duality(t3, e3)
     rep0 = check_duality(t0, e0)
     assert rep3.ok and rep0.ok

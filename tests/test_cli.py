@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -173,6 +174,8 @@ def test_vacuous_verifier_inputs_exit_2(capsys, argv, flag):
         (["homology", "--n", "3", "--c", "2", "--t", "1", "--deg", "-1"], "--deg"),
         (["chardep", "--n", "3", "--c", "2", "--t", "-1", "--deg", "4"], "--t"),
         (["chardep", "--n", "3", "--c", "2", "--t", "1", "--deg", "-1"], "--deg"),
+        (["chardep", "--n", "3", "--c", "2", "--t", "1", "--deg", "4", "--snf-guard", "-1"],
+         "--snf-guard"),
     ],
 )
 def test_negative_bounds_exit_2(capsys, argv, flag):
@@ -203,6 +206,73 @@ def test_verify_suite_refuses_flags_it_does_not_read(capsys, argv, refusal):
     suite, *flags = argv
     err = _exits_2(capsys, "verify", suite, "--n", "3", "--c", "2", *flags)
     assert err.splitlines()[-1].endswith(f"error: {refusal}")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(f"chardep --t 1 --deg 4 {flag}" for flag in (
+            "--char 5", "--exact", "--primes 3", "--seed 1", "--cache-dir DIR", "--format json")),
+        *(f"verify coeffdim --samples 2 {flag}" for flag in (
+            "--char 3", "--exact", "--primes 3", "--cache-dir DIR", "--format json")),
+        *(f"verify zgen {flag}" for flag in (
+            "--exact", "--primes 3", "--seed 1", "--cache-dir DIR", "--format json")),
+        *(f"verify factorial --stratum 7 0 0 {flag}" for flag in (
+            "--exact", "--primes 3", "--cache-dir DIR", "--format json")),
+        "verify duality --format json",
+        "verify vanishing --format json",
+        "verify greenbound --format json",
+        "index --format csv",
+    ],
+)
+def test_commands_refuse_flags_they_do_not_read(capsys, tmp_path, argv):
+    # each flag would be accepted and ignored, as if it had been honoured
+    words = argv.replace("DIR", str(tmp_path / "cache")).split()
+    command = 2 if words[0] == "verify" else 1
+    err = _exits_2(capsys, *words[:command], "--n", "3", "--c", "2", *words[command:])
+    flag = next(w for w in reversed(words) if w.startswith("--"))
+    assert flag in err.splitlines()[-1]
+    assert not (tmp_path / "cache").exists()
+
+
+def test_zgen_reads_no_cache(capsys, tmp_path, monkeypatch):
+    # a generator profile reads no strand record, so it opens no cache
+    missing = tmp_path / "missing"
+    monkeypatch.setenv("KOSZ_CACHE_DIR", str(missing))
+    code, out = run_cli(capsys, "verify", "zgen", "--n", "2", "--c", "2", "--t", "1")
+    assert code == 0 and "OK" in out
+    assert not missing.exists()
+
+
+def _commands(parser, prefix=()):
+    """(command words, subparser) of every command under parser."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(prefix), parser
+    for sub in subs:
+        for name, child in sub.choices.items():
+            yield from _commands(child, prefix + (name,))
+
+
+def test_readme_flag_table_matches_the_parser():
+    # one row per command: the flags it reads and the output formats it offers
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = {}
+    for line in readme.splitlines():
+        cells = line.split("|")[1:-1]
+        if len(cells) == 4 and cells[0].strip().startswith("`"):
+            formats = re.search(r"--format \{([a-z,]+)\}", line)
+            rows[cells[0].strip(" `")] = (
+                set(re.findall(r"--[a-z-]+", line)),
+                tuple(formats.group(1).split(",")) if formats else None,
+            )
+    everywhere = {"--n", "--c", "--threads", "--no-orbit", "--max-degree", "-h", "--help"}
+    parsed = {}
+    for name, parser in _commands(build_parser()):
+        options = {opt for a in parser._actions for opt in a.option_strings}
+        formats = next((a.choices for a in parser._actions if a.dest == "fmt"), None)
+        parsed[name] = (options - everywhere, formats)
+    assert parsed == rows
 
 
 def test_readme_commands_parse():
@@ -241,7 +311,7 @@ def test_verify_greenbound(capsys):
 
 def test_chardep_finds_three(capsys):
     code, out = run_cli(
-        capsys, "chardep", "--n", "7", "--c", "2", "--t", "2", "--deg", "7", "--char", "0"
+        capsys, "chardep", "--n", "7", "--c", "2", "--t", "2", "--deg", "7"
     )
     assert code == 0
     first = out.strip().splitlines()[0]
@@ -337,7 +407,7 @@ def test_cache_roundtrip(tmp_path):
     assert cache.get(3, 2, (2, 2, 0), 11) is None  # p mismatch -> miss
     reloaded = RankCache(path)
     assert reloaded.get(3, 2, (2, 2, 0), 0) == ((1, 3, 1), (0, 1, 1))
-    assert len(reloaded) == 2
+    assert len(reloaded._mem) == 2
 
 
 def test_cache_skips_corrupt_lines(tmp_path, caplog):
@@ -350,7 +420,7 @@ def test_cache_skips_corrupt_lines(tmp_path, caplog):
     )
     cache = RankCache(str(path))
     assert cache.get(2, 2, (2, 0), 0) == ((1, 1), (0, 1))
-    assert len(cache) == 1
+    assert len(cache._mem) == 1
     assert caplog.text.count("skipping corrupt cache line") == 2
 
 
@@ -361,7 +431,7 @@ def test_cache_skips_non_integer_keys(tmp_path, caplog):
         + record([2, False], 0, [1, 1], [0, 1])
         + record([2, 0], 0.0, [1, 1], [0, 1])
     )
-    assert len(RankCache(str(path))) == 0
+    assert len(RankCache(str(path))._mem) == 0
     assert caplog.text.count("skipping corrupt cache line (n, c, alpha and p must be integers)") == 3
 
 
@@ -678,7 +748,7 @@ def test_wrong_cached_face_count_exits_1(tmp_path, capsys):
     target = next(r for r in records if r["alpha"] == [2, 1, 1])
     target["faces"][1] += 1
     path.write_text("".join(json.dumps(r) + "\n" for r in records))
-    assert len(RankCache(str(path))) == len(records)  # the record passes its checks
+    assert len(RankCache(str(path))._mem) == len(records)  # the record passes its checks
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 1
@@ -692,7 +762,7 @@ def test_cache_skips_negative_ranks(tmp_path, caplog):
     path = tmp_path / "ranks.jsonl"
     path.write_text(record([2, 0], 0, [1, 1], [0, -1]))
     cache = RankCache(str(path))
-    assert len(cache) == 0
+    assert len(cache._mem) == 0
     assert f"{path}:1: skipping cache record for alpha=(2, 0), p=0" in caplog.text
     assert "rank d_1 = -1 " in caplog.text
 
@@ -710,7 +780,7 @@ def test_cache_skips_negative_ranks(tmp_path, caplog):
 def test_cache_checks_every_record(tmp_path, caplog, faces, ranks, fault):
     path = tmp_path / "ranks.jsonl"
     path.write_text(record([2, 2], 0, faces, ranks))
-    assert len(RankCache(str(path))) == 0
+    assert len(RankCache(str(path))._mem) == 0
     assert fault in caplog.text and "alpha=(2, 2), p=0" in caplog.text
 
 
