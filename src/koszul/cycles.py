@@ -1,10 +1,11 @@
 """Explicit integer chains in the complex: two-term degree-(c+1) generators
-of Z_1 (and the list of those dividing a multidegree, which the Z_t
-generator profiles of koszul.homology share), the alternating-sum cycles
-built from factorizations u = b*a, wedge products, differentials,
-boundary-membership tests, and the sampling verifier for the inclusion
-(c+1)! * m^(c-1) * Z_1^c inside the boundaries.  Monomials are ranked,
-listed and sampled through combinatorics.monomial_table.
+of Z_1 (with the walk over their products dividing a multidegree, which
+the Z_t generator profiles of koszul.homology share), the alternating-sum
+cycles built from factorizations u = b*a, wedge products (as chains, or
+as their terms keyed by bracket), differentials, boundary-membership
+tests, and the verifier for the inclusion (c+1)! * m^(c-1) * Z_1^c inside
+the boundaries.  Monomials are ranked, listed and sampled through
+combinatorics.monomial_table.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ import functools
 import math
 import random
 from dataclasses import dataclass
-from itertools import permutations
-from typing import Callable, Iterable, Sequence
+from itertools import chain, permutations, product
+from typing import Iterable, Sequence
 
 from . import exactla
 from .combinatorics import (
@@ -24,9 +25,8 @@ from .combinatorics import (
     monomial_table,
     unit_vector,
     vec_add,
-    vec_sub,
 )
-from .complex import KoszulBasisElement, differential_block, sort_gens
+from .complex import KoszulBasisElement, _guard, _pack, differential_block, sort_gens
 from .exactla import ColumnSpace, FieldSpec, SizeGuardError, SparseIntMatrix
 
 # The alternating-sum constructor iterates over (t+1)! permutations.
@@ -134,6 +134,40 @@ def z1_generators_dividing(
     return out
 
 
+def z1_products_dividing(
+    params: RingParams, alpha: ExponentVec, k: int, distinct: bool
+) -> list[tuple[tuple[tuple[ExponentVec, tuple[int, int], ExponentVec], ...], ExponentVec]]:
+    """(generators, residual) for every choice of k entries of
+    z1_generators_dividing(params, alpha), in increasing position and
+    without repetition when distinct, whose multidegrees together divide
+    alpha; residual is alpha less their sum.  Listed in lexicographic order
+    of the positions.
+
+    The walk packs exponent vectors as complex._vertices does, one field per
+    variable with a guard bit above it, so "divides" is one subtraction
+    that keeps every guard bit.
+    """
+    gens = z1_generators_dividing(params, alpha)
+    width = max(alpha, default=0).bit_length() + 1  # every generator field is at most max(alpha)
+    guard = _guard(params.n, width)
+    packed = [_pack(degree, width) for _, _, degree in gens]
+    level: list[tuple[tuple[int, ...], int]] = [((), _pack(alpha, width) | guard)]
+    for _ in range(k):
+        nxt = []
+        for chosen, res in level:
+            for pos in range(chosen[-1] + distinct if chosen else 0, len(packed)):
+                child = res - packed[pos]
+                if child & guard == guard:
+                    nxt.append((chosen + (pos,), child))
+        level = nxt
+    mask = (1 << (width - 1)) - 1  # a field without its guard bit
+    shifts = range(0, params.n * width, width)
+    return [
+        (tuple(gens[pos] for pos in chosen), tuple(res >> s & mask for s in shifts))
+        for chosen, res in level
+    ]
+
+
 @dataclass(frozen=True)
 class SpecialCycleSpec:
     """Data for the alternating-sum cycle: t+1 monomials a_* of degree s and
@@ -237,6 +271,31 @@ def wedge(z: CycleElement, w: CycleElement) -> CycleElement:
     return _collect(z.params, z.t + w.t, items)
 
 
+def wedge_terms(factors: Sequence[CycleElement]) -> dict[tuple[int, ...], int]:
+    """The nonzero terms of factors[0] ^ ... ^ factors[-1], multihomogeneous
+    factors, as {sorted bracket: coefficient}: in one multidegree the
+    bracket fixes the monomial coefficient, so these are the coordinates of
+    the product, and of each of its monomial multiples, at the basis
+    brackets of its multidegree slice.  One term per choice of a term of
+    each factor, signed as in wedge; no chain is built."""
+    out: dict[tuple[int, ...], int] = {}
+    for choice in product(*(z.terms.items() for z in factors)):
+        raw: list[int] = []
+        coeff = 1
+        for elem, v in choice:
+            raw += elem.gens
+            coeff *= v
+        gens, sign = sort_gens(raw)
+        if not sign:
+            continue
+        value = out.get(gens, 0) + sign * coeff
+        if value:
+            out[gens] = value
+        else:
+            del out[gens]
+    return out
+
+
 def apply_differential(z: CycleElement) -> CycleElement:
     """Boundary of the chain: delete each bracket entry with alternating sign,
     multiplying the deleted monomial into the coefficient."""
@@ -262,32 +321,14 @@ def is_cycle(z: CycleElement) -> bool:
     return apply_differential(z).is_zero()
 
 
-def is_boundary(
-    z: CycleElement,
-    field: FieldSpec,
-    column_spaces: dict | None = None,
-) -> bool:
+def is_boundary(z: CycleElement, field: FieldSpec) -> bool:
     """True iff every multihomogeneous component lies in the image of the
-    next differential over the field.  Components are tested block by
-    block; pass a dict to reuse echelonized blocks (with their row index)
-    across many tests."""
-    params = z.params
+    next differential over the field, tested block by block."""
     for alpha, component in z.components().items():
-        key = (z.t + 1, alpha, field)
-        memo = None if column_spaces is None else column_spaces.get(key)
-        if memo is None:
-            blk = differential_block(params, z.t + 1, alpha)
-            memo = (
-                ColumnSpace(SparseIntMatrix(blk.nrows, blk.ncols, blk.entries), field),
-                {e.gens: pos for pos, e in enumerate(blk.rows)},
-            )
-            if column_spaces is not None:
-                column_spaces[key] = memo
-        space, index = memo
-        vec = [0] * len(index)
-        for elem, coeff in component.terms.items():
-            vec[index[elem.gens]] = coeff
-        if not space.contains(vec):
+        blk = differential_block(z.params, z.t + 1, alpha)
+        index = {e.gens: pos for pos, e in enumerate(blk.rows)}
+        space = ColumnSpace(SparseIntMatrix(blk.nrows, blk.ncols, blk.entries), field)
+        if not space.members([{index[e.gens]: v for e, v in component.terms.items()}])[0]:
             return False
     return True
 
@@ -330,8 +371,7 @@ class FactorialReport:
     scaling is doing real work in small characteristic)."""
 
     factorial: int
-    seed: int | None
-    exhaustive: bool
+    seed: int | None  # None when a stratum was enumerated
     witnesses: list[FactorialWitness]
 
     @property
@@ -351,45 +391,40 @@ class FactorialReport:
         return not self.failures
 
 
-def _build_product(
-    params: RingParams,
-    bs: tuple[ExponentVec, ...],
-    pairs: tuple[tuple[int, int], ...],
-    z1: Callable[[ExponentVec, tuple[int, int]], CycleElement],
-) -> CycleElement:
-    """b_{c+1} * z1(b_1, pair_1) ^ ... ^ z1(b_c, pair_c)."""
-    z = z1(bs[0], pairs[0])
-    for idx in range(1, params.c):
-        z = wedge(z, z1(bs[idx], pairs[idx]))
-    return monomial_scale(z, bs[params.c])
-
-
 def _stratum_witnesses(
     params: RingParams, alpha: ExponentVec
 ) -> list[tuple[tuple[ExponentVec, ...], tuple[tuple[int, int], ...]]]:
-    """Every product witness of multidegree alpha, factors unordered."""
-    c = params.c
-    choices = z1_generators_dividing(params, alpha)
-    out = []
+    """Every product witness of multidegree alpha, factors unordered: c
+    two-term generators, repeats allowed, and the degree-(c-1) residual as
+    the outer monomial (alpha has degree c(c+1) + c-1)."""
+    return [
+        (tuple(b for b, _, _ in chosen) + (residual,), tuple(pair for _, pair, _ in chosen))
+        for chosen, residual in z1_products_dividing(params, alpha, params.c, distinct=False)
+    ]
 
-    def rec(start: int, residual: ExponentVec, chosen: list) -> None:
-        if len(chosen) == c:
-            if sum(residual) == c - 1:
-                bs = tuple(b for b, _, _ in chosen) + (residual,)
-                prs = tuple(p for _, p, _ in chosen)
-                out.append((bs, prs))
-            return
-        if sum(residual) < (c - len(chosen)) * (c + 1):
-            return
-        for pos in range(start, len(choices)):
-            b, pair, degree = choices[pos]
-            if divides(degree, residual):
-                chosen.append(choices[pos])
-                rec(pos, vec_sub(residual, degree), chosen)
-                chosen.pop()
 
-    rec(0, tuple(alpha), [])
-    return out
+def _boundary_flags(
+    params: RingParams,
+    field: FieldSpec,
+    alpha: ExponentVec,
+    products: Iterable[dict[tuple[int, ...], int]],
+) -> list[bool]:
+    """Whether (c+1)! * f and f are boundaries over the field, in turn, for
+    each product f of multidegree alpha, given by its terms (wedge_terms):
+    one column space for the block, one batched membership test."""
+    blk = differential_block(params, params.c + 1, alpha)
+    index = {e.gens: pos for pos, e in enumerate(blk.rows)}
+    space = ColumnSpace(SparseIntMatrix(blk.nrows, blk.ncols, blk.entries), field)
+    del blk  # the products stream through with only the span and its row index held
+    fact = math.factorial(params.c + 1)
+
+    def vectors():
+        for terms in products:
+            vec = {index[gens]: v for gens, v in terms.items()}
+            yield {pos: fact * v for pos, v in vec.items()}
+            yield vec
+
+    return space.members(vectors())
 
 
 def verify_factorial_theorem(
@@ -406,6 +441,8 @@ def verify_factorial_theorem(
     instead of sampling.  Each witness also records whether the unscaled f
     is already a boundary; misses there are findings, not failures.  Each
     two-term generator is built once per run and shared by its witnesses.
+    Witnesses are grouped by multidegree, read off their factors, and each
+    block with a nonzero product is tested by _boundary_flags.
     """
     c, n = params.c, params.n
     fact = math.factorial(c + 1)
@@ -420,35 +457,47 @@ def verify_factorial_theorem(
                 f"but the stratum has degree {sum(stratum)}"
             )
         combos = _stratum_witnesses(params, tuple(stratum))
+        blocks = {tuple(stratum): range(len(combos))}
     else:
         rng = random.Random(seed)
         monomials = monomial_table(n, c - 1)[0]
         combos = []
-        for _ in range(samples):
+        blocks = {}
+        for w in range(samples):
             bs = tuple(rng.choice(monomials) for _ in range(c + 1))
             prs = tuple(tuple(rng.sample(range(n), 2)) for _ in range(c))
             combos.append((bs, prs))
+            # the multidegree of the witness, read off its factors
+            alpha = [sum(col) for col in zip(*bs)]
+            for i, j in prs:
+                alpha[i] += 1
+                alpha[j] += 1
+            blocks.setdefault(tuple(alpha), []).append(w)
     z1 = functools.cache(lambda b, pair: z1_generator(params, b, *pair))
-    spaces: dict = {}
-    witnesses = []
-    for bs, prs in combos:
-        f = _build_product(params, bs, prs, z1)
-        if f.is_zero():
-            witnesses.append(FactorialWitness(bs, prs, True, True, True))
+    zero, scaled, unscaled = ([True] * len(combos) for _ in range(3))
+    for alpha, block in blocks.items():
+
+        def products():
+            for w in block:
+                bs, prs = combos[w]
+                terms = wedge_terms([z1(b, pair) for b, pair in zip(bs, prs)])
+                if terms:
+                    zero[w] = False
+                    yield terms
+
+        found = products()
+        first = next(found, None)
+        if first is None:  # every product of the block vanishes: no span to build
             continue
-        scaled = integer_scale(f, fact)
-        witnesses.append(
-            FactorialWitness(
-                bs,
-                prs,
-                False,
-                is_boundary(scaled, field, spaces),
-                is_boundary(f, field, spaces),
-            )
-        )
-    return FactorialReport(
-        fact, None if stratum is not None else seed, stratum is not None, witnesses
-    )
+        flags = iter(_boundary_flags(params, field, alpha, chain([first], found)))
+        for w in block:
+            if not zero[w]:
+                scaled[w], unscaled[w] = next(flags), next(flags)
+    witnesses = [
+        FactorialWitness(bs, prs, z, s, u)
+        for (bs, prs), z, s, u in zip(combos, zero, scaled, unscaled)
+    ]
+    return FactorialReport(fact, None if stratum is not None else seed, witnesses)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,12 @@
 
 Rank, kernel and column-space membership never touch floating point.  One
 echelon routine per certified field, VectorSpan, serves all three: dense
-int64 elimination over F_p, where a membership test is one product with
-the reduced echelon form, and fraction-free integer echelon form over the
+int64 elimination over F_p, and fraction-free integer echelon form over the
 rationals, with sparse rows, which aborts when a pivot outgrows
-EXACT_PIVOT_BIT_GUARD.
+EXACT_PIVOT_BIT_GUARD.  Membership takes sparse vectors and costs their
+nonzeros: over F_p a batch subtracts, per nonzero at a pivot, one row of
+the reduced echelon form; over the rationals each vector is reduced pivot
+by pivot.
 The multiprime rational policy gives ranks only: the max rank over a
 seeded set of random word-sized primes, a certified lower bound that
 equals the rational rank unless every sampled prime is bad.  Smith normal
@@ -20,7 +22,8 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from itertools import islice
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,6 +31,9 @@ import numpy as np
 SNF_CELL_GUARD = 250_000
 # The fraction-free echelon form aborts when a pivot outgrows this bit length.
 EXACT_PIVOT_BIT_GUARD = 100_000
+
+# A batched F_p membership test holds at most this many int64 cells per array.
+MEMBER_BATCH_CELLS = 1024
 
 # Random primes are drawn from [2^29, 2^30) so products of two reduced
 # values stay far below the int64 limit during vectorized elimination.
@@ -275,22 +281,34 @@ def kernel_basis(m: SparseIntMatrix, f: FieldSpec) -> list[list[int]]:
 # spans and membership
 
 
+class _ReducedForm(NamedTuple):
+    """A span over F_p in reduced echelon form."""
+
+    pivots: np.ndarray
+    R: np.ndarray  # one row per pivot, 1 there and 0 at every other pivot
+    row_of: dict[int, int]  # pivot -> its row of R
+    free_of: dict[int, int]  # non-pivot index -> its position among them
+    R_free: np.ndarray  # R at the non-pivot indices
+
+
 class VectorSpan:
     """Span of integer vectors in echelon form, with exact membership; the
     one echelon routine behind every rank, kernel and column space.
 
     Rows are kept by pivot, each zero before its pivot.  Over F_p the rows
     are int64 arrays with unit pivots, and extend eliminates a whole batch
-    at once, column by column.  A vector is reduced in one product,
-    v - v[pivots] R mod p, with R the reduced echelon form of the rows,
-    built once per change of the span: that is the one vector of v + span
-    zero at every pivot, which reducing row by row would also leave.  Over
-    the rationals (fraction-free) rows are primitive integer vectors,
-    stored sparse as {index: value} dicts, and incoming vectors are reduced
-    pivot by pivot by cross-multiplication, so no fractions are ever formed
-    and a reduction costs the nonzeros of the rows it uses; a pivot longer
-    than EXACT_PIVOT_BIT_GUARD bits aborts it.  Multiprime sampling proves
-    no span, so that policy is refused.
+    at once, column by column.  Both reduce a vector v to
+    v - sum over the pivots i of v_i R_i, mod p, with R the reduced echelon
+    form of the rows, built once per change of the span: that is the one
+    vector of v + span zero at every pivot, which reducing row by row would
+    also leave.  extend forms it for a dense batch in one product; members
+    takes sparse vectors and gathers only the rows of R at their nonzeros.
+    Over the rationals (fraction-free) rows are primitive
+    integer vectors, stored sparse as {index: value} dicts, and incoming
+    vectors are reduced pivot by pivot by cross-multiplication, so no
+    fractions are ever formed and a reduction costs the nonzeros of the
+    rows it uses; a pivot longer than EXACT_PIVOT_BIT_GUARD bits aborts it.
+    Multiprime sampling proves no span, so that policy is refused.
     """
 
     def __init__(self, length: int, f: FieldSpec):
@@ -303,8 +321,8 @@ class VectorSpan:
         self.field = f
         # pivot -> row: an int64 array over F_p, {index: nonzero} over the rationals
         self._rows: dict[int, object] = {}
-        # F_p: (pivots, reduced echelon rows), built on the first reduction after a change
-        self._reduced: tuple[np.ndarray, np.ndarray] | None = None
+        # F_p: the reduced echelon form, built on the first reduction after a change
+        self._reduced: _ReducedForm | None = None
 
     @property
     def rank(self) -> int:
@@ -354,7 +372,7 @@ class VectorSpan:
                     break
             return
         for vec in vecs:
-            reduced = self._reduce_rational(vec)
+            reduced = self._reduce_rational({i: int(v) for i, v in enumerate(vec) if v})
             if not reduced:
                 continue
             piv = min(reduced)
@@ -371,12 +389,61 @@ class VectorSpan:
             self._rows[piv] = row
 
     def contains(self, vec: Sequence[int]) -> bool:
-        if self.field.kind == "prime":
-            B = self._residues([vec])
-            if self._rows:
-                B = self._reduce_mod_p(B)
-            return not B.any()
-        return not self._reduce_rational(vec)
+        return self.members([{i: v for i, v in enumerate(vec) if v}])[0]
+
+    def members(self, vecs: Iterable[dict[int, int]]) -> list[bool]:
+        """Whether each vector lies in the span, in order.  Vectors are
+        sparse, {index: value} with every index below length; vecs may be
+        any iterable.  Over F_p it is drawn in batches whose residuals, one
+        entry per vector and non-pivot index, fill at most
+        MEMBER_BATCH_CELLS cells."""
+        if self.field.kind != "prime":
+            return [
+                not self._reduce_rational({i: int(v) for i, v in vec.items() if v})
+                for vec in vecs
+            ]
+        red = self._reduced_form()
+        size = max(1, MEMBER_BATCH_CELLS // max(1, red.R_free.shape[1]))
+        out: list[bool] = []
+        it = iter(vecs)
+        while batch := list(islice(it, size)):
+            out += self._members_mod_p(batch, red)
+        return out
+
+    def _members_mod_p(self, batch: list[dict[int, int]], red: _ReducedForm) -> list[bool]:
+        """members over F_p for one batch.  The residual of v is
+        v - sum of v_i R_i over its entries v_i at pivots i, zero at every
+        pivot, so only its free columns are formed.  The s-th pivot entry of
+        every vector is subtracted at once, reducing mod p after each term:
+        every entry stays within p^2 < 2^62, exact in int64 for p < 2^31."""
+        p = self.field.p
+        ks: list[int] = []  # the entries at free columns: vector, column of R_free, value
+        fs: list[int] = []
+        vals: list[int] = []
+        terms: list[tuple[list[int], list[int], list[int]]] = []  # likewise, rows of R
+        for k, vec in enumerate(batch):
+            s = 0
+            for i, v in vec.items():
+                v %= p
+                if not v:
+                    continue
+                j = red.row_of.get(i)
+                if j is None:
+                    ks.append(k)
+                    fs.append(red.free_of[i])
+                    vals.append(v)
+                    continue
+                if s == len(terms):
+                    terms.append(([], [], []))
+                terms[s][0].append(k)
+                terms[s][1].append(j)
+                terms[s][2].append(v)
+                s += 1
+        B = np.zeros((len(batch), red.R_free.shape[1]), dtype=np.int64)
+        B[ks, fs] = vals
+        for term_ks, js, coeffs in terms:
+            B[term_ks] = (B[term_ks] - red.R_free[js] * np.array(coeffs)[:, None]) % p
+        return (~B.any(axis=1)).tolist()
 
     def _residues(self, vecs) -> np.ndarray:
         """vecs mod p as a 2-D int64 array, one row per vector."""
@@ -397,16 +464,7 @@ class VectorSpan:
         below 2^15 * 2^16 * 2^31 = 2^62 for any p < 2^31.
         """
         p = self.field.p
-        if self._reduced is None:
-            pivots = sorted(self._rows)
-            R = np.array([self._rows[q] for q in pivots])
-            # back substitution: clear each pivot column above its row
-            for j in range(len(pivots) - 1, 0, -1):
-                above = R[:j, pivots[j]].nonzero()[0]
-                if above.size:
-                    R[above] = (R[above] - R[above, pivots[j], None] * R[j]) % p
-            self._reduced = (np.array(pivots), R)
-        pivots, R = self._reduced
+        pivots, R = self._reduced_form()[:2]
         X = B[:, pivots]
         if len(pivots) * (p - 1) ** 2 < 1 << 63:
             return (B - X @ R) % p
@@ -415,11 +473,27 @@ class VectorSpan:
             B = (B - (x & 0x7FFF) @ rows % p - ((x >> 15) @ rows % p << 15)) % p
         return B
 
-    def _reduce_rational(self, vec: Sequence[int]) -> dict[int, int]:
-        """The nonzeros of vec less its multiples of the rows, pivot by
-        pivot in increasing order: rows that meet a zero entry are skipped,
-        and a row touches no index below its pivot."""
-        out = {i: int(v) for i, v in enumerate(vec) if v}
+    def _reduced_form(self) -> _ReducedForm:
+        if self._reduced is None:
+            p = self.field.p
+            pivots = sorted(self._rows)
+            R = np.array([self._rows[q] for q in pivots], dtype=np.int64)
+            R = R.reshape(len(pivots), self.length)
+            # back substitution: clear each pivot column above its row
+            for j in range(len(pivots) - 1, 0, -1):
+                above = R[:j, pivots[j]].nonzero()[0]
+                if above.size:
+                    R[above] = (R[above] - R[above, pivots[j], None] * R[j]) % p
+            row_of = {q: j for j, q in enumerate(pivots)}
+            free = [i for i in range(self.length) if i not in row_of]
+            free_of = {i: f for f, i in enumerate(free)}
+            self._reduced = _ReducedForm(np.array(pivots), R, row_of, free_of, R[:, free])
+        return self._reduced
+
+    def _reduce_rational(self, out: dict[int, int]) -> dict[int, int]:
+        """out, the nonzeros of a vector (consumed), less its multiples of
+        the rows, pivot by pivot in increasing order: rows that meet a zero
+        entry are skipped, and a row touches no index below its pivot."""
         rows = self._rows
         todo = [i for i in out if i in rows]
         heapq.heapify(todo)
@@ -455,7 +529,9 @@ class VectorSpan:
 
 
 class ColumnSpace:
-    """Echelonized column span of a matrix, reusable for many membership tests."""
+    """Echelonized column span of a matrix, reusable for many membership
+    tests; members tests a batch of sparse vectors at the cost of their
+    nonzeros (VectorSpan.members)."""
 
     def __init__(self, m: SparseIntMatrix, f: FieldSpec):
         self.nrows = m.nrows
@@ -470,6 +546,9 @@ class ColumnSpace:
         if len(b) != self.nrows:
             raise ValueError(f"vector length {len(b)} != nrows {self.nrows}")
         return self._span.contains(b)
+
+    def members(self, vecs: Iterable[dict[int, int]]) -> list[bool]:
+        return self._span.members(vecs)
 
 
 # ---------------------------------------------------------------------------

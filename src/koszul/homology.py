@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable
 
 from . import cycles, exactla
 from .cache import RankCache
@@ -447,39 +447,21 @@ class HomologyEngine:
 
     def _z1_wedge_vectors(
         self, t: int, alpha: ExponentVec, index: dict, z1: Callable
-    ) -> Iterable[list[int]]:
-        """Coordinate vectors, at the basis positions of index, of t-fold
-        wedge products of the two-term Z_1 generators whose multidegrees sum
-        to alpha; z1(b, (i, j)) builds the generator of b and the pair i < j."""
-        gens = [
-            (degree, z1(b, pair))
-            for b, pair, degree in cycles.z1_generators_dividing(self.params, alpha)
-        ]
-
-        out: list[list[int]] = []
-
-        def rec(start: int, residual: ExponentVec, chosen: list) -> None:
-            if len(chosen) == t:
-                if any(residual):
-                    return
-                w = chosen[0]
-                for z in chosen[1:]:
-                    w = cycles.wedge(w, z)
-                if w.is_zero():
-                    return
+    ) -> list[list[int]]:
+        """Coordinate vectors, at the basis positions of index, of the
+        nonzero wedge products of t distinct two-term Z_1 generators whose
+        multidegrees sum to alpha; z1(b, (i, j)) builds the generator of b
+        and the pair i < j."""
+        out = []
+        for chosen, residual in cycles.z1_products_dividing(self.params, alpha, t, distinct=True):
+            if any(residual):
+                continue
+            terms = cycles.wedge_terms([z1(b, pair) for b, pair, _ in chosen])
+            if terms:
                 vec = [0] * len(index)
-                for elem, coeff in w.terms.items():
-                    vec[index[elem.gens]] = coeff
+                for gens, value in terms.items():
+                    vec[index[gens]] = value
                 out.append(vec)
-                return
-            for pos in range(start, len(gens)):
-                degree, z = gens[pos]
-                if all(x <= r for x, r in zip(degree, residual)):
-                    chosen.append(z)
-                    rec(pos + 1, vec_sub(residual, degree), chosen)
-                    chosen.pop()
-
-        rec(0, tuple(alpha), [])
         return out
 
 

@@ -109,13 +109,37 @@ def test_verify_zgen_ok(capsys):
     assert "OK" in out
 
 
+STRATUM_1_7 = ["--n", "7", "--c", "2", "--stratum", "1", "1", "1", "1", "1", "1", "1"]
+
+
 def test_verify_factorial_char3_reports_findings(capsys):
-    code, out = run_cli(
-        capsys, "verify", "factorial", "--n", "7", "--c", "2", "--char", "3",
-        "--stratum", "1", "1", "1", "1", "1", "1", "1",
-    )
+    # the README example: the whole stdout, witness line included
+    code, out = run_cli(capsys, "verify", "factorial", *STRATUM_1_7, "--char", "3")
     assert code == 0  # expected findings, not failures
-    assert "findings: 630" in out
+    assert out == (
+        "factorial check: 630 witnesses, scale 6, prime(3), exhaustive\n"
+        "  findings: 630 unscaled witnesses outside the boundaries\n"
+        "    e.g. b=((1, 0, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0, 0), (0, 0, 0, 0, 0, 0, 1)) "
+        "pairs=((1, 2), (4, 5))\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv,header",
+    [
+        # the README's sampled example
+        (["--n", "3", "--c", "2", "--char", "0", "--samples", "50"],
+         "50 witnesses, scale 6, fraction_free, seed 0"),
+        (STRATUM_1_7 + ["--char", "5"], "630 witnesses, scale 6, prime(5), exhaustive"),
+    ],
+)
+def test_verify_factorial_stdout_is_pinned(capsys, argv, header):
+    code, out = run_cli(capsys, "verify", "factorial", *argv)
+    assert code == 0
+    assert out == (
+        f"factorial check: {header}\n"
+        "  findings: none (every unscaled witness already a boundary)\n"
+    )
 
 
 

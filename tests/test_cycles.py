@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from koszul import cycles
 from koszul.combinatorics import RingParams, monomial_table, unit_vector
 from koszul.complex import KoszulBasisElement
 from koszul.cycles import (
@@ -250,7 +251,7 @@ def test_factorial_theorem_char3_stratum_findings():
     r = verify_factorial_theorem(
         RingParams(7, 2), 0, 0, FieldSpec.prime(3), stratum=(1,) * 7
     )
-    assert r.exhaustive
+    assert r.seed is None  # enumerated, not sampled
     assert r.ok  # 6*f = 0 mod 3 is trivially a boundary
     assert len(r.witnesses) == 630
     assert len(r.findings) == 630  # every unscaled witness escapes the boundaries
@@ -259,8 +260,6 @@ def test_factorial_theorem_char3_stratum_findings():
 def test_factorial_stratum_builds_each_z1_generator_once(monkeypatch):
     # the (1^7) stratum at n=7, c=2 has 105 distinct two-term generators,
     # shared by its 630 witnesses (two factors each)
-    from koszul import cycles
-
     built = []
     original = cycles.z1_generator
 
@@ -276,6 +275,57 @@ def test_factorial_stratum_builds_each_z1_generator_once(monkeypatch):
     assert len(r.witnesses) == 630
     assert len(r.findings) == 630
     assert not r.failures
+
+
+def _witness_flags_one_by_one(params, witnesses, field):
+    """(is_zero, scaled flag, unscaled flag) of each witness, one chain and
+    two boundary tests at a time: the product is built with wedge and
+    monomial_scale, and each membership rebuilds its block.  Blocks are
+    memoized by their matrix, which is all a rebuilt block can differ by."""
+    fact = math.factorial(params.c + 1)
+    spaces = {}
+    original = cycles.ColumnSpace
+
+    def shared(m, f):
+        key = (m.nrows, m.ncols, tuple(m.triplets), f)
+        if key not in spaces:
+            spaces[key] = original(m, f)
+        return spaces[key]
+
+    flags = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cycles, "ColumnSpace", shared)
+        for w in witnesses:
+            z = z1_generator(params, w.b_monomials[0], *w.pairs[0])
+            for b, pair in zip(w.b_monomials[1:], w.pairs[1:]):
+                z = wedge(z, z1_generator(params, b, *pair))
+            f = monomial_scale(z, w.b_monomials[params.c])
+            if f.is_zero():
+                flags.append((True, True, True))
+            else:
+                flags.append(
+                    (False, is_boundary(integer_scale(f, fact), field), is_boundary(f, field))
+                )
+    return flags
+
+
+@pytest.mark.parametrize("field", [FieldSpec.prime(3), FieldSpec.prime(5), QF], ids=FieldSpec.describe)
+def test_stratum_flags_match_the_one_by_one_path(field):
+    params = RingParams(7, 2)
+    r = verify_factorial_theorem(params, 0, 0, field, stratum=(1,) * 7)
+    assert len(r.witnesses) == 630
+    got = [(w.is_zero, w.scaled_is_boundary, w.unscaled_is_boundary) for w in r.witnesses]
+    assert got == _witness_flags_one_by_one(params, r.witnesses, field)
+
+
+@pytest.mark.parametrize("n,c,samples", [(3, 2, 60), (4, 2, 40), (3, 3, 12)])
+@pytest.mark.parametrize("field", [QF, FieldSpec.prime(2), FieldSpec.prime(5)], ids=FieldSpec.describe)
+def test_sampled_flags_match_the_one_by_one_path(n, c, samples, field):
+    params = RingParams(n, c)
+    r = verify_factorial_theorem(params, samples, 7 * n + c, field)
+    assert len(r.witnesses) == samples
+    got = [(w.is_zero, w.scaled_is_boundary, w.unscaled_is_boundary) for w in r.witnesses]
+    assert got == _witness_flags_one_by_one(params, r.witnesses, field)
 
 
 def test_char3_witness_is_rational_boundary():

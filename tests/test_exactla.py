@@ -396,6 +396,74 @@ def test_mod_p_routine_matches_plain_elimination():
                 assert space.contains(b) == (grown == r), (dense, b, p)
 
 
+def _sparse(vec):
+    return {i: v for i, v in enumerate(vec) if v}
+
+
+@pytest.mark.parametrize(
+    "f",
+    [FieldSpec.prime(p) for p in ORACLE_PRIMES] + [FieldSpec.prime(2_147_483_647), QF],
+    ids=FieldSpec.describe,
+)
+def test_members_match_contains_and_rank_growth(f):
+    # b is in the column space iff appending it keeps the rank; over the
+    # rationals the probes also carry entries past int64, which scale a
+    # member but never make a non-member
+    rng = random.Random(83)
+    big = 1 << 70
+    for m in _oracle_cases(rng):
+        space = ColumnSpace(m, f)
+        dense = m.to_dense()
+        cols = m.columns()
+        probes = [[0] * m.nrows]
+        probes += [[rng.randint(-4, 4) for _ in range(m.nrows)] for _ in range(4)]
+        if f.kind == "prime":
+            probes.append([rng.randrange(f.p) for _ in range(m.nrows)])
+        if cols:
+            probes.append([sum(x) for x in zip(*cols[: 1 + m.ncols // 2])])
+            probes.append([big * x for x in cols[-1]])
+            probes.append([big * x + y for x, y in zip(cols[0], probes[1])])
+        if f.kind == "prime":
+            rank_of = lambda rows: _rank_mod_p_oracle(rows, f.p)  # noqa: E731
+        else:
+            rank_of = lambda rows: _rank_fraction_oracle(SparseIntMatrix.from_dense(rows, m.ncols + 1))  # noqa: E731
+        r = rank_of([row + [0] for row in dense])
+        expected = [rank_of([row + [x] for row, x in zip(dense, b)]) == r for b in probes]
+        assert space.members(_sparse(b) for b in probes) == expected, (dense, f)
+        assert [space.contains(b) for b in probes] == expected
+        # a zero value stored in a sparse vector changes nothing
+        assert space.members([{i: 0 for i in range(m.nrows)}] * 2) == [True, True]
+        assert space.members([]) == []
+
+
+@pytest.mark.parametrize("f", [FieldSpec.prime(3), FieldSpec.prime(2_147_483_647), QF], ids=FieldSpec.describe)
+def test_members_of_an_empty_span_are_zero_vectors(f):
+    span = VectorSpan(4, f)
+    assert span.members([]) == []
+    assert span.members([{}, {2: 0}, {0: 1}, {3: -5}]) == [True, True, False, False]
+    assert VectorSpan(0, f).members([{}]) == [True]
+
+
+def test_members_batches_agree_with_one_at_a_time(monkeypatch):
+    # batches of one vector, of a few, and the whole list give one answer;
+    # 2^31 - 1 makes every term of a batched sum reach 2^62
+    rng = random.Random(89)
+    p = 2_147_483_647
+    rows = [[rng.randrange(p) for _ in range(30)] for _ in range(22)]
+    span = VectorSpan(30, FieldSpec.prime(p))
+    span.extend(rows)
+    probes = [_sparse([rng.randrange(p) if rng.random() < 0.3 else 0 for _ in range(30)]) for _ in range(40)]
+    for _ in range(40):
+        coeffs = [rng.randrange(p) for _ in range(5)]
+        probes.append(_sparse([sum(k * r[j] for k, r in zip(coeffs, rows)) for j in range(30)]))
+    rng.shuffle(probes)
+    expected = [_reduces_to_zero(span.rows(), [v.get(i, 0) for i in range(30)], p) for v in probes]
+    assert sum(expected) == 40
+    for cells in (1, 50, 1 << 20):
+        monkeypatch.setattr(exactla, "MEMBER_BATCH_CELLS", cells)
+        assert span.members(iter(probes)) == expected
+
+
 def test_vector_span_add_matches_extend():
     rng = random.Random(73)
     for m in _oracle_cases(rng):
