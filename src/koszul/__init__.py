@@ -4,7 +4,7 @@ modules, duality and vanishing checks, syzygy-linearity index scans, and
 explicit cycle/boundary verifiers."""
 
 from .combinatorics import ExponentVec, RingParams
-from .complex import KoszulBasisElement, block_basis, differential_block, graded_dim
+from .complex import block_basis, differential_block, graded_dim
 from .cycles import (
     CycleElement,
     SpecialCycleSpec,
@@ -16,7 +16,7 @@ from .cycles import (
     wedge,
     z1_generator,
 )
-from .exactla import FieldSpec, SparseIntMatrix, elementary_divisors, kernel_basis, rank
+from .exactla import FieldSpec, SparseIntMatrix, elementary_divisors, kernel_basis
 from .homology import (
     BettiTable,
     HomologyEngine,

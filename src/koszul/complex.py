@@ -3,9 +3,13 @@
 K_t is the free module on brackets [u_1,...,u_t] of distinct degree-c
 monomials; a K-basis of its multidegree-alpha slice consists of the
 monomial elements v[u_1,...,u_t] with v * u_1 * ... * u_t = X^alpha.
-The differential preserves the multidegree, so it decomposes into
-independent blocks, one per alpha.  Blocks are generated on demand and
-never assembled into the full graded component.
+Inside one multidegree the bracket fixes v, so the sorted bracket (the
+ranks of u_1 < ... < u_t) is the whole coordinate: block_basis lists the
+brackets of a slice, and differential_block indexes its rows and columns
+by them.  The differential preserves the multidegree, so it decomposes
+into independent blocks, one per alpha.  Blocks are generated on demand
+and never assembled into the full graded component.  Bases and chains
+(koszul.cycles) share one packed divisor walk (_divisor_walk).
 
 The multidegree-alpha strand is the augmented chain complex of a simplicial
 complex Delta_alpha (see Strand), which algebraic Morse theory shrinks to a
@@ -20,32 +24,10 @@ import functools
 import math
 from dataclasses import dataclass
 from itertools import zip_longest
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
-from .combinatorics import ExponentVec, RingParams, monomial_count, monomial_table, vec_add
+from .combinatorics import ExponentVec, RingParams, monomial_count, monomial_table
 from .exactla import SparseIntMatrix
-
-
-class KoszulBasisElement(NamedTuple):
-    """A monomial element v[u_1,...,u_t]: coefficient exponent vector plus
-    strictly increasing ranks of the degree-c bracket entries."""
-
-    coeff: ExponentVec
-    gens: tuple[int, ...]
-
-    @property
-    def t(self) -> int:
-        return len(self.gens)
-
-    def multidegree(self, params: RingParams) -> ExponentVec:
-        monomials = monomial_table(params.n, params.c)[0]
-        alpha = self.coeff
-        for r in self.gens:
-            alpha = vec_add(alpha, monomials[r])
-        return alpha
-
-    def internal_degree(self, params: RingParams) -> int:
-        return sum(self.coeff) + len(self.gens) * params.c
 
 
 def sort_gens(gens: Sequence[int]) -> tuple[tuple[int, ...], int]:
@@ -68,57 +50,72 @@ def sort_gens(gens: Sequence[int]) -> tuple[tuple[int, ...], int]:
     return tuple(ranks), sign
 
 
-def block_basis(params: RingParams, t: int, alpha: ExponentVec) -> list[KoszulBasisElement]:
-    """Basis of the multidegree-alpha slice of K_t, sorted by bracket ranks.
+def block_basis(params: RingParams, t: int, alpha: ExponentVec) -> list[tuple[int, ...]]:
+    """Basis of the multidegree-alpha slice of K_t: the sorted brackets
+    (strictly increasing ranks of degree-c monomials) whose product divides
+    X^alpha, in lexicographic order.  The monomial coefficient of a bracket
+    is X^alpha over that product, so the bracket alone is the coordinate.
 
     Empty when no element exists (in particular when |alpha| < t*c).  The
-    brackets grow one rank at a time over the packed degree-c monomials
-    that divide X^alpha (_vertices), each carrying its residual and the
-    later monomials that still divide it, as the faces of a strand do.
+    brackets come from one walk (_divisor_walk) over the packed degree-c
+    monomials that divide X^alpha (_vertices), as the faces of a strand do.
     """
     if t < 0 or any(a < 0 for a in alpha):
         return []
     if sum(alpha) < t * params.c:
         return []
-    if t == 0:
-        return [KoszulBasisElement(tuple(alpha), ())]
     ranks, _, width, guard = _vertices(params, alpha)
     packed = _monomial_table(params.n, params.c, width)
-    # (ranks chosen, residual with guard bits set, later ranks dividing it)
-    level = [((), _pack(alpha, width) | guard, ranks)]
-    for left in range(t - 1, 0, -1):
+    top = _pack(alpha, width) | guard
+    return [chosen for chosen, _ in _divisor_walk(packed, ranks, top, guard, t, distinct=True)]
+
+
+def _divisor_walk(
+    packed: list[int], fits: list[int], top: int, guard: int, k: int, distinct: bool
+) -> list[tuple[tuple[int, ...], int]]:
+    """(positions, residual) for every choice of k of the positions fits,
+    indices into packed in increasing order (nondecreasing when not
+    distinct), whose entries together divide top; residual is top less
+    their sum.  Listed in lexicographic order of the positions.
+
+    Entries are packed as in _vertices, top has its guard bits set and each
+    entry at fits divides it, so "divides" is one subtraction that keeps
+    every guard bit.  A choice carries the later positions whose entries
+    still divide its residual, and is dropped once fewer are left than it
+    still needs.
+    """
+    if not k:
+        return [((), top)]
+    level = [((), top, fits)]
+    for left in range(k - 1, 0, -1):
         nxt = []
         for chosen, res, fits in level:
-            for pos in range(len(fits) - left):
-                r = fits[pos]
-                child = res - packed[r]
-                later = [j for j in fits[pos + 1 :] if (child - packed[j]) & guard == guard]
-                if len(later) >= left:
-                    nxt.append((chosen + (r,), child, later))
+            for pos in range(len(fits) - left if distinct else len(fits)):
+                i = fits[pos]
+                child = res - packed[i]
+                later = [j for j in fits[pos + distinct :] if (child - packed[j]) & guard == guard]
+                if len(later) >= (left if distinct else 1):
+                    nxt.append((chosen + (i,), child, later))
         level = nxt
-    # the last bracket entry is any rank that still divides the residual
-    mask = (1 << (width - 1)) - 1  # a field without its guard bit
-    shifts = range(0, params.n * width, width)
-    return [
-        KoszulBasisElement(tuple((res - packed[r]) >> s & mask for s in shifts), chosen + (r,))
-        for chosen, res, fits in level
-        for r in fits
-    ]
+    # the last entry is any position that still divides the residual
+    return [(chosen + (i,), res - packed[i]) for chosen, res, fits in level for i in fits]
 
 
 @dataclass
 class DifferentialBlock:
     """The boundary map K_t -> K_{t-1} restricted to one multidegree.
 
-    Every column carries exactly t entries, one per deleted bracket factor;
-    the monomial coefficient picked up by the deletion is absorbed into the
-    row label, so entries are +1/-1 only.
+    Rows and columns are the sorted brackets of block_basis, and row_index
+    maps each row bracket to its position.  Every column carries exactly t
+    entries, one per deleted bracket factor; the monomial coefficient picked
+    up by the deletion is fixed by the multidegree, so entries are +1/-1 only.
     """
 
     t: int
     alpha: ExponentVec
-    rows: list[KoszulBasisElement]
-    cols: list[KoszulBasisElement]
+    rows: list[tuple[int, ...]]
+    cols: list[tuple[int, ...]]
+    row_index: dict[tuple[int, ...], int]
     entries: list[tuple[int, int, int]]  # (row, col, sign)
 
     @property
@@ -140,15 +137,14 @@ def differential_block(params: RingParams, t: int, alpha: ExponentVec) -> Differ
         raise ValueError(f"differential blocks need t >= 1, got t={t}")
     cols = block_basis(params, t, alpha)
     rows = block_basis(params, t - 1, alpha)
-    row_index = {e.gens: i for i, e in enumerate(rows)}
+    row_index = {gens: i for i, gens in enumerate(rows)}
     entries: list[tuple[int, int, int]] = []
-    for j, elem in enumerate(cols):
+    for j, gens in enumerate(cols):
         sign = 1
         for k in range(t):
-            reduced = elem.gens[:k] + elem.gens[k + 1 :]
-            entries.append((row_index[reduced], j, sign))
+            entries.append((row_index[gens[:k] + gens[k + 1 :]], j, sign))
             sign = -sign
-    return DifferentialBlock(t, tuple(alpha), rows, cols, entries)
+    return DifferentialBlock(t, tuple(alpha), rows, cols, row_index, entries)
 
 
 def graded_dim(params: RingParams, t: int, d: int) -> int:

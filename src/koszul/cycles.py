@@ -1,11 +1,17 @@
-"""Explicit integer chains in the complex: two-term degree-(c+1) generators
-of Z_1 (with the walk over their products dividing a multidegree, which
-the Z_t generator profiles of koszul.homology share), the alternating-sum
-cycles built from factorizations u = b*a, wedge products (as chains, or
-as their terms keyed by bracket), differentials, boundary-membership
-tests, and the verifier for the inclusion (c+1)! * m^(c-1) * Z_1^c inside
-the boundaries.  Monomials are ranked, listed and sampled through
-combinatorics.monomial_table.
+"""Explicit integer chains in the complex, each inside one multidegree:
+two-term degree-(c+1) generators of Z_1 (with the walk over their products
+dividing a multidegree, which the Z_t generator profiles of koszul.homology
+share), the alternating-sum cycles built from factorizations u = b*a, wedge
+products, differentials, boundary-membership tests, and the verifier for
+the inclusion (c+1)! * m^(c-1) * Z_1^c inside the boundaries.
+
+A chain is its multidegree alpha and its coefficients at sorted brackets:
+inside one multidegree the bracket fixes the monomial coefficient (see
+koszul.complex), so the differential only drops bracket entries, a
+monomial multiple only shifts alpha, a chain's coordinates in the block of
+its multidegree are its terms, and its coefficient span has one dimension
+per distinct coefficient monomial.  Monomials are ranked, listed and
+sampled through combinatorics.monomial_table.
 """
 
 from __future__ import annotations
@@ -17,7 +23,6 @@ from dataclasses import dataclass
 from itertools import chain, permutations, product
 from typing import Iterable, Sequence
 
-from . import exactla
 from .combinatorics import (
     ExponentVec,
     RingParams,
@@ -26,7 +31,7 @@ from .combinatorics import (
     unit_vector,
     vec_add,
 )
-from .complex import KoszulBasisElement, _guard, _pack, differential_block, sort_gens
+from .complex import _divisor_walk, _guard, _pack, differential_block, sort_gens
 from .exactla import ColumnSpace, FieldSpec, SizeGuardError, SparseIntMatrix
 
 # The alternating-sum constructor iterates over (t+1)! permutations.
@@ -35,62 +40,40 @@ SPECIAL_CYCLE_T_GUARD = 6
 
 @dataclass
 class CycleElement:
-    """Integer-coefficient chain of homological degree t, stored on the
-    monomial basis.  Immutable by convention; all operations return fresh
-    elements."""
+    """Integer chain of homological degree t in multidegree alpha, as
+    {sorted bracket: nonzero coefficient}.  Immutable by convention; all
+    operations return fresh elements."""
 
     params: RingParams
     t: int
-    terms: dict[KoszulBasisElement, int]
+    alpha: ExponentVec
+    terms: dict[tuple[int, ...], int]
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def components(self) -> dict[ExponentVec, "CycleElement"]:
-        """Split into multihomogeneous parts, keyed by multidegree."""
-        split: dict[ExponentVec, dict[KoszulBasisElement, int]] = {}
-        for elem, coeff in self.terms.items():
-            split.setdefault(elem.multidegree(self.params), {})[elem] = coeff
-        return {
-            alpha: CycleElement(self.params, self.t, part)
-            for alpha, part in sorted(split.items())
-        }
-
-    def internal_degrees(self) -> set[int]:
-        return {e.internal_degree(self.params) for e in self.terms}
-
 
 def _collect(
-    params: RingParams,
-    t: int,
-    items: Iterable[tuple[ExponentVec, Sequence[int], int]],
+    params: RingParams, t: int, alpha: ExponentVec, items: Iterable[tuple[Sequence[int], int]]
 ) -> CycleElement:
-    """Normalize (coefficient vector, raw bracket ranks, coefficient) terms:
-    sort brackets with sign, merge, drop zeros."""
-    terms: dict[KoszulBasisElement, int] = {}
-    for coeff_vec, gens_raw, coefficient in items:
-        if coefficient == 0:
-            continue
+    """The chain of (raw bracket ranks, coefficient) terms in multidegree
+    alpha: brackets sorted with sign, merged, zeros dropped."""
+    terms: dict[tuple[int, ...], int] = {}
+    for gens_raw, coefficient in items:
         gens, sign = sort_gens(gens_raw)
-        if sign == 0:
+        if not sign or not coefficient:
             continue
-        elem = KoszulBasisElement(tuple(coeff_vec), gens)
-        value = terms.get(elem, 0) + sign * coefficient
+        value = terms.get(gens, 0) + sign * coefficient
         if value:
-            terms[elem] = value
+            terms[gens] = value
         else:
-            terms.pop(elem, None)
-    return CycleElement(params, t, terms)
-
-
-def zero_element(params: RingParams, t: int) -> CycleElement:
-    return CycleElement(params, t, {})
+            del terms[gens]
+    return CycleElement(params, t, tuple(alpha), terms)
 
 
 def unit_element(params: RingParams) -> CycleElement:
     """The empty bracket with coefficient 1, the unit of the wedge algebra."""
-    one = KoszulBasisElement((0,) * params.n, ())
-    return CycleElement(params, 0, {one: 1})
+    return CycleElement(params, 0, (0,) * params.n, {(): 1})
 
 
 def z1_generator(params: RingParams, b: ExponentVec, i: int, j: int) -> CycleElement:
@@ -103,18 +86,12 @@ def z1_generator(params: RingParams, b: ExponentVec, i: int, j: int) -> CycleEle
         raise ValueError(f"expected a degree-{params.c - 1} monomial, got {b}")
     rank = monomial_table(params.n, params.c)[1]
     try:
-        u_j = rank[vec_add(b, unit_vector(params.n, j))]
-        u_i = rank[vec_add(b, unit_vector(params.n, i))]
+        xj_b = vec_add(b, unit_vector(params.n, j))
+        u_j, u_i = rank[xj_b], rank[vec_add(b, unit_vector(params.n, i))]
     except KeyError:
         raise ValueError(f"{b} is not a monomial in {params.n} variables") from None
-    return _collect(
-        params,
-        1,
-        [
-            (unit_vector(params.n, i), (u_j,), 1),
-            (unit_vector(params.n, j), (u_i,), -1),
-        ],
-    )
+    alpha = vec_add(xj_b, unit_vector(params.n, i))
+    return CycleElement(params, 1, alpha, {(u_j,): 1, (u_i,): -1})
 
 
 def z1_generators_dividing(
@@ -141,30 +118,18 @@ def z1_products_dividing(
     z1_generators_dividing(params, alpha), in increasing position and
     without repetition when distinct, whose multidegrees together divide
     alpha; residual is alpha less their sum.  Listed in lexicographic order
-    of the positions.
-
-    The walk packs exponent vectors as complex._vertices does, one field per
-    variable with a guard bit above it, so "divides" is one subtraction
-    that keeps every guard bit.
-    """
+    of the positions, by the walk that lists basis brackets
+    (complex._divisor_walk)."""
     gens = z1_generators_dividing(params, alpha)
     width = max(alpha, default=0).bit_length() + 1  # every generator field is at most max(alpha)
     guard = _guard(params.n, width)
     packed = [_pack(degree, width) for _, _, degree in gens]
-    level: list[tuple[tuple[int, ...], int]] = [((), _pack(alpha, width) | guard)]
-    for _ in range(k):
-        nxt = []
-        for chosen, res in level:
-            for pos in range(chosen[-1] + distinct if chosen else 0, len(packed)):
-                child = res - packed[pos]
-                if child & guard == guard:
-                    nxt.append((chosen + (pos,), child))
-        level = nxt
+    top = _pack(alpha, width) | guard
     mask = (1 << (width - 1)) - 1  # a field without its guard bit
     shifts = range(0, params.n * width, width)
     return [
         (tuple(gens[pos] for pos in chosen), tuple(res >> s & mask for s in shifts))
-        for chosen, res in level
+        for chosen, res in _divisor_walk(packed, list(range(len(gens))), top, guard, k, distinct)
     ]
 
 
@@ -223,10 +188,10 @@ def special_cycle(params: RingParams, spec: SpecialCycleSpec) -> CycleElement:
     rank = monomial_table(params.n, params.c)[1]
     items = []
     for perm in permutations(range(t + 1)):
-        sign = _parity(perm)
         gens_raw = tuple(rank[vec_add(spec.b[k], spec.a[perm[k]])] for k in range(t))
-        items.append((spec.a[perm[t]], gens_raw, sign))
-    return _collect(params, t, items)
+        items.append((gens_raw, _parity(perm)))
+    # every term has the multidegree sum(a) + sum(b)
+    return _collect(params, t, tuple(map(sum, zip(*spec.a, *spec.b))), items)
 
 
 def add(z: CycleElement, w: CycleElement) -> CycleElement:
@@ -234,85 +199,54 @@ def add(z: CycleElement, w: CycleElement) -> CycleElement:
         raise ValueError("mixed ring parameters")
     if z.t != w.t:
         raise ValueError(f"mixed homological degrees {z.t} and {w.t}")
-    terms = dict(z.terms)
-    for elem, coeff in w.terms.items():
-        value = terms.get(elem, 0) + coeff
-        if value:
-            terms[elem] = value
-        else:
-            terms.pop(elem, None)
-    return CycleElement(z.params, z.t, terms)
+    if z.alpha != w.alpha:
+        raise ValueError(f"mixed multidegrees {z.alpha} and {w.alpha}")
+    return _collect(z.params, z.t, z.alpha, chain(z.terms.items(), w.terms.items()))
 
 
 def integer_scale(z: CycleElement, k: int) -> CycleElement:
-    if k == 0:
-        return zero_element(z.params, z.t)
-    return CycleElement(z.params, z.t, {e: k * v for e, v in z.terms.items()})
+    return CycleElement(z.params, z.t, z.alpha, {g: k * v for g, v in z.terms.items()} if k else {})
 
 
 def monomial_scale(z: CycleElement, v: ExponentVec) -> CycleElement:
-    if any(x < 0 for x in v):
+    """v * z: the same brackets and coefficients in multidegree alpha + v."""
+    if len(v) != z.params.n or any(x < 0 for x in v):
         raise ValueError(f"not a monomial exponent vector: {v}")
-    terms = {
-        KoszulBasisElement(vec_add(e.coeff, v), e.gens): coeff
-        for e, coeff in z.terms.items()
-    }
-    return CycleElement(z.params, z.t, terms)
+    return CycleElement(z.params, z.t, vec_add(z.alpha, v), dict(z.terms))
 
 
-def wedge(z: CycleElement, w: CycleElement) -> CycleElement:
-    """Exterior product with shuffle signs; repeated bracket entries drop out."""
-    if z.params != w.params:
-        raise ValueError("mixed ring parameters")
+def wedge(z: CycleElement, *rest: CycleElement) -> CycleElement:
+    """Exterior product z ^ rest[0] ^ ... with shuffle signs, in the sum of
+    the factors' multidegrees: one term per choice of a term of each
+    factor, and repeated bracket entries drop out."""
+    alpha, t = z.alpha, z.t
+    for w in rest:
+        if w.params != z.params:
+            raise ValueError("mixed ring parameters")
+        alpha, t = vec_add(alpha, w.alpha), t + w.t
     items = []
-    for ez, cz in z.terms.items():
-        for ew, cw in w.terms.items():
-            items.append((vec_add(ez.coeff, ew.coeff), ez.gens + ew.gens, cz * cw))
-    return _collect(z.params, z.t + w.t, items)
-
-
-def wedge_terms(factors: Sequence[CycleElement]) -> dict[tuple[int, ...], int]:
-    """The nonzero terms of factors[0] ^ ... ^ factors[-1], multihomogeneous
-    factors, as {sorted bracket: coefficient}: in one multidegree the
-    bracket fixes the monomial coefficient, so these are the coordinates of
-    the product, and of each of its monomial multiples, at the basis
-    brackets of its multidegree slice.  One term per choice of a term of
-    each factor, signed as in wedge; no chain is built."""
-    out: dict[tuple[int, ...], int] = {}
-    for choice in product(*(z.terms.items() for z in factors)):
+    for choice in product(z.terms.items(), *(w.terms.items() for w in rest)):
         raw: list[int] = []
         coeff = 1
-        for elem, v in choice:
-            raw += elem.gens
+        for gens, v in choice:
+            raw += gens
             coeff *= v
-        gens, sign = sort_gens(raw)
-        if not sign:
-            continue
-        value = out.get(gens, 0) + sign * coeff
-        if value:
-            out[gens] = value
-        else:
-            del out[gens]
-    return out
+        items.append((raw, coeff))
+    return _collect(z.params, t, alpha, items)
 
 
 def apply_differential(z: CycleElement) -> CycleElement:
-    """Boundary of the chain: delete each bracket entry with alternating sign,
-    multiplying the deleted monomial into the coefficient."""
+    """Boundary of the chain: delete each bracket entry with alternating
+    sign; the deleted monomial moves into the coefficient, which the
+    multidegree already fixes."""
     if z.t < 1:
         raise ValueError("the differential needs homological degree t >= 1")
-    params = z.params
-    monomials = monomial_table(params.n, params.c)[0]
-    items = []
-    for elem, coeff in z.terms.items():
-        sign = 1
-        for k in range(z.t):
-            u = monomials[elem.gens[k]]
-            items.append(
-                (vec_add(elem.coeff, u), elem.gens[:k] + elem.gens[k + 1 :], sign * coeff)
-            )
-            sign = -sign
-    return _collect(params, z.t - 1, items)
+    items = (
+        (gens[:k] + gens[k + 1 :], -v if k % 2 else v)
+        for gens, v in z.terms.items()
+        for k in range(z.t)
+    )
+    return _collect(z.params, z.t - 1, z.alpha, items)
 
 
 def is_cycle(z: CycleElement) -> bool:
@@ -321,32 +255,35 @@ def is_cycle(z: CycleElement) -> bool:
     return apply_differential(z).is_zero()
 
 
+def _boundary_members(
+    params: RingParams,
+    t: int,
+    alpha: ExponentVec,
+    field: FieldSpec,
+    chains: Iterable[dict[tuple[int, ...], int]],
+) -> list[bool]:
+    """Whether each chain of K_t in multidegree alpha, given by its terms,
+    is a boundary over the field: the block of d_{t+1} at alpha, its
+    column space, then one batched membership test."""
+    blk = differential_block(params, t + 1, alpha)
+    index = blk.row_index
+    space = ColumnSpace(SparseIntMatrix(blk.nrows, blk.ncols, blk.entries), field)
+    del blk  # the chains stream through with only the span and its row index held
+    return space.members({index[gens]: v for gens, v in terms.items()} for terms in chains)
+
+
 def is_boundary(z: CycleElement, field: FieldSpec) -> bool:
-    """True iff every multihomogeneous component lies in the image of the
-    next differential over the field, tested block by block."""
-    for alpha, component in z.components().items():
-        blk = differential_block(z.params, z.t + 1, alpha)
-        index = {e.gens: pos for pos, e in enumerate(blk.rows)}
-        space = ColumnSpace(SparseIntMatrix(blk.nrows, blk.ncols, blk.entries), field)
-        if not space.members([{index[e.gens]: v for e, v in component.terms.items()}])[0]:
-            return False
-    return True
+    """True iff z lies in the image of the next differential over the field."""
+    return _boundary_members(z.params, z.t, z.alpha, field, [z.terms])[0]
 
 
 def coefficient_space_dim(z: CycleElement) -> int:
-    """Dimension of the space spanned by the bracket coefficients of z,
-    expanded in the monomial basis."""
-    if z.is_zero():
-        return 0
-    by_gens: dict[tuple[int, ...], dict[ExponentVec, int]] = {}
-    monomials: set[ExponentVec] = set()
-    for elem, coeff in z.terms.items():
-        by_gens.setdefault(elem.gens, {})[elem.coeff] = coeff
-        monomials.add(elem.coeff)
-    columns = sorted(monomials)
-    span = exactla.VectorSpan(len(columns), FieldSpec.rational(policy="fraction_free"))
-    span.extend([[poly.get(m, 0) for m in columns] for poly in by_gens.values()])
-    return span.rank
+    """Dimension of the space spanned by the bracket coefficients of z.
+    In one multidegree each coefficient is a multiple of the single
+    monomial X^alpha / (product of the bracket), so this is the number of
+    distinct bracket products."""
+    monomials = monomial_table(z.params.n, z.params.c)[0]
+    return len({tuple(map(sum, zip(*(monomials[r] for r in gens)))) for gens in z.terms})
 
 
 # ---------------------------------------------------------------------------
@@ -403,30 +340,6 @@ def _stratum_witnesses(
     ]
 
 
-def _boundary_flags(
-    params: RingParams,
-    field: FieldSpec,
-    alpha: ExponentVec,
-    products: Iterable[dict[tuple[int, ...], int]],
-) -> list[bool]:
-    """Whether (c+1)! * f and f are boundaries over the field, in turn, for
-    each product f of multidegree alpha, given by its terms (wedge_terms):
-    one column space for the block, one batched membership test."""
-    blk = differential_block(params, params.c + 1, alpha)
-    index = {e.gens: pos for pos, e in enumerate(blk.rows)}
-    space = ColumnSpace(SparseIntMatrix(blk.nrows, blk.ncols, blk.entries), field)
-    del blk  # the products stream through with only the span and its row index held
-    fact = math.factorial(params.c + 1)
-
-    def vectors():
-        for terms in products:
-            vec = {index[gens]: v for gens, v in terms.items()}
-            yield {pos: fact * v for pos, v in vec.items()}
-            yield vec
-
-    return space.members(vectors())
-
-
 def verify_factorial_theorem(
     params: RingParams,
     samples: int,
@@ -441,8 +354,9 @@ def verify_factorial_theorem(
     instead of sampling.  Each witness also records whether the unscaled f
     is already a boundary; misses there are findings, not failures.  Each
     two-term generator is built once per run and shared by its witnesses.
-    Witnesses are grouped by multidegree, read off their factors, and each
-    block with a nonzero product is tested by _boundary_flags.
+    Witnesses are grouped by multidegree, read off their factors; each
+    block with a nonzero product builds one column space, which tests
+    (c+1)! * f and f in turn for every nonzero product f in one batch.
     """
     c, n = params.c, params.n
     fact = math.factorial(c + 1)
@@ -478,18 +392,20 @@ def verify_factorial_theorem(
     for alpha, block in blocks.items():
 
         def products():
+            # the terms of b_{c+1} * z_1 ^ ... ^ z_c are those of the wedge
             for w in block:
                 bs, prs = combos[w]
-                terms = wedge_terms([z1(b, pair) for b, pair in zip(bs, prs)])
+                terms = wedge(*(z1(b, pair) for b, pair in zip(bs, prs))).terms
                 if terms:
                     zero[w] = False
+                    yield {gens: fact * v for gens, v in terms.items()}
                     yield terms
 
         found = products()
         first = next(found, None)
         if first is None:  # every product of the block vanishes: no span to build
             continue
-        flags = iter(_boundary_flags(params, field, alpha, chain([first], found)))
+        flags = iter(_boundary_members(params, c, alpha, field, chain([first], found)))
         for w in block:
             if not zero[w]:
                 scaled[w], unscaled[w] = next(flags), next(flags)

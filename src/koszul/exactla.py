@@ -208,17 +208,6 @@ class SparseIntMatrix:
 # rank
 
 
-def rank(m: SparseIntMatrix, f: FieldSpec) -> int:
-    """Exact rank over F_p; over the rationals, exact (fraction-free) or the
-    max over the policy's sampled primes (certified lower bound)."""
-    if f.kind == "prime":
-        return rank_mod_p(m, f.p)
-    if f.policy == "fraction_free":
-        return rank_fraction_free(m)
-    r, _, _ = rank_multiprime(m, f)
-    return r
-
-
 def rank_mod_p(m: SparseIntMatrix, p: int) -> int:
     """Exact rank over F_p: the echelon form of m's rows."""
     if not m.triplets:  # most Morse matrices; a span costs far more than this test
@@ -226,12 +215,6 @@ def rank_mod_p(m: SparseIntMatrix, p: int) -> int:
     span = VectorSpan(m.ncols, FieldSpec.prime(p))
     span.extend(m.to_numpy_mod(p))
     return span.rank
-
-
-def rank_multiprime(m: SparseIntMatrix, f: FieldSpec) -> tuple[int, dict[int, int], bool]:
-    """(max rank, per-prime ranks, agreement flag) of m; see sampled_rank."""
-    best, ranks, agreed = sampled_rank(f, lambda p: [rank_mod_p(m, p)])
-    return best[0], {p: r[0] for p, r in ranks.items()}, agreed
 
 
 def sampled_rank(
@@ -282,12 +265,12 @@ def kernel_basis(m: SparseIntMatrix, f: FieldSpec) -> list[list[int]]:
 
 
 class _ReducedForm(NamedTuple):
-    """A span over F_p in reduced echelon form."""
+    """A span over F_p in reduced echelon form R: one row per pivot, 1 there
+    and 0 at every other pivot, kept only at the non-pivot indices."""
 
-    pivots: np.ndarray
-    R: np.ndarray  # one row per pivot, 1 there and 0 at every other pivot
     row_of: dict[int, int]  # pivot -> its row of R
-    free_of: dict[int, int]  # non-pivot index -> its position among them
+    free: list[int]  # the non-pivot indices, increasing
+    free_of: dict[int, int]  # non-pivot index -> its position in free
     R_free: np.ndarray  # R at the non-pivot indices
 
 
@@ -301,8 +284,8 @@ class VectorSpan:
     v - sum over the pivots i of v_i R_i, mod p, with R the reduced echelon
     form of the rows, built once per change of the span: that is the one
     vector of v + span zero at every pivot, which reducing row by row would
-    also leave.  extend forms it for a dense batch in one product; members
-    takes sparse vectors and gathers only the rows of R at their nonzeros.
+    also leave.  Both form it the same way (_residuals_mod_p), from the
+    vectors' nonzeros, gathering only the rows of R at their pivot entries.
     Over the rationals (fraction-free) rows are primitive
     integer vectors, stored sparse as {index: value} dicts, and incoming
     vectors are reduced pivot by pivot by cross-multiplication, so no
@@ -350,7 +333,12 @@ class VectorSpan:
             p = self.field.p
             B = self._residues(vecs)
             if self._rows:
-                B = self._reduce_mod_p(B)
+                # B less its multiples of the span, zero at every pivot
+                red = self._reduced_form()
+                ks, idx = B.nonzero()
+                entries = zip(ks.tolist(), idx.tolist(), B[ks, idx].tolist())
+                B = np.zeros_like(B)
+                B[:, red.free] = self._residuals_mod_p(len(B), entries, red)
             # Dense elimination of what is left, column by column.  A column
             # zero in every row of B stays zero, so only the others can pivot.
             nr, r = len(B), 0
@@ -402,48 +390,53 @@ class VectorSpan:
                 not self._reduce_rational({i: int(v) for i, v in vec.items() if v})
                 for vec in vecs
             ]
+        p = self.field.p
         red = self._reduced_form()
-        size = max(1, MEMBER_BATCH_CELLS // max(1, red.R_free.shape[1]))
+        size = max(1, MEMBER_BATCH_CELLS // max(1, len(red.free)))
         out: list[bool] = []
         it = iter(vecs)
         while batch := list(islice(it, size)):
-            out += self._members_mod_p(batch, red)
+            entries = (
+                (k, i, r) for k, vec in enumerate(batch) for i, v in vec.items() if (r := v % p)
+            )
+            out += (~self._residuals_mod_p(len(batch), entries, red).any(axis=1)).tolist()
         return out
 
-    def _members_mod_p(self, batch: list[dict[int, int]], red: _ReducedForm) -> list[bool]:
-        """members over F_p for one batch.  The residual of v is
-        v - sum of v_i R_i over its entries v_i at pivots i, zero at every
-        pivot, so only its free columns are formed.  The s-th pivot entry of
-        every vector is subtracted at once, reducing mod p after each term:
-        every entry stays within p^2 < 2^62, exact in int64 for p < 2^31."""
+    def _residuals_mod_p(
+        self, count: int, entries: Iterable[tuple[int, int, int]], red: _ReducedForm
+    ) -> np.ndarray:
+        """The residuals of count vectors, given by their nonzero entries
+        (vector, index, value mod p), at the free indices.  The residual of
+        v is v - sum of v_i R_i over its entries v_i at pivots i, zero at
+        every pivot, so only its free columns are formed.  The s-th pivot
+        entry of every vector is subtracted at once, reducing mod p after
+        each term: every entry stays within p^2 < 2^62, exact in int64 for
+        p < 2^31."""
         p = self.field.p
         ks: list[int] = []  # the entries at free columns: vector, column of R_free, value
         fs: list[int] = []
         vals: list[int] = []
         terms: list[tuple[list[int], list[int], list[int]]] = []  # likewise, rows of R
-        for k, vec in enumerate(batch):
-            s = 0
-            for i, v in vec.items():
-                v %= p
-                if not v:
-                    continue
-                j = red.row_of.get(i)
-                if j is None:
-                    ks.append(k)
-                    fs.append(red.free_of[i])
-                    vals.append(v)
-                    continue
-                if s == len(terms):
-                    terms.append(([], [], []))
-                terms[s][0].append(k)
-                terms[s][1].append(j)
-                terms[s][2].append(v)
-                s += 1
-        B = np.zeros((len(batch), red.R_free.shape[1]), dtype=np.int64)
+        seen = [0] * count  # pivot entries of each vector so far
+        for k, i, v in entries:
+            j = red.row_of.get(i)
+            if j is None:
+                ks.append(k)
+                fs.append(red.free_of[i])
+                vals.append(v)
+                continue
+            s = seen[k]
+            seen[k] += 1
+            if s == len(terms):
+                terms.append(([], [], []))
+            terms[s][0].append(k)
+            terms[s][1].append(j)
+            terms[s][2].append(v)
+        B = np.zeros((count, len(red.free)), dtype=np.int64)
         B[ks, fs] = vals
         for term_ks, js, coeffs in terms:
             B[term_ks] = (B[term_ks] - red.R_free[js] * np.array(coeffs)[:, None]) % p
-        return (~B.any(axis=1)).tolist()
+        return B
 
     def _residues(self, vecs) -> np.ndarray:
         """vecs mod p as a 2-D int64 array, one row per vector."""
@@ -453,25 +446,6 @@ class VectorSpan:
         except OverflowError:  # entries past int64: reduce them as Python ints
             A = np.array([[int(x) % p for x in v] for v in vecs], dtype=np.int64)
         return A.reshape(len(vecs), self.length) % p
-
-    def _reduce_mod_p(self, B: np.ndarray) -> np.ndarray:
-        """The rows of B (residues) less their multiples of the span, each
-        zero at every pivot.
-
-        One product B[:, pivots] R sums rank terms below p^2 each, exact in
-        int64 while that stays below 2^63.  Past it, 15-bit limbs of
-        B[:, pivots] and at most 2^15 pivots per product keep every sum
-        below 2^15 * 2^16 * 2^31 = 2^62 for any p < 2^31.
-        """
-        p = self.field.p
-        pivots, R = self._reduced_form()[:2]
-        X = B[:, pivots]
-        if len(pivots) * (p - 1) ** 2 < 1 << 63:
-            return (B - X @ R) % p
-        for s in range(0, len(pivots), 1 << 15):
-            x, rows = X[:, s : s + (1 << 15)], R[s : s + (1 << 15)]
-            B = (B - (x & 0x7FFF) @ rows % p - ((x >> 15) @ rows % p << 15)) % p
-        return B
 
     def _reduced_form(self) -> _ReducedForm:
         if self._reduced is None:
@@ -487,7 +461,7 @@ class VectorSpan:
             row_of = {q: j for j, q in enumerate(pivots)}
             free = [i for i in range(self.length) if i not in row_of]
             free_of = {i: f for f, i in enumerate(free)}
-            self._reduced = _ReducedForm(np.array(pivots), R, row_of, free_of, R[:, free])
+            self._reduced = _ReducedForm(row_of, free, free_of, R[:, free])
         return self._reduced
 
     def _reduce_rational(self, out: dict[int, int]) -> dict[int, int]:

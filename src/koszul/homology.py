@@ -409,7 +409,7 @@ class HomologyEngine:
             got = memo.get(alpha)
             if got is None:
                 blk = differential_block(params, t, alpha)
-                index = {e.gens: pos for pos, e in enumerate(blk.cols)}
+                index = {gens: pos for pos, gens in enumerate(blk.cols)}
                 kern = []
                 if index:
                     mat = SparseIntMatrix(blk.nrows, blk.ncols, blk.entries)
@@ -441,7 +441,9 @@ class HomologyEngine:
                 new_gens += weight * (len(kern) - span.rank)
                 if d == top and top_spanned:
                     span.extend(self._z1_wedge_vectors(t, rep, index, z1))
-                    top_spanned = all(span.contains(v) for v in kern)
+                    top_spanned = all(
+                        span.members({i: v for i, v in enumerate(vec) if v} for vec in kern)
+                    )
             counts[d] = new_gens
         return ZGeneratorProfile(counts, top, top_spanned)
 
@@ -456,7 +458,7 @@ class HomologyEngine:
         for chosen, residual in cycles.z1_products_dividing(self.params, alpha, t, distinct=True):
             if any(residual):
                 continue
-            terms = cycles.wedge_terms([z1(b, pair) for b, pair, _ in chosen])
+            terms = cycles.wedge(*(z1(b, pair) for b, pair, _ in chosen)).terms
             if terms:
                 vec = [0] * len(index)
                 for gens, value in terms.items():

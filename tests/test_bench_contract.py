@@ -43,6 +43,9 @@ def test_traced_queries_run_and_report(tmp_path):
         assert main(["homology", "--n", "3", "--c", "2", "--t", "1", "--deg", "4", "--char", "5"]) == 0
         assert main(["table", "--n", "2", "--c", "2", "--exact"]) == 0
         assert main(["verify", "zgen", "--n", "3", "--c", "2", "--t", "2", "--char", "0"]) == 0
+        # 17 witnesses: each product a wedge of Z_1 generators, one block
+        assert main(["verify", "factorial", "--n", "3", "--c", "2", "--char", "3",
+                     "--stratum", "3", "2", "2"]) == 0
         # two rings filled cold into one directory, then one warm table, traced
         # on its own, which must load the records of its own ring and no others
         for n in ("2", "3"):
@@ -59,6 +62,9 @@ def test_traced_queries_run_and_report(tmp_path):
     assert cold_calls["homology.z_generator_profile"] == 1
     assert cold["exactla.kernel.calls"] > 0
     assert cold_calls["cycles.z1_generator"] > 0
+    # the factorial products and the Z_1 wedges of the profile are wedges
+    assert cold["cycles.wedge.calls"] > 0
+    assert cold["complex.differential_block.calls"] > 0
     own = Path(cache_path(str(tmp_path), 3, 2)).read_text().splitlines()
     assert own and warm["cli.cache.records_loaded"] == len(own)
     assert warm["cli.cache.get.calls"] > 0

@@ -5,7 +5,6 @@ import pytest
 from koszul import complex
 from koszul.combinatorics import RingParams, compositions, monomial_table
 from koszul.complex import (
-    KoszulBasisElement,
     Strand,
     block_basis,
     differential_block,
@@ -18,36 +17,34 @@ from koszul.exactla import SparseIntMatrix, rank_mod_p
 def test_block_basis_examples():
     # coefficient is the complementary variable, bracket entry a squarefree pair
     basis = block_basis(RingParams(3, 2), 1, (1, 1, 1))
-    assert len(basis) == 3
-    for elem in basis:
-        assert elem.multidegree(RingParams(3, 2)) == (1, 1, 1)
+    quadrics = monomial_table(3, 2)[0]
+    assert sorted(quadrics[r] for (r,) in basis) == [(0, 1, 1), (1, 0, 1), (1, 1, 0)]
 
     # only one distinct pair multiplies to x^2 y^2
     p22 = RingParams(2, 2)
     rank22 = monomial_table(2, 2)[1]
     basis = block_basis(p22, 2, (2, 2))
-    assert basis == [
-        KoszulBasisElement((0, 0), (rank22[(2, 0)], rank22[(0, 2)]))
-    ]
+    assert basis == [tuple(sorted((rank22[(2, 0)], rank22[(0, 2)])))]
 
 
 def test_block_basis_t0_and_infeasible():
     p = RingParams(3, 3)
-    assert block_basis(p, 0, (2, 0, 1)) == [KoszulBasisElement((2, 0, 1), ())]
+    assert block_basis(p, 0, (2, 0, 1)) == [()]
     assert block_basis(p, 1, (1, 1, 0)) == []  # |alpha| < c
     assert block_basis(p, 2, (5, 0, 0)) == []  # only one cubic divides
 
 
 def tuple_block_basis(params, t, alpha):
     """block_basis as a walk over exponent tuples: bracket ranks grow, and
-    each degree-c monomial must divide what the earlier ones left of alpha."""
+    each degree-c monomial must divide what the earlier ones left of alpha;
+    a bracket is kept once t monomials are chosen."""
     if t < 0 or any(a < 0 for a in alpha) or sum(alpha) < t * params.c:
         return []
     out = []
 
     def extend(start, residual, left, chosen):
         if left == 0:
-            out.append(KoszulBasisElement(residual, chosen))
+            out.append(chosen)
             return
         for r in range(start, params.N):
             m = monomial_table(params.n, params.c)[0][r]
@@ -67,13 +64,13 @@ def test_block_basis_matches_tuple_enumerator(n, c, top):
             for t in range(d // c + 2):
                 got = block_basis(params, t, alpha)
                 assert got == tuple_block_basis(params, t, alpha), (t, alpha)
-                assert all(type(x) is int for e in got for x in e.coeff)
+                assert all(type(r) is int for gens in got for r in gens)
 
 
 def test_block_basis_sorted_by_gens():
     basis = block_basis(RingParams(3, 2), 2, (2, 2, 2))
-    gens = [e.gens for e in basis]
-    assert gens == sorted(gens)
+    assert basis == sorted(basis)
+    assert all(list(gens) == sorted(set(gens)) for gens in basis)
 
 
 def test_sort_gens_signs():
@@ -91,8 +88,9 @@ def test_differential_koszul_relation():
     by_row = {blk.rows[r]: s for r, _, s in blk.entries}
     x, y = (1, 0), (0, 1)
     rank = monomial_table(2, 1)[1]
-    assert by_row[KoszulBasisElement(x, (rank[y],))] == 1
-    assert by_row[KoszulBasisElement(y, (rank[x],))] == -1
+    assert by_row[(rank[y],)] == 1  # x[y]: the coefficient is fixed by alpha
+    assert by_row[(rank[x],)] == -1
+    assert all(blk.rows[blk.row_index[gens]] == gens for gens in blk.rows)
 
 
 def test_differential_t1_single_positive_entry():

@@ -1,11 +1,12 @@
 import math
 import random
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
 from koszul import cycles
-from koszul.combinatorics import RingParams, monomial_table, unit_vector
-from koszul.complex import KoszulBasisElement
+from koszul.combinatorics import RingParams, monomial_table, unit_vector, vec_add
+from koszul.complex import block_basis
 from koszul.cycles import (
     CycleElement,
     SpecialCycleSpec,
@@ -22,9 +23,8 @@ from koszul.cycles import (
     verify_factorial_theorem,
     wedge,
     z1_generator,
-    zero_element,
 )
-from koszul.exactla import FieldSpec
+from koszul.exactla import FieldSpec, SparseIntMatrix, rank_fraction_free
 
 QF = FieldSpec.rational(policy="fraction_free")
 
@@ -35,17 +35,22 @@ def _rank(p, m):
 
 
 def _random_chain(rng, params, t, nterms=4):
-    """Arbitrary chain (not necessarily a cycle) for algebra identities."""
+    """Arbitrary chain (not necessarily a cycle) for algebra identities:
+    random brackets of block_basis(params, t, alpha), for the multidegree
+    alpha of a random t-subset of the degree-c monomials times a random
+    quadric."""
+    if params.N < t:
+        return CycleElement(params, t, (0,) * params.n, {})
+    monomials = monomial_table(params.n, params.c)[0]
+    alpha = rng.choice(monomial_table(params.n, 2)[0])
+    for r in rng.sample(range(params.N), t):
+        alpha = vec_add(alpha, monomials[r])
+    basis = block_basis(params, t, alpha)
     terms = {}
-    N = params.N
-    if N < t:
-        return zero_element(params, t)
     for _ in range(nterms):
-        gens = tuple(sorted(rng.sample(range(N), t)))
-        v = rng.choice(monomial_table(params.n, 2)[0])
-        elem = KoszulBasisElement(v, gens)
-        terms[elem] = terms.get(elem, 0) + rng.randint(-3, 3)
-    return CycleElement(params, t, {e: c for e, c in terms.items() if c})
+        gens = rng.choice(basis)
+        terms[gens] = terms.get(gens, 0) + rng.randint(-3, 3)
+    return CycleElement(params, t, alpha, {g: c for g, c in terms.items() if c})
 
 
 def test_z1_generator_form():
@@ -54,12 +59,9 @@ def test_z1_generator_form():
     z = z1_generator(p, b, 0, 1)
     xy = _rank(p, (1, 1))
     xx = _rank(p, (2, 0))
-    assert z.terms == {
-        KoszulBasisElement((1, 0), (xy,)): 1,
-        KoszulBasisElement((0, 1), (xx,)): -1,
-    }
+    assert z.terms == {(xy,): 1, (xx,): -1}  # x[xy] - y[xx]
+    assert z.alpha == (2, 1)
     assert apply_differential(z).is_zero()
-    assert z.internal_degrees() == {p.c + 1}
 
 
 def test_z1_generator_antisymmetry_and_errors():
@@ -86,12 +88,13 @@ def test_special_cycle_six_term_display():
     r = lambda m: _rank(p, m)
     x1x1, x1x2, x1x3 = r((2, 0, 0)), r((1, 1, 0)), r((1, 0, 1))
     x2x2, x2x3 = r((0, 2, 0)), r((0, 1, 1))
+    assert z.alpha == (2, 2, 1)  # so X_3[X_1X_1, X_2X_2] and so on
     assert z.terms == {
-        KoszulBasisElement(e3, (x1x1, x2x2)): 1,
-        KoszulBasisElement(e2, (x1x1, x2x3)): -1,
-        KoszulBasisElement(e1, (x1x2, x2x3)): 1,
-        KoszulBasisElement(e2, (x1x2, x1x3)): -1,  # displayed +X_2[X_1X_3, X_1X_2]
-        KoszulBasisElement(e1, (x1x3, x2x2)): -1,
+        (x1x1, x2x2): 1,
+        (x1x1, x2x3): -1,
+        (x1x2, x2x3): 1,
+        (x1x2, x1x3): -1,  # displayed +X_2[X_1X_3, X_1X_2]
+        (x1x3, x2x2): -1,
     }
     assert is_cycle(z)
     assert coefficient_space_dim(z) == 3
@@ -108,9 +111,7 @@ def test_special_cycle_s_equals_c_is_scaled_boundary():
     p = RingParams(3, 2)
     a = ((2, 0, 0), (1, 1, 0), (0, 1, 1))
     z = special_cycle(p, SpecialCycleSpec(s=2, a=a, b=((0, 0, 0), (0, 0, 0))))
-    bracket = CycleElement(
-        p, 3, {KoszulBasisElement((0, 0, 0), tuple(sorted(_rank(p, m) for m in a))): 1}
-    )
+    bracket = CycleElement(p, 3, (3, 2, 1), {tuple(sorted(_rank(p, m) for m in a)): 1})
     assert z == integer_scale(apply_differential(bracket), math.factorial(2))
 
 
@@ -190,13 +191,10 @@ def test_differential_hand_expansion():
     p = RingParams(2, 2)
     u = [(2, 0), (1, 1), (0, 2)]
     ranks = tuple(_rank(p, m) for m in u)
-    z = CycleElement(p, 3, {KoszulBasisElement((0, 0), ranks): 1})
+    z = CycleElement(p, 3, (3, 3), {ranks: 1})
     out = apply_differential(z)
-    assert out.terms == {
-        KoszulBasisElement(u[0], ranks[1:]): 1,
-        KoszulBasisElement(u[1], (ranks[0], ranks[2])): -1,
-        KoszulBasisElement(u[2], ranks[:2]): 1,
-    }
+    assert out.alpha == (3, 3)  # the coefficients u_1, u_2, u_3 follow from it
+    assert out.terms == {ranks[1:]: 1, (ranks[0], ranks[2]): -1, ranks[:2]: 1}
     assert apply_differential(out).is_zero()
 
 
@@ -212,9 +210,27 @@ def test_scaling_operations():
     assert integer_scale(z, 0).is_zero()
     assert monomial_scale(z, (0, 0, 0)) == z
     scaled = monomial_scale(z, unit_vector(3, 0))
-    assert scaled.internal_degrees() == {p.c + 2}
+    assert scaled.alpha == (2, 1, 1) and scaled.terms == z.terms
     with pytest.raises(ValueError):
         add(z, wedge(z, z1_generator(p, (1, 0, 0), 1, 2)))
+
+
+def test_add_refuses_two_multidegrees():
+    # a chain lives in one multidegree: x z and y z have the same brackets
+    # but different coefficients, so their sum is no chain of this kind
+    p = RingParams(3, 2)
+    z = z1_generator(p, (0, 0, 1), 0, 1)
+    assert add(z, z) == integer_scale(z, 2)
+    with pytest.raises(ValueError, match="multidegrees"):
+        add(monomial_scale(z, unit_vector(3, 0)), monomial_scale(z, unit_vector(3, 1)))
+
+
+def test_wedge_of_many_factors_is_the_iterated_wedge():
+    rng = random.Random(31)
+    p = RingParams(4, 2)
+    for _ in range(10):
+        zs = [_random_chain(rng, p, 1, nterms=3) for _ in range(3)]
+        assert wedge(*zs) == wedge(wedge(zs[0], zs[1]), zs[2])
 
 
 def test_boundaries_are_boundaries():
@@ -235,8 +251,49 @@ def test_nonzero_z1_generator_is_not_a_boundary():
 
 def test_coefficient_space_dims():
     p = RingParams(2, 2)
-    assert coefficient_space_dim(zero_element(p, 1)) == 0
+    assert coefficient_space_dim(CycleElement(p, 1, (2, 1), {})) == 0
     assert coefficient_space_dim(z1_generator(p, (1, 0), 0, 1)) == 2
+
+
+def _coefficient_rank(z):
+    """The fraction-free rank of the bracket coefficients of z, each
+    expanded in the monomial basis: one row per bracket."""
+    monomials = monomial_table(z.params.n, z.params.c)[0]
+    rows = {}
+    for gens, v in z.terms.items():
+        coeff = z.alpha
+        for r in gens:
+            coeff = tuple(a - x for a, x in zip(coeff, monomials[r]))
+        assert min(coeff) >= 0
+        rows.setdefault(gens, {})[coeff] = v
+    columns = sorted({m for row in rows.values() for m in row})
+    dense = [[row.get(m, 0) for m in columns] for row in rows.values()]
+    return rank_fraction_free(SparseIntMatrix.from_dense(dense, len(columns)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_coefficient_space_dim_matches_the_rank_of_the_coefficients(seed):
+    for z in sample_nonzero_cycles(200, seed):
+        assert coefficient_space_dim(z) == _coefficient_rank(z)
+
+
+@pytest.mark.parametrize(
+    # (3, 3, 0) at c = 1: only X_1X_2 divides what X_1X_2 leaves, three times
+    "n,c,alpha", [(3, 2, (3, 2, 2)), (4, 2, (2, 2, 1, 2)), (3, 3, (4, 3, 3)), (3, 1, (3, 3, 0))]
+)
+def test_z1_products_match_plain_enumeration(n, c, alpha):
+    params = RingParams(n, c)
+    gens = cycles.z1_generators_dividing(params, alpha)
+    for k in range(4):
+        for distinct, choose in ((True, combinations), (False, combinations_with_replacement)):
+            expected = []
+            for chosen in choose(gens, k):
+                residual = alpha
+                for _, _, degree in chosen:
+                    residual = tuple(a - x for a, x in zip(residual, degree))
+                if min(residual) >= 0:
+                    expected.append((chosen, residual))
+            assert cycles.z1_products_dividing(params, alpha, k, distinct) == expected
 
 
 def test_factorial_theorem_small_fields():

@@ -18,10 +18,8 @@ from koszul.exactla import (
     is_prime,
     kernel_basis,
     multiprime_primes,
-    rank,
     rank_fraction_free,
     rank_mod_p,
-    rank_multiprime,
 )
 
 QF = FieldSpec.rational(policy="fraction_free")
@@ -97,19 +95,19 @@ def test_sampled_rank_escalates_on_any_disagreement():
 
 def test_rank_identity_and_small():
     eye = SparseIntMatrix.from_triplets(5, 5, [(i, i, 1) for i in range(5)])
-    for f in (QF, QM, FieldSpec.prime(5)):
-        assert rank(eye, f) == 5
+    assert rank_fraction_free(eye) == rank_mod_p(eye, 5) == 5
+    assert exactla.sampled_rank(QM, lambda p: [rank_mod_p(eye, p)])[0] == [5]
     m = SparseIntMatrix.from_dense([[1, 1], [1, -1]])
-    assert rank(m, QF) == 2
-    assert rank(m, QM) == 2
-    assert rank(m, FieldSpec.prime(2)) == 1  # determinant -2
+    assert rank_fraction_free(m) == 2
+    assert exactla.sampled_rank(QM, lambda p: [rank_mod_p(m, p)])[0] == [2]
+    assert rank_mod_p(m, 2) == 1  # determinant -2
 
 
 def test_rank_empty_and_zero():
     z = SparseIntMatrix(3, 4, [])
-    for f in (QF, QM, FieldSpec.prime(7)):
-        assert rank(z, f) == 0
-    assert rank(SparseIntMatrix(0, 0, []), QF) == 0
+    assert rank_fraction_free(z) == rank_mod_p(z, 7) == 0
+    assert exactla.sampled_rank(QM, lambda p: [rank_mod_p(z, p)])[0] == [0]
+    assert rank_fraction_free(SparseIntMatrix(0, 0, [])) == 0
 
 
 def test_rank_policies_agree_on_random_pm1():
@@ -118,8 +116,8 @@ def test_rank_policies_agree_on_random_pm1():
         m = _random_pm1(rng, rng.randint(1, 9), rng.randint(1, 9))
         exact = rank_fraction_free(m)
         assert exact == _rank_fraction_oracle(m)
-        best, per_prime, agreed = rank_multiprime(m, QM)
-        assert agreed and best == exact
+        best, per_prime, agreed = exactla.sampled_rank(QM, lambda p: [rank_mod_p(m, p)])
+        assert agreed and best == [exact]
         for p in (2, 3, 5, 7, 11, 13):
             assert rank_mod_p(m, p) <= exact
 
@@ -128,8 +126,10 @@ def test_rank_nullity():
     rng = random.Random(9)
     for _ in range(20):
         m = _random_pm1(rng, rng.randint(1, 8), rng.randint(1, 8))
-        for f in (QF, FieldSpec.prime(5), FieldSpec.prime(2)):
-            assert rank(m, f) + len(kernel_basis(m, f)) == m.ncols
+        ranks = {QF: rank_fraction_free(m), FieldSpec.prime(5): rank_mod_p(m, 5)}
+        ranks[FieldSpec.prime(2)] = rank_mod_p(m, 2)
+        for f, r in ranks.items():
+            assert r + len(kernel_basis(m, f)) == m.ncols
 
 
 def test_kernel_examples():
@@ -161,9 +161,9 @@ def test_kernel_of_a_differential_block():
     # is column count minus rank
     blk = differential_block(RingParams(3, 2), 1, (2, 1, 1))
     m = SparseIntMatrix(blk.nrows, blk.ncols, blk.entries)
-    for f in (QF, FieldSpec.prime(5)):
+    for f, r in ((QF, rank_fraction_free(m)), (FieldSpec.prime(5), rank_mod_p(m, 5))):
         kern = kernel_basis(m, f)
-        assert len(kern) == m.ncols - rank(m, f) == 3
+        assert len(kern) == m.ncols - r == 3
 
 
 def test_kernel_rejects_multiprime():
@@ -328,8 +328,8 @@ def test_fraction_free_agrees_with_multiprime_on_all_run_blocks():
                     continue
                 m = SparseIntMatrix(blk.nrows, blk.ncols, blk.entries)
                 exact = rank_fraction_free(m)
-                best, per_prime, agreed = rank_multiprime(m, QM)
-                assert agreed and best == exact, (t, rep, exact, per_prime)
+                best, per_prime, agreed = exactla.sampled_rank(QM, lambda p: [rank_mod_p(m, p)])
+                assert agreed and best == [exact], (t, rep, exact, per_prime)
                 checked += 1
     assert checked > 3000
 
@@ -467,7 +467,8 @@ def test_members_batches_agree_with_one_at_a_time(monkeypatch):
 def test_vector_span_add_matches_extend():
     rng = random.Random(73)
     for m in _oracle_cases(rng):
-        for f in [FieldSpec.prime(p) for p in ORACLE_PRIMES] + [QF]:
+        # at 2^31 - 1, rank * (p-1)^2 passes 2^63 from rank 2 on
+        for f in [FieldSpec.prime(p) for p in ORACLE_PRIMES + (2_147_483_647,)] + [QF]:
             one, batch = VectorSpan(m.ncols, f), VectorSpan(m.ncols, f)
             rows = m.to_dense()
             for row in rows:

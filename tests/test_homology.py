@@ -232,7 +232,7 @@ def _profile_over_compositions(e, t):
             if not blk.cols:
                 continue
             mat = SparseIntMatrix(blk.nrows, blk.ncols, blk.entries)
-            index = {b.gens: pos for pos, b in enumerate(blk.cols)}
+            index = {gens: pos for pos, gens in enumerate(blk.cols)}
             kern = exactla.kernel_basis(mat, field)
             cur[alpha] = blk.cols, kern
             if not kern:
@@ -242,8 +242,8 @@ def _profile_over_compositions(e, t):
                 b_cols, b_kern = prev.get(vec_sub(alpha, unit_vector(params.n, var)), ((), ()))
                 for vec in b_kern:
                     mapped = [0] * len(index)
-                    for b, value in zip(b_cols, vec):
-                        mapped[index[b.gens]] = value
+                    for gens, value in zip(b_cols, vec):
+                        mapped[index[gens]] = value
                     images.append(mapped)
             span = exactla.VectorSpan(len(index), field)
             span.extend(images)
