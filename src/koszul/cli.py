@@ -545,6 +545,10 @@ def main(argv=None) -> int:
         if bound is not None and bound < 0:
             flag = "--" + dest.replace("_", "-")
             parser.exit(2, f"kosz: error: {flag} must be nonnegative, got {bound}\n")
+    k = getattr(args, "k", None)
+    if k is not None and not 0 <= k < args.c:
+        # an empty Betti window would print zeros or an empty OK
+        parser.exit(2, f"kosz: error: need 0 <= k < c, got k={k}\n")
     try:
         return args.func(args)
     except (ValueError, SizeGuardError, exactla.ExactEliminationError, OSError) as exc:

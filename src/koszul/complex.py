@@ -16,6 +16,11 @@ complex Delta_alpha (see Strand), which algebraic Morse theory shrinks to a
 few critical cells before any elimination runs.  Strand never enumerates
 Delta_alpha: it walks once, over the faces that survive the matching on the
 first vertex, and counts the link of that vertex with a subset-sum DP.
+Most Delta_alpha are cones on that vertex; one packed comparison finds
+them, and their strands skip the walk and everything after it.  The DP
+runs on the link with its slack fields cleared, so strands that differ
+only there ask the same question, and a caller may memoize the count
+(HomologyEngine does, once per engine).
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import functools
 import math
 from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .combinatorics import ExponentVec, RingParams, monomial_count, monomial_table
 from .exactla import SparseIntMatrix
@@ -193,21 +198,33 @@ def _survivors(
     walk passes fit lists down as it grows faces in rank order, and drops a
     subtree once v divides its residual and the later vertices together
     cannot take enough of v's support to change that.
+
+    Most Delta_alpha are cones on v: alpha covers v plus everything the
+    later vertices can take of v's support (capped at alpha), so v divides
+    every residual.  That is one packed comparison, made first; a cone has
+    no survivor and the list is empty.
     """
     v, pv = verts[0], cands[0]
     support = [k for k, x in enumerate(v) if x]
-    # need[i]: v plus what the vertices after i can take of its support,
-    # capped at alpha; a residual above need[i] keeps v whatever follows i
-    need = [0] * len(verts)
+    # take[k]: what the vertices after i take of v's support; need[i]: v
+    # plus that, capped at alpha; a residual above need[i] keeps v
+    # whatever follows i
     take = [0] * len(alpha)
-    for i in reversed(range(len(verts))):
-        need[i] = pv + sum(min(take[k], alpha[k]) << (k * width) for k in support)
+    for u in verts[1:]:
         for k in support:
-            take[k] += verts[i][k]
+            take[k] += u[k]
     root = _pack(alpha, width)
+    cone = pv + sum(min(take[k], alpha[k]) << (k * width) for k in support)
+    if ((root | guard) - cone) & guard == guard:
+        return []
+    need = [0] * len(verts)
+    need[0] = cone
+    for i in range(1, len(verts)):
+        for k in support:
+            take[k] -= verts[i][k]
+        need[i] = pv + sum(min(take[k], alpha[k]) << (k * width) for k in support)
     levels = []
-    later = list(range(1, len(verts)))
-    level = [] if ((root | guard) - need[0]) & guard == guard else [(0, root, later)]
+    level = [(0, root, list(range(1, len(verts))))]
     while level:
         levels.append([face for face, r, _ in level if ((r | guard) - pv) & guard != guard])
         nxt = []
@@ -235,8 +252,13 @@ def _guard(n: int, width: int) -> int:
 
 
 def _link_chain(
-    verts: list[ExponentVec], cands: list[int], width: int, guard: int, alpha: ExponentVec
-) -> tuple[list[list[int]], list[int], list[int]]:
+    verts: list[ExponentVec],
+    cands: list[int],
+    width: int,
+    guard: int,
+    alpha: ExponentVec,
+    counts: Callable[[tuple[int, ...], int, int], tuple[int, ...]],
+) -> tuple[list[list[int]], list[int], tuple[int, ...]]:
     """(survivors, faces, link faces) of Delta_alpha on the vertices verts,
     packed as cands (_vertices).  Face counts are indexed by size.
 
@@ -244,21 +266,34 @@ def _link_chain(
     of lk v = {tau : tau + v in Delta_alpha}, or such a face plus v, so
     f(Delta) = a(Delta) + (1 + z) f(lk v), with a counting the survivors.
     The faces of lk v are the subsets of the later vertices whose product
-    divides alpha - v; they are counted, not walked (_subset_counts).
+    divides alpha - v; they are counted, not walked, by counts
+    (_subset_counts or a memo of it).  A field that the fitting later
+    vertices together cannot exhaust (their summed exponent at most the
+    residual's) never binds, so it is cleared from the residual and from
+    every vertex first: the count is the same, and strands that differ
+    only in slack fields ask counts the same question.
     """
     if not verts:
-        return [[0]], [1], []  # no vertex: the empty face survives
+        return [[0]], [1], ()  # no vertex: the empty face survives
     survivors = _survivors(verts, cands, width, guard, alpha)
     top = (_pack(alpha, width) | guard) - cands[0]
-    link = _subset_counts([m for m in cands[1:] if (top - m) & guard == guard], top, guard)
+    later = [i for i in range(1, len(verts)) if (top - cands[i]) & guard == guard]
+    field = (1 << (width - 1)) - 1
+    totals = [sum(e) for e in zip(*(verts[i] for i in later))]
+    keep = guard | sum(
+        field << (k * width) for k, total in enumerate(totals) if total > alpha[k] - verts[0][k]
+    )
+    link = counts(tuple(cands[i] & keep for i in later), top & keep, guard)
     a = [len(level) for level in survivors]
-    faces = [sum(f) for f in zip_longest(a, link + [0], [0] + link, fillvalue=0)]
+    faces = [sum(f) for f in zip_longest(a, (*link, 0), (0, *link), fillvalue=0)]
     return survivors, faces, link
 
 
-def _subset_counts(cands: list[int], top: int, guard: int) -> list[int]:
+def _subset_counts(cands: tuple[int, ...], top: int, guard: int) -> tuple[int, ...]:
     """The number of t-subsets of the packed vertices cands whose product
-    divides the residual top (packed, guard bits set), by t.
+    divides the residual top (packed, guard bits set), by t.  A pure
+    function of hashable arguments with an immutable result, so a
+    HomologyEngine memoizes it for its strands.
 
     A subset-sum DP: states map a residual (guard bits set) to the number
     of subsets of each size that leave it, one vertex per pass over a
@@ -279,7 +314,7 @@ def _subset_counts(cands: list[int], top: int, guard: int) -> list[int]:
     while total:
         counts.append(total & digit)
         total >>= B
-    return counts
+    return tuple(counts)
 
 
 class Strand:
@@ -307,22 +342,34 @@ class Strand:
     other than itself contains v0, so is the upper face of a pair.  The
     face counts, and the pairs of the first matching (one per face of
     lk v0), come from the survivor counts and the face counts of lk v0,
-    which a subset-sum DP counts without walking (_link_chain).  The
+    which a subset-sum DP counts without walking (_link_chain); counts is
+    that DP, or a memo of it.  A cone on v0 has no survivor: its strand
+    stops after the counts, with every crit 0 and no Morse entry.  The
     vertices come from a table of the ring's packed degree-c monomials.
     """
 
     __slots__ = ("faces", "pairs", "crit", "_entries")
 
-    def __init__(self, params: RingParams, alpha: ExponentVec):
+    def __init__(
+        self,
+        params: RingParams,
+        alpha: ExponentVec,
+        counts: Callable[[tuple[int, ...], int, int], tuple[int, ...]] = _subset_counts,
+    ):
         alpha = tuple(alpha)
         ranks, cands, width, guard = _vertices(params, alpha)
         monomials = monomial_table(params.n, params.c)[0]
         verts = [monomials[r] for r in ranks]
-        levels, self.faces, link = _link_chain(verts, cands, width, guard, alpha)
+        levels, self.faces, link = _link_chain(verts, cands, width, guard, alpha, counts)
         size = params.N + 2
         self.pairs = [0] * size
         # the first matching pairs each face tau of lk v0 with tau + v0
         self.pairs[1 : len(link) + 1] = link
+        if not any(levels):
+            # a cone on v0: the first matching pairs every face
+            self.crit = [0] * size
+            self._entries = {}
+            return
         alive = {face for level in levels for face in level}
         up: dict[int, int] = {}  # lower face of a later pair -> vertex bit of its partner
         for i in range(1, len(verts)):  # the later vertices, rank order

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from . import cycles, exactla
+from . import complex, cycles, exactla
 from .cache import RankCache
 from .combinatorics import (
     ExponentVec,
@@ -118,6 +118,11 @@ class HomologyEngine:
     usually proves the rational record (proves_rational), which is then
     stored once under p = 0; only the strands it leaves open are sampled
     at every seeded prime and stored per prime.
+
+    The engine's strands share one memo of their link face counts
+    (complex._subset_counts, keyed by the masked link): many strands of a
+    ring ask the same question.  It lives and dies with the engine, so a
+    new engine counts afresh.
     """
 
     def __init__(
@@ -134,6 +139,7 @@ class HomologyEngine:
         self.stats = {"eliminations": 0, "cache_hits": 0}
         self._records: dict[ExponentVec, tuple] = {}  # sorted rep -> record over field
         self._orbits: dict[int, list[tuple[ExponentVec, int]]] = {}  # d -> (rep, orbit size)
+        self._subset_counts = functools.cache(complex._subset_counts)
 
     # -- block level --------------------------------------------------------
 
@@ -199,7 +205,7 @@ class HomologyEngine:
 
         def strand() -> Strand:
             if not built:
-                built.append(Strand(self.params, rep))
+                built.append(Strand(self.params, rep, self._subset_counts))
             return built[0]
 
         f = self.field

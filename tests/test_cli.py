@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from koszul import complex, exactla
+from koszul import cli, complex, exactla
 from koszul.cache import cache_path
 from koszul.cli import (
     ENGINE_VERSION,
@@ -80,6 +80,14 @@ def test_index_command(capsys):
     code, out = run_cli(capsys, "index", "--n", "4", "--c", "2", "--char", "0")
     assert code == 0
     assert out.startswith("ind = 5")
+
+
+def test_index_n4_c3_is_pinned(capsys, tmp_path):
+    # c = 3 strands, most of them cones with several slack fields, each
+    # degree's face counts checked against dim K_t by the orbit sum
+    code, out = run_cli(capsys, "index", "--n", "4", "--c", "3", "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert out == "ind = 6 (N_6 holds; N_7 fails: beta[7,9] = 220)\n"
 
 
 def test_verify_duality_ok(capsys):
@@ -206,6 +214,21 @@ def test_negative_bounds_exit_2(capsys, argv, flag):
     # a negative bound would check nothing and report success
     err = _exits_2(capsys, *argv)
     assert err == f"kosz: error: {flag} must be nonnegative, got -1\n"
+
+
+@pytest.mark.parametrize("command", [["betti"], ["verify", "greenbound"]])
+@pytest.mark.parametrize("k", [-1, 2, 5, 7])
+def test_shift_outside_0_to_c_exits_2_before_any_work(capsys, tmp_path, monkeypatch, command, k):
+    # k >= c used to leave an empty Betti window: an all-zero table, or an
+    # OK over 0 columns, with exit 0
+    def built(*args):
+        raise AssertionError("an engine was built for an invalid --k")
+
+    monkeypatch.setattr(cli, "_engine", built)
+    cache_dir = tmp_path / "cache"
+    argv = [*command, "--n", "2", "--c", "2", "--k", str(k), "--cache-dir", str(cache_dir)]
+    assert _exits_2(capsys, *argv) == f"kosz: error: need 0 <= k < c, got k={k}\n"
+    assert not cache_dir.exists()
 
 
 @pytest.mark.parametrize(

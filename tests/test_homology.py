@@ -2,7 +2,7 @@ import functools
 
 import pytest
 
-from koszul import cycles, exactla
+from koszul import complex, cycles, exactla, homology
 from koszul.cache import RankCache
 from koszul.combinatorics import RingParams, compositions, unit_vector, vec_sub
 from koszul.complex import differential_block
@@ -297,6 +297,27 @@ def test_z_profile_builds_each_kernel_and_z1_generator_once(monkeypatch):
     prof = engine(4, 2, QF).z_generator_profile(2)
     assert prof.counts == {4: 0, 5: 36, 6: 50, 7: 0, 8: 0}
     assert calls == {"kernel": 74, "z1": 20}
+
+
+def test_engine_counts_each_masked_link_once(monkeypatch):
+    # the 597 strands of the (4,2) vanishing suite ask 141 distinct link
+    # questions once their slack fields are cleared; each engine asks each
+    # once, and a second engine counts afresh
+    calls = {"counts": 0, "strands": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(complex, "_subset_counts", counting("counts", complex._subset_counts))
+    monkeypatch.setattr(homology, "Strand", counting("strands", complex.Strand))
+    assert verify_vanishing(RingParams(4, 2), QM).ok
+    assert calls == {"counts": 141, "strands": 597}
+    assert verify_vanishing(RingParams(4, 2), QM).ok
+    assert calls == {"counts": 282, "strands": 1194}
 
 
 def test_acceleration_matches_direct():

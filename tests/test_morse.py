@@ -2,6 +2,7 @@
 against the raw differential blocks it replaces."""
 
 import hashlib
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -16,11 +17,15 @@ from koszul.combinatorics import (
     monomial_table,
     orbit_size,
     partitions_into,
+    vec_sub,
 )
 from koszul.complex import (
     Strand,
     _check_composite_zero,
     _Flow,
+    _link_chain,
+    _subset_counts,
+    _vertices,
     differential_block,
     graded_dim,
 )
@@ -219,6 +224,67 @@ def test_survivor_walk_matches_full_enumeration_property(data):
     s = Strand(params, alpha)
     assume(sum(s.faces) <= 20_000)  # keeps the reference enumeration quick
     assert (s.faces, s.pairs, s.crit) == matched_by_enumeration(params, tuple(alpha))
+
+
+def link_alphas(n: int, c: int) -> list[ExponentVec]:
+    """Up to three multidegrees of the ring, those whose later vertices are
+    few enough to enumerate: one coordinate dominant (its field slack),
+    every field slack (the vertices together fit in the residual), and
+    (c+1, 1, ..., 1), where no field is slack when 2 <= c < n."""
+    m = min(n, 3)
+    a = c + c * comb(c + m - 1, c) // m  # c plus each variable's share of every vertex
+    out = [
+        (9 * c,) + (1,) * min(n - 1, 3) + (0,) * max(n - 4, 0),
+        (a,) * m + (0,) * (n - m),
+        (c + 1,) + (1,) * (n - 1),
+    ]
+    return [alpha for alpha in out if len(_vertices(RingParams(n, c), alpha)[0]) <= 16]
+
+
+@pytest.mark.parametrize("n,c", [(n, c) for n in range(1, 7) for c in range(1, 5)])
+def test_masked_link_counts_match_combinations(n, c):
+    monomials = monomial_table(n, c)[0]
+    for alpha in link_alphas(n, c):
+        ranks, cands, width, guard = _vertices(RingParams(n, c), alpha)
+        verts = [monomials[r] for r in ranks]
+        asked = []
+
+        def counts(fits, top, guard):
+            asked.append((fits, top))
+            return _subset_counts(fits, top, guard)
+
+        _, _, link = _link_chain(verts, cands, width, guard, alpha, counts)
+        residual = vec_sub(alpha, verts[0])
+        plain = [
+            sum(
+                all(sum(col) <= r for col, r in zip(zip(*subset), residual))
+                for subset in combinations(verts[1:], t)
+            )
+            for t in range(len(verts))
+        ]
+        while not plain[-1]:
+            plain.pop()
+        assert list(link) == plain, alpha
+        # exactly the slack fields are cleared, from the residual and from
+        # every fitting later vertex
+        fitting = [u for u in verts[1:] if divides(u, residual)]
+        slack = {k for k, r in enumerate(residual) if sum(u[k] for u in fitting) <= r}
+        field = (1 << (width - 1)) - 1
+
+        def fields(packed):
+            return [packed >> (k * width) & field for k in range(n)]
+
+        [(fits, top)] = asked
+        assert fields(top) == [0 if k in slack else r for k, r in enumerate(residual)]
+        assert [fields(m) for m in fits] == [
+            [0 if k in slack else x for k, x in enumerate(u)] for u in fitting
+        ]
+        if alpha[0] == 9 * c:
+            assert 0 in slack
+        elif alpha[0] > c + 1:
+            assert slack == set(range(n))
+        elif 2 <= c < n:
+            assert not slack
 
 
 @pytest.mark.parametrize(
