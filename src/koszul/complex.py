@@ -107,8 +107,9 @@ def _divisor_walk(
 
 
 @dataclass
-class DifferentialBlock:
-    """The boundary map K_t -> K_{t-1} restricted to one multidegree.
+class DifferentialBlock(SparseIntMatrix):
+    """The boundary map K_t -> K_{t-1} restricted to one multidegree: a
+    SparseIntMatrix, so every exactla routine takes it as it is.
 
     Rows and columns are the sorted brackets of block_basis, and row_index
     maps each row bracket to its position.  Every column carries exactly t
@@ -116,20 +117,9 @@ class DifferentialBlock:
     up by the deletion is fixed by the multidegree, so entries are +1/-1 only.
     """
 
-    t: int
-    alpha: ExponentVec
     rows: list[tuple[int, ...]]
     cols: list[tuple[int, ...]]
     row_index: dict[tuple[int, ...], int]
-    entries: list[tuple[int, int, int]]  # (row, col, sign)
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.cols)
 
 
 def differential_block(params: RingParams, t: int, alpha: ExponentVec) -> DifferentialBlock:
@@ -149,7 +139,7 @@ def differential_block(params: RingParams, t: int, alpha: ExponentVec) -> Differ
         for k in range(t):
             entries.append((row_index[gens[:k] + gens[k + 1 :]], j, sign))
             sign = -sign
-    return DifferentialBlock(t, tuple(alpha), rows, cols, row_index, entries)
+    return DifferentialBlock(len(rows), len(cols), entries, rows, cols, row_index)
 
 
 def graded_dim(params: RingParams, t: int, d: int) -> int:

@@ -32,7 +32,7 @@ from .combinatorics import (
     vec_add,
 )
 from .complex import _divisor_walk, _guard, _pack, differential_block, sort_gens
-from .exactla import ColumnSpace, FieldSpec, SizeGuardError, SparseIntMatrix
+from .exactla import ColumnSpace, FieldSpec, SizeGuardError
 
 # The alternating-sum constructor iterates over (t+1)! permutations.
 SPECIAL_CYCLE_T_GUARD = 6
@@ -163,16 +163,6 @@ class SpecialCycleSpec:
                     raise ValueError(f"{name}-monomial {m} does not have degree {degree}")
 
 
-def _parity(perm: Sequence[int]) -> int:
-    inversions = sum(
-        1
-        for x in range(len(perm))
-        for y in range(x + 1, len(perm))
-        if perm[x] > perm[y]
-    )
-    return -1 if inversions % 2 else 1
-
-
 def special_cycle(params: RingParams, spec: SpecialCycleSpec) -> CycleElement:
     """Alternating sum over all permutations sigma of {1..t+1} of
     sign(sigma) * a_{sigma(t+1)} [b_1 a_{sigma(1)}, ..., b_t a_{sigma(t)}].
@@ -189,7 +179,7 @@ def special_cycle(params: RingParams, spec: SpecialCycleSpec) -> CycleElement:
     items = []
     for perm in permutations(range(t + 1)):
         gens_raw = tuple(rank[vec_add(spec.b[k], spec.a[perm[k]])] for k in range(t))
-        items.append((gens_raw, _parity(perm)))
+        items.append((gens_raw, sort_gens(perm)[1]))
     # every term has the multidegree sum(a) + sum(b)
     return _collect(params, t, tuple(map(sum, zip(*spec.a, *spec.b))), items)
 
@@ -267,7 +257,7 @@ def _boundary_members(
     column space, then one batched membership test."""
     blk = differential_block(params, t + 1, alpha)
     index = blk.row_index
-    space = ColumnSpace(SparseIntMatrix(blk.nrows, blk.ncols, blk.entries), field)
+    space = ColumnSpace(blk, field)
     del blk  # the chains stream through with only the span and its row index held
     return space.members({index[gens]: v for gens, v in terms.items()} for terms in chains)
 

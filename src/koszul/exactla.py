@@ -4,10 +4,12 @@ Rank, kernel and column-space membership never touch floating point.  One
 echelon routine per certified field, VectorSpan, serves all three: dense
 int64 elimination over F_p, and fraction-free integer echelon form over the
 rationals, with sparse rows, which aborts when a pivot outgrows
-EXACT_PIVOT_BIT_GUARD.  Membership takes sparse vectors and costs their
-nonzeros: over F_p a batch subtracts, per nonzero at a pivot, one row of
-the reduced echelon form; over the rationals each vector is reduced pivot
-by pivot.
+EXACT_PIVOT_BIT_GUARD.  One sparse format crosses this boundary: a matrix
+is a SparseIntMatrix of its nonzero entries, and every vector that enters
+or leaves a span (its rows, a column, a kernel vector, a membership probe)
+is a dict {index: value}.  Membership costs the nonzeros of the vectors:
+over F_p a batch subtracts, per nonzero at a pivot, one row of the reduced
+echelon form; over the rationals each vector is reduced pivot by pivot.
 The multiprime rational policy gives ranks only: the max rank over a
 seeded set of random word-sized primes, a certified lower bound that
 equals the rational rank unless every sampled prime is bad.  Smith normal
@@ -147,11 +149,13 @@ class FieldSpec:
 
 @dataclass
 class SparseIntMatrix:
-    """Integer matrix in triplet form; at most one triplet per cell."""
+    """Integer matrix as its nonzero entries (row, col, value), at most one
+    per cell: the one matrix type of this module, and of a raw differential
+    block (complex.DifferentialBlock)."""
 
     nrows: int
     ncols: int
-    triplets: list[tuple[int, int, int]]
+    entries: list[tuple[int, int, int]]
     # Not a dataclass field; rank_mod_p is always dense, the benchmark labels its calls by it.
     dense_threshold = math.inf
 
@@ -187,19 +191,14 @@ class SparseIntMatrix:
 
     def to_dense(self) -> list[list[int]]:
         A = [[0] * self.ncols for _ in range(self.nrows)]
-        for r, c, v in self.triplets:
+        for r, c, v in self.entries:
             A[r][c] = v
         return A
 
-    def to_numpy_mod(self, p: int) -> np.ndarray:
-        A = np.zeros((self.nrows, self.ncols), dtype=np.int64)
-        for r, c, v in self.triplets:
-            A[r, c] = v % p
-        return A
-
-    def columns(self) -> list[list[int]]:
-        cols = [[0] * self.nrows for _ in range(self.ncols)]
-        for r, c, v in self.triplets:
+    def columns(self) -> list[dict[int, int]]:
+        """The columns as sparse vectors, {row: value}."""
+        cols: list[dict[int, int]] = [{} for _ in range(self.ncols)]
+        for r, c, v in self.entries:
             cols[c][r] = v
         return cols
 
@@ -210,10 +209,10 @@ class SparseIntMatrix:
 
 def rank_mod_p(m: SparseIntMatrix, p: int) -> int:
     """Exact rank over F_p: the echelon form of m's rows."""
-    if not m.triplets:  # most Morse matrices; a span costs far more than this test
+    if not m.entries:  # a span costs far more than this test
         return 0
     span = VectorSpan(m.ncols, FieldSpec.prime(p))
-    span.extend(m.to_numpy_mod(p))
+    span._extend_mod_p(m.nrows, ((r, c, x) for r, c, v in m.entries if (x := v % p)))
     return span.rank
 
 
@@ -234,7 +233,7 @@ def sampled_rank(
 
 def rank_fraction_free(m: SparseIntMatrix) -> int:
     """Exact rational rank: the fraction-free echelon form of m's columns."""
-    if not m.triplets:
+    if not m.entries:
         return 0
     span = VectorSpan(m.nrows, FieldSpec.rational(policy="fraction_free"))
     span.extend(m.columns())
@@ -245,8 +244,9 @@ def rank_fraction_free(m: SparseIntMatrix) -> int:
 # kernels
 
 
-def kernel_basis(m: SparseIntMatrix, f: FieldSpec) -> list[list[int]]:
-    """Vectors spanning the null space; count is ncols - rank.
+def kernel_basis(m: SparseIntMatrix, f: FieldSpec) -> list[dict[int, int]]:
+    """Sparse vectors, {column: value}, spanning the null space; count is
+    ncols - rank.
 
     Echelonizes the columns m_j (+) e_j: a row whose pivot lies past the
     first nrows coordinates is zero there, so its tail is a kernel vector,
@@ -255,13 +255,21 @@ def kernel_basis(m: SparseIntMatrix, f: FieldSpec) -> list[list[int]]:
     are primitive integer vectors.
     """
     span = VectorSpan(m.nrows + m.ncols, f)
-    unit = [(m.nrows + j, j, 1) for j in range(m.ncols)]
-    span.extend(SparseIntMatrix(m.nrows + m.ncols, m.ncols, m.triplets + unit).columns())
-    return [row[m.nrows :] for piv, row in span.rows() if piv >= m.nrows]
+    cols = m.columns()
+    for j, col in enumerate(cols):
+        col[m.nrows + j] = 1
+    span.extend(cols)
+    return [{i - m.nrows: v for i, v in row.items()} for piv, row in span.rows() if piv >= m.nrows]
 
 
 # ---------------------------------------------------------------------------
 # spans and membership
+
+
+def _entries_mod_p(vecs: Iterable[dict[int, int]], p: int) -> Iterable[tuple[int, int, int]]:
+    """The nonzero entries (vector, index, value mod p) of sparse vectors,
+    reduced as Python ints, so no value past int64 reaches numpy."""
+    return ((k, i, r) for k, vec in enumerate(vecs) for i, v in vec.items() if (r := v % p))
 
 
 class _ReducedForm(NamedTuple):
@@ -278,9 +286,12 @@ class VectorSpan:
     """Span of integer vectors in echelon form, with exact membership; the
     one echelon routine behind every rank, kernel and column space.
 
-    Rows are kept by pivot, each zero before its pivot.  Over F_p the rows
-    are int64 arrays with unit pivots, and extend eliminates a whole batch
-    at once, column by column.  Both reduce a vector v to
+    Vectors enter (extend, members) and leave (rows) as {index: value}
+    dicts; contains alone takes a dense vector.  Rows are kept by pivot,
+    each zero before its pivot.  Over F_p the rows are int64 arrays with
+    unit pivots, and extend eliminates a whole batch at once, column by
+    column; values are reduced mod p as Python ints before they reach
+    numpy.  Extend and members both reduce a vector v to
     v - sum over the pivots i of v_i R_i, mod p, with R the reduced echelon
     form of the rows, built once per change of the span: that is the one
     vector of v + span zero at every pivot, which reducing row by row would
@@ -311,56 +322,27 @@ class VectorSpan:
     def rank(self) -> int:
         return len(self._rows)
 
-    def rows(self) -> list[tuple[int, list[int]]]:
-        """The echelon rows as (pivot, integer list), in pivot order."""
+    def rows(self) -> list[tuple[int, dict[int, int]]]:
+        """The echelon rows as (pivot, {index: nonzero}), in pivot order."""
         out = []
         for piv in sorted(self._rows):
             row = self._rows[piv]
             if self.field.kind == "prime":
-                out.append((piv, row.tolist()))
-                continue
-            dense = [0] * self.length
-            for i, v in row.items():
-                dense[i] = v
-            out.append((piv, dense))
+                nz = row.nonzero()[0]
+                out.append((piv, dict(zip(nz.tolist(), row[nz].tolist()))))
+            else:
+                out.append((piv, dict(sorted(row.items()))))
         return out
 
-    def extend(self, vecs) -> None:
-        """Insert every vector of vecs (a sequence of vectors, or a 2-D
-        int64 array of rows).  A fraction-free pivot longer than
+    def extend(self, vecs: Sequence[dict[int, int]]) -> None:
+        """Insert every vector of vecs, each sparse, {index: value} with
+        every index below length.  A fraction-free pivot longer than
         EXACT_PIVOT_BIT_GUARD bits raises ExactEliminationError."""
         if self.field.kind == "prime":
-            p = self.field.p
-            B = self._residues(vecs)
-            if self._rows:
-                # B less its multiples of the span, zero at every pivot
-                red = self._reduced_form()
-                ks, idx = B.nonzero()
-                entries = zip(ks.tolist(), idx.tolist(), B[ks, idx].tolist())
-                B = np.zeros_like(B)
-                B[:, red.free] = self._residuals_mod_p(len(B), entries, red)
-            # Dense elimination of what is left, column by column.  A column
-            # zero in every row of B stays zero, so only the others can pivot.
-            nr, r = len(B), 0
-            for col in B.any(axis=0).nonzero()[0].tolist():
-                nz = B[r:, col].nonzero()[0]
-                if nz.size == 0:
-                    continue
-                piv = r + int(nz[0])
-                if piv != r:
-                    B[[r, piv]] = B[[piv, r]]
-                B[r] = B[r] * pow(int(B[r, col]), -1, p) % p
-                below = r + 1 + B[r + 1 :, col].nonzero()[0]
-                if below.size:
-                    B[below] = (B[below] - B[below, col, None] * B[r]) % p
-                self._rows[col] = B[r]
-                self._reduced = None
-                r += 1
-                if r == nr:
-                    break
+            self._extend_mod_p(len(vecs), _entries_mod_p(vecs, self.field.p))
             return
         for vec in vecs:
-            reduced = self._reduce_rational({i: int(v) for i, v in enumerate(vec) if v})
+            reduced = self._reduce_rational({i: int(v) for i, v in vec.items() if v})
             if not reduced:
                 continue
             piv = min(reduced)
@@ -375,6 +357,38 @@ class VectorSpan:
                     "a sampled rank suffices"
                 )
             self._rows[piv] = row
+
+    def _extend_mod_p(self, count: int, entries: Iterable[tuple[int, int, int]]) -> None:
+        """Insert count vectors over F_p, given by their nonzero entries
+        (vector, index, value mod p): their residuals against the span, then
+        dense elimination of what is left, column by column."""
+        p = self.field.p
+        B = np.zeros((count, self.length), dtype=np.int64)
+        if self._rows:
+            # the vectors less their multiples of the span, zero at every pivot
+            red = self._reduced_form()
+            B[:, red.free] = self._residuals_mod_p(count, entries, red)
+        else:
+            E = np.array(list(entries), dtype=np.int64).reshape(-1, 3)
+            B[E[:, 0], E[:, 1]] = E[:, 2]
+        # A column zero in every row of B stays zero, so only the others can pivot.
+        r = 0
+        for col in B.any(axis=0).nonzero()[0].tolist():
+            nz = B[r:, col].nonzero()[0]
+            if nz.size == 0:
+                continue
+            piv = r + int(nz[0])
+            if piv != r:
+                B[[r, piv]] = B[[piv, r]]
+            B[r] = B[r] * pow(int(B[r, col]), -1, p) % p
+            below = r + 1 + B[r + 1 :, col].nonzero()[0]
+            if below.size:
+                B[below] = (B[below] - B[below, col, None] * B[r]) % p
+            self._rows[col] = B[r]
+            self._reduced = None
+            r += 1
+            if r == count:
+                break
 
     def contains(self, vec: Sequence[int]) -> bool:
         return self.members([{i: v for i, v in enumerate(vec) if v}])[0]
@@ -396,10 +410,8 @@ class VectorSpan:
         out: list[bool] = []
         it = iter(vecs)
         while batch := list(islice(it, size)):
-            entries = (
-                (k, i, r) for k, vec in enumerate(batch) for i, v in vec.items() if (r := v % p)
-            )
-            out += (~self._residuals_mod_p(len(batch), entries, red).any(axis=1)).tolist()
+            residuals = self._residuals_mod_p(len(batch), _entries_mod_p(batch, p), red)
+            out += (~residuals.any(axis=1)).tolist()
         return out
 
     def _residuals_mod_p(
@@ -437,15 +449,6 @@ class VectorSpan:
         for term_ks, js, coeffs in terms:
             B[term_ks] = (B[term_ks] - red.R_free[js] * np.array(coeffs)[:, None]) % p
         return B
-
-    def _residues(self, vecs) -> np.ndarray:
-        """vecs mod p as a 2-D int64 array, one row per vector."""
-        p = self.field.p
-        try:
-            A = np.asarray(vecs, dtype=np.int64)
-        except OverflowError:  # entries past int64: reduce them as Python ints
-            A = np.array([[int(x) % p for x in v] for v in vecs], dtype=np.int64)
-        return A.reshape(len(vecs), self.length) % p
 
     def _reduced_form(self) -> _ReducedForm:
         if self._reduced is None:

@@ -166,7 +166,10 @@ class HomologyEngine:
         got = self._cached(rep, p)
         if got is None:
             s = strand()
-            ranks = [s.pairs[t] + rank(s.morse(t)) for t in range(1, len(s.faces))]
+            ranks = [
+                s.pairs[t] + (rank(s.morse(t)) if s.crit[t - 1] and s.crit[t] else 0)
+                for t in range(1, len(s.faces))
+            ]
             got = s.faces, [0] + ranks
             self.stats["eliminations"] += 1
             if store:
@@ -407,20 +410,15 @@ class HomologyEngine:
             )
         top = t * (params.c + 1)
         z1 = functools.cache(lambda b, pair: cycles.z1_generator(params, b, *pair))
-        # composition -> (position of each basis bracket, kernel basis) of
-        # K_t there, for the degrees d - 1 and d of the scan
-        memo: dict[ExponentVec, tuple[dict, list]] = {}
+        # composition -> (basis brackets, kernel basis) of K_t there, for
+        # the degrees d - 1 and d of the scan
+        memo: dict[ExponentVec, tuple[list, list]] = {}
 
-        def kernel(alpha: ExponentVec) -> tuple[dict, list]:
+        def kernel(alpha: ExponentVec) -> tuple[list, list]:
             got = memo.get(alpha)
             if got is None:
                 blk = differential_block(params, t, alpha)
-                index = {gens: pos for pos, gens in enumerate(blk.cols)}
-                kern = []
-                if index:
-                    mat = SparseIntMatrix(blk.nrows, blk.ncols, blk.entries)
-                    kern = exactla.kernel_basis(mat, field)
-                got = memo[alpha] = index, kern
+                got = memo[alpha] = blk.cols, (exactla.kernel_basis(blk, field) if blk.cols else [])
             return got
 
         counts: dict[int, int] = {}
@@ -429,34 +427,28 @@ class HomologyEngine:
             memo = {alpha: got for alpha, got in memo.items() if sum(alpha) == d - 1}
             new_gens = 0
             for rep, weight in self._orbits_of(d):
-                index, kern = kernel(rep)
+                cols, kern = kernel(rep)
                 if not kern:
                     continue
+                index = {gens: pos for pos, gens in enumerate(cols)}
                 images = []
                 for var in range(params.n):
                     if rep[var]:
-                        b_index, b_kern = kernel(vec_sub(rep, unit_vector(params.n, var)))
-                        for vec in b_kern:
-                            mapped = [0] * len(index)
-                            for gens, value in zip(b_index, vec):
-                                if value:
-                                    mapped[index[gens]] = value
-                            images.append(mapped)
-                span = exactla.VectorSpan(len(index), field)
+                        b_cols, b_kern = kernel(vec_sub(rep, unit_vector(params.n, var)))
+                        images += ({index[b_cols[i]]: v for i, v in vec.items()} for vec in b_kern)
+                span = exactla.VectorSpan(len(cols), field)
                 span.extend(images)
                 new_gens += weight * (len(kern) - span.rank)
                 if d == top and top_spanned:
                     span.extend(self._z1_wedge_vectors(t, rep, index, z1))
-                    top_spanned = all(
-                        span.members({i: v for i, v in enumerate(vec) if v} for vec in kern)
-                    )
+                    top_spanned = all(span.members(kern))
             counts[d] = new_gens
         return ZGeneratorProfile(counts, top, top_spanned)
 
     def _z1_wedge_vectors(
         self, t: int, alpha: ExponentVec, index: dict, z1: Callable
-    ) -> list[list[int]]:
-        """Coordinate vectors, at the basis positions of index, of the
+    ) -> list[dict[int, int]]:
+        """Sparse coordinate vectors, at the basis positions of index, of the
         nonzero wedge products of t distinct two-term Z_1 generators whose
         multidegrees sum to alpha; z1(b, (i, j)) builds the generator of b
         and the pair i < j."""
@@ -466,10 +458,7 @@ class HomologyEngine:
                 continue
             terms = cycles.wedge(*(z1(b, pair) for b, pair, _ in chosen)).terms
             if terms:
-                vec = [0] * len(index)
-                for gens, value in terms.items():
-                    vec[index[gens]] = value
-                out.append(vec)
+                out.append({index[gens]: value for gens, value in terms.items()})
         return out
 
 

@@ -41,6 +41,10 @@ def test_traced_queries_run_and_report(tmp_path):
     tracer.install()
     try:
         assert main(["homology", "--n", "3", "--c", "2", "--t", "1", "--deg", "4", "--char", "5"]) == 0
+        # the char-3 jump: (1^7) is a strand whose Morse matrix is not empty,
+        # so it is ranked, mod 3 and fraction-free; most strands' are empty
+        for field in (["--char", "3"], ["--exact"]):
+            assert main(["homology", "--n", "7", "--c", "2", "--t", "2", "--deg", "7", *field]) == 0
         assert main(["table", "--n", "2", "--c", "2", "--exact"]) == 0
         assert main(["verify", "zgen", "--n", "3", "--c", "2", "--t", "2", "--char", "0"]) == 0
         # 17 witnesses: each product a wedge of Z_1 generators, one block
@@ -61,6 +65,9 @@ def test_traced_queries_run_and_report(tmp_path):
     # the generator profile, its kernels and its Z_1 generators stay visible
     assert cold_calls["homology.z_generator_profile"] == 1
     assert cold["exactla.kernel.calls"] > 0
+    # the factorial membership test hands a raw block to ColumnSpace, whose
+    # wrapper reads .cells of it
+    assert cold["exactla.colspace.calls"] > 0
     assert cold_calls["cycles.z1_generator"] > 0
     # the factorial products and the Z_1 wedges of the profile are wedges
     assert cold["cycles.wedge.calls"] > 0

@@ -871,8 +871,9 @@ def test_exact_pivot_guard_exits_2(monkeypatch, capsys):
         raise exactla.ExactEliminationError("pivot guard tripped")
 
     monkeypatch.setattr(exactla, "rank_fraction_free", tripped)
+    # an empty Morse matrix is never ranked: (1^7) at n=7, c=2 has a nonempty one
     with pytest.raises(SystemExit) as exc:
-        main(["table", "--n", "2", "--c", "2", "--exact"])
+        main(["homology", "--n", "7", "--c", "2", "--t", "2", "--deg", "7", "--exact"])
     assert exc.value.code == 2
     assert capsys.readouterr().err == "kosz: error: pivot guard tripped\n"
 

@@ -11,7 +11,7 @@ from koszul.complex import (
     graded_dim,
     sort_gens,
 )
-from koszul.exactla import SparseIntMatrix, rank_mod_p
+from koszul.exactla import rank_mod_p
 
 
 def test_block_basis_examples():
@@ -176,8 +176,8 @@ def test_permutation_equivariance_of_blocks():
             assert len(a_basis) == len(b_basis)
             blk_a = differential_block(p, t, alpha)
             blk_b = differential_block(p, t, beta)
-            ra = rank_mod_p(SparseIntMatrix(blk_a.nrows, blk_a.ncols, blk_a.entries), 10007)
-            rb = rank_mod_p(SparseIntMatrix(blk_b.nrows, blk_b.ncols, blk_b.entries), 10007)
+            ra = rank_mod_p(blk_a, 10007)
+            rb = rank_mod_p(blk_b, 10007)
             assert ra == rb
 
 
@@ -192,7 +192,7 @@ def test_empty_morse_matrices_need_no_gradient_flow(monkeypatch):
     assert s.crit[4] == sum(s.crit) == 889
     for t in range(1, len(s.faces)):
         m = s.morse(t)
-        assert (m.nrows, m.ncols, m.triplets) == (s.crit[t - 1], s.crit[t], [])
+        assert (m.nrows, m.ncols, m.entries) == (s.crit[t - 1], s.crit[t], [])
 
 
 def test_cyclic_flow_error_names_t_and_alpha():

@@ -344,7 +344,7 @@ def _witness_flags_one_by_one(params, witnesses, field):
     original = cycles.ColumnSpace
 
     def shared(m, f):
-        key = (m.nrows, m.ncols, tuple(m.triplets), f)
+        key = (m.nrows, m.ncols, tuple(m.entries), f)
         if key not in spaces:
             spaces[key] = original(m, f)
         return spaces[key]

@@ -35,6 +35,23 @@ def _random_pm1(rng, nr, nc, density=0.4):
     return SparseIntMatrix.from_triplets(nr, nc, trips)
 
 
+def _sparse(vec):
+    return {i: v for i, v in enumerate(vec) if v}
+
+
+def _dense(vec, length):
+    """The dense view of a sparse vector."""
+    out = [0] * length
+    for i, v in vec.items():
+        out[i] = v
+    return out
+
+
+def _dense_rows(span):
+    """The echelon rows of a span as (pivot, dense row)."""
+    return [(piv, _dense(row, span.length)) for piv, row in span.rows()]
+
+
 def _rank_fraction_oracle(m):
     """Independent exact rank: plain Gaussian elimination on Fractions."""
     A = [[Fraction(v) for v in row] for row in m.to_dense()]
@@ -135,22 +152,31 @@ def test_rank_nullity():
 def test_kernel_examples():
     z = SparseIntMatrix(3, 3, [])
     basis = kernel_basis(z, FieldSpec.prime(5))
-    assert basis == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert [_dense(v, 3) for v in basis] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     m = SparseIntMatrix.from_dense([[1, 1]])
     (v,) = kernel_basis(m, FieldSpec.prime(5))
+    v = _dense(v, 2)
     assert (v[0] + v[1]) % 5 == 0 and any(v)
     (w,) = kernel_basis(m, QF)
+    w = _dense(w, 2)
     assert w[0] + w[1] == 0
 
 
 def test_kernel_vectors_annihilate():
+    # +-1 matrices, general integer ones of every shape, and raw blocks; a
+    # kernel vector is sparse: no stored zero, every index a column
     rng = random.Random(13)
-    for _ in range(15):
-        m = _random_pm1(rng, rng.randint(1, 7), rng.randint(1, 7))
+    cases = [_random_pm1(rng, rng.randint(1, 7), rng.randint(1, 7)) for _ in range(15)]
+    cases += list(_oracle_cases(rng))
+    cases += [differential_block(RingParams(3, 2), t, (2, 2, 1)) for t in (1, 2, 3)]
+    for m in cases:
         dense = m.to_dense()
-        for f in (QF, FieldSpec.prime(7)):
+        for f in (QF, FieldSpec.prime(3), FieldSpec.prime(7)):
             p = f.p if f.kind == "prime" else 0
             for v in kernel_basis(m, f):
+                assert isinstance(v, dict) and v
+                assert all(x and 0 <= i < m.ncols for i, x in v.items())
+                v = _dense(v, m.ncols)
                 for row in dense:
                     s = sum(a * b for a, b in zip(row, v))
                     assert s % p == 0 if p else s == 0
@@ -159,11 +185,29 @@ def test_kernel_vectors_annihilate():
 def test_kernel_of_a_differential_block():
     # first differential at n=3, c=2, multidegree (2,1,1): kernel dimension
     # is column count minus rank
-    blk = differential_block(RingParams(3, 2), 1, (2, 1, 1))
-    m = SparseIntMatrix(blk.nrows, blk.ncols, blk.entries)
+    m = differential_block(RingParams(3, 2), 1, (2, 1, 1))
     for f, r in ((QF, rank_fraction_free(m)), (FieldSpec.prime(5), rank_mod_p(m, 5))):
         kern = kernel_basis(m, f)
         assert len(kern) == m.ncols - r == 3
+
+
+def test_a_differential_block_is_a_sparse_matrix():
+    # every routine takes a raw block as it is, and answers as for the plain
+    # SparseIntMatrix of its entries
+    params = RingParams(4, 2)
+    for t, alpha in ((1, (2, 1, 1, 0)), (2, (1, 1, 1, 1)), (3, (2, 2, 1, 1))):
+        blk = differential_block(params, t, alpha)
+        m = SparseIntMatrix.from_triplets(blk.nrows, blk.ncols, blk.entries)
+        assert isinstance(blk, SparseIntMatrix) and blk.cells == m.cells
+        assert rank_fraction_free(blk) == rank_fraction_free(m)
+        assert rank_mod_p(blk, 3) == rank_mod_p(m, 3)
+        assert elementary_divisors(blk) == elementary_divisors(m)
+        probes = [{0: 1}, {i: i - 2 for i in range(0, blk.nrows, 2)}, *blk.columns()]
+        for f in (QF, FieldSpec.prime(3)):
+            assert kernel_basis(blk, f) == kernel_basis(m, f)
+            space, plain = ColumnSpace(blk, f), ColumnSpace(m, f)
+            assert space.rank == plain.rank
+            assert space.members(probes) == plain.members(probes)
 
 
 def test_kernel_rejects_multiprime():
@@ -213,7 +257,7 @@ def test_vector_span_matches_fraction_free_rank():
         m = _random_pm1(rng, rng.randint(1, 8), rng.randint(1, 8))
         span = VectorSpan(m.ncols, QF)
         for row in m.to_dense():
-            span.extend([row])
+            span.extend([_sparse(row)])
         assert span.rank == _rank_fraction_oracle(m)
 
 
@@ -261,11 +305,9 @@ def test_char3_jump_block_facts():
     # has a prime factor above c+1
     p = RingParams(7, 2)
     alpha = (1,) * 7
-    blk2 = differential_block(p, 2, alpha)
-    m2 = SparseIntMatrix(blk2.nrows, blk2.ncols, blk2.entries)
+    m2 = differential_block(p, 2, alpha)
     assert rank_fraction_free(m2) == rank_mod_p(m2, 3) == 20
-    blk3 = differential_block(p, 3, alpha)
-    m3 = SparseIntMatrix(blk3.nrows, blk3.ncols, blk3.entries)
+    m3 = differential_block(p, 3, alpha)
     rq, r3 = rank_fraction_free(m3), rank_mod_p(m3, 3)
     assert rq == 85 and r3 == 84
     divs = elementary_divisors(m3)
@@ -307,7 +349,7 @@ def test_bareiss_on_general_integers():
 
 def test_from_triplets_merges_and_drops_zeros():
     m = SparseIntMatrix.from_triplets(2, 2, [(0, 0, 1), (0, 0, -1), (1, 1, 2), (1, 1, 3)])
-    assert m.triplets == [(1, 1, 5)]
+    assert m.entries == [(1, 1, 5)]
     with pytest.raises(ValueError):
         SparseIntMatrix.from_triplets(2, 2, [(2, 0, 1)])
 
@@ -323,10 +365,9 @@ def test_fraction_free_agrees_with_multiprime_on_all_run_blocks():
     for d in range(0, 28):
         for rep in partitions_into(d, 3):
             for t in range(1, 10):
-                blk = differential_block(p, t, rep)
-                if blk.ncols == 0 or blk.nrows == 0:
+                m = differential_block(p, t, rep)
+                if m.ncols == 0 or m.nrows == 0:
                     continue
-                m = SparseIntMatrix(blk.nrows, blk.ncols, blk.entries)
                 exact = rank_fraction_free(m)
                 best, per_prime, agreed = exactla.sampled_rank(QM, lambda p: [rank_mod_p(m, p)])
                 assert agreed and best == [exact], (t, rep, exact, per_prime)
@@ -381,11 +422,12 @@ def test_mod_p_routine_matches_plain_elimination():
             kern = kernel_basis(m, f)
             assert len(kern) == m.ncols - r
             for v in kern:
-                assert all(0 <= x < p for x in v)
+                assert all(0 <= x < p for x in v.values())
+                v = _dense(v, m.ncols)
                 for row in dense:
                     assert sum(a * b for a, b in zip(row, v)) % p == 0
             # b is in the column space iff appending it keeps the rank
-            cols = m.columns()
+            cols = [_dense(col, m.nrows) for col in m.columns()]
             space = ColumnSpace(m, f)
             assert space.rank == r
             probes = [[rng.randint(-4, 4) for _ in range(m.nrows)] for _ in range(3)]
@@ -394,10 +436,6 @@ def test_mod_p_routine_matches_plain_elimination():
             for b in probes:
                 grown = _rank_mod_p_oracle([c + [x] for c, x in zip(dense, b)], p)
                 assert space.contains(b) == (grown == r), (dense, b, p)
-
-
-def _sparse(vec):
-    return {i: v for i, v in enumerate(vec) if v}
 
 
 @pytest.mark.parametrize(
@@ -414,7 +452,7 @@ def test_members_match_contains_and_rank_growth(f):
     for m in _oracle_cases(rng):
         space = ColumnSpace(m, f)
         dense = m.to_dense()
-        cols = m.columns()
+        cols = [_dense(col, m.nrows) for col in m.columns()]
         probes = [[0] * m.nrows]
         probes += [[rng.randint(-4, 4) for _ in range(m.nrows)] for _ in range(4)]
         if f.kind == "prime":
@@ -451,13 +489,13 @@ def test_members_batches_agree_with_one_at_a_time(monkeypatch):
     p = 2_147_483_647
     rows = [[rng.randrange(p) for _ in range(30)] for _ in range(22)]
     span = VectorSpan(30, FieldSpec.prime(p))
-    span.extend(rows)
+    span.extend([_sparse(r) for r in rows])
     probes = [_sparse([rng.randrange(p) if rng.random() < 0.3 else 0 for _ in range(30)]) for _ in range(40)]
     for _ in range(40):
         coeffs = [rng.randrange(p) for _ in range(5)]
         probes.append(_sparse([sum(k * r[j] for k, r in zip(coeffs, rows)) for j in range(30)]))
     rng.shuffle(probes)
-    expected = [_reduces_to_zero(span.rows(), [v.get(i, 0) for i in range(30)], p) for v in probes]
+    expected = [_reduces_to_zero(_dense_rows(span), _dense(v, 30), p) for v in probes]
     assert sum(expected) == 40
     for cells in (1, 50, 1 << 20):
         monkeypatch.setattr(exactla, "MEMBER_BATCH_CELLS", cells)
@@ -472,8 +510,8 @@ def test_vector_span_add_matches_extend():
             one, batch = VectorSpan(m.ncols, f), VectorSpan(m.ncols, f)
             rows = m.to_dense()
             for row in rows:
-                one.extend([row])
-            batch.extend(rows)
+                one.extend([_sparse(row)])
+            batch.extend([_sparse(row) for row in rows])
             assert one.rank == batch.rank
             for _ in range(4):
                 b = [rng.randint(-3, 3) for _ in range(m.ncols)]
@@ -501,14 +539,12 @@ def test_exact_linear_algebra_output_is_pinned():
         for d in range(top + 1):
             for alpha in compositions(n, d):
                 for t in range(1, d // c + 1):
-                    blk = differential_block(params, t, alpha)
-                    m = SparseIntMatrix(blk.nrows, blk.ncols, blk.entries)
+                    m = differential_block(params, t, alpha)
                     for f in (QF, FieldSpec.prime(3), FieldSpec.prime(32003)):
                         span = VectorSpan(m.nrows, f)
                         span.extend(m.columns())
-                        digest.update(
-                            repr((alpha, t, f.describe(), kernel_basis(m, f), span.rows())).encode()
-                        )
+                        kern = [_dense(v, m.ncols) for v in kernel_basis(m, f)]
+                        digest.update(repr((alpha, t, f.describe(), kern, _dense_rows(span))).encode())
     assert digest.hexdigest() == PINNED_LA_DIGEST
 
 
@@ -531,8 +567,8 @@ def test_prime_membership_matches_sequential_reduction(p):
     for length, nvecs in ((1, 1), (6, 3), (40, 25), (120, 100), (90, 120)):
         rows = [[rng.randrange(-p, p) for _ in range(length)] for _ in range(nvecs)]
         span = VectorSpan(length, FieldSpec.prime(p))
-        span.extend(rows)
-        echelon = span.rows()
+        span.extend([_sparse(r) for r in rows])
+        echelon = _dense_rows(span)
         probes = [[rng.randrange(p) for _ in range(length)] for _ in range(6)]
         for _ in range(6):
             coeffs = [rng.randrange(p) for _ in rows]
@@ -551,7 +587,7 @@ def test_rational_membership_of_a_vector_at_index_zero():
     # the only nonzero entry sits at index 0: a sparse reduced vector is the
     # dict {0: 1}, whose keys are all falsy
     span = VectorSpan(3, QF)
-    span.extend([[0, 1, 1], [0, 0, 2]])
+    span.extend([{1: 1, 2: 1}, {2: 2}])
     assert not span.contains([1, 0, 0])
     assert not span.contains([5, 0, 0])
     assert span.contains([0, 3, -1])
@@ -593,10 +629,10 @@ def test_fraction_free_rows_match_a_fraction_oracle():
     for m in _oracle_cases(rng):
         span = VectorSpan(m.ncols, QF)
         rows = m.to_dense()
-        span.extend(rows)
-        assert span.rows() == _fraction_free_rows_oracle(rows, m.ncols)
+        span.extend([_sparse(row) for row in rows])
+        assert _dense_rows(span) == _fraction_free_rows_oracle(rows, m.ncols)
     for nr, nc in ((12, 9), (9, 12), (20, 20)):
         rows = [[rng.randint(-9, 9) for _ in range(nc)] for _ in range(nr)]
         span = VectorSpan(nc, QF)
-        span.extend(rows)
-        assert span.rows() == _fraction_free_rows_oracle(rows, nc)
+        span.extend([_sparse(row) for row in rows])
+        assert _dense_rows(span) == _fraction_free_rows_oracle(rows, nc)

@@ -6,7 +6,7 @@ from koszul import complex, cycles, exactla, homology
 from koszul.cache import RankCache
 from koszul.combinatorics import RingParams, compositions, unit_vector, vec_sub
 from koszul.complex import differential_block
-from koszul.exactla import FieldSpec, SparseIntMatrix, UnsupportedPolicyError
+from koszul.exactla import FieldSpec, UnsupportedPolicyError
 from koszul.homology import (
     Z_PROFILE_DEGREES_PAST_TOP,
     HomologyEngine,
@@ -217,6 +217,13 @@ def test_mod_p_profile_agrees_with_rational_here():
     assert pf.counts == qf.counts
 
 
+def _dense(vec, length):
+    out = [0] * length
+    for i, v in vec.items():
+        out[i] = v
+    return out
+
+
 def _profile_over_compositions(e, t):
     """(counts, top_layer_in_z1_span) of Z_t from every composition of each
     degree, unweighted: the scan the orbit profile replaced, kept as its
@@ -231,9 +238,8 @@ def _profile_over_compositions(e, t):
             blk = differential_block(params, t, alpha)
             if not blk.cols:
                 continue
-            mat = SparseIntMatrix(blk.nrows, blk.ncols, blk.entries)
             index = {gens: pos for pos, gens in enumerate(blk.cols)}
-            kern = exactla.kernel_basis(mat, field)
+            kern = exactla.kernel_basis(blk, field)
             cur[alpha] = blk.cols, kern
             if not kern:
                 continue
@@ -242,15 +248,15 @@ def _profile_over_compositions(e, t):
                 b_cols, b_kern = prev.get(vec_sub(alpha, unit_vector(params.n, var)), ((), ()))
                 for vec in b_kern:
                     mapped = [0] * len(index)
-                    for gens, value in zip(b_cols, vec):
-                        mapped[index[gens]] = value
-                    images.append(mapped)
+                    for pos, value in vec.items():
+                        mapped[index[b_cols[pos]]] = value
+                    images.append({i: v for i, v in enumerate(mapped) if v})
             span = exactla.VectorSpan(len(index), field)
             span.extend(images)
             counts[d] += len(kern) - span.rank
             if d == top:
                 span.extend(e._z1_wedge_vectors(t, alpha, index, z1))
-                spanned = spanned and all(span.contains(v) for v in kern)
+                spanned = spanned and all(span.contains(_dense(v, len(index))) for v in kern)
         prev = cur
     return counts, spanned
 

@@ -96,8 +96,7 @@ def face_counts(params, alpha) -> list[int]:
 
 
 def raw(params, t, alpha) -> SparseIntMatrix:
-    blk = differential_block(params, t, alpha)
-    return SparseIntMatrix(blk.nrows, blk.ncols, blk.entries)
+    return differential_block(params, t, alpha)
 
 
 def product(a: SparseIntMatrix, b: SparseIntMatrix) -> list[list[int]]:
@@ -332,7 +331,7 @@ def test_morse_output_is_pinned():
         for d in range(top + 1):
             for rep in partitions_into(d, n):
                 s = Strand(params, rep)
-                morse = [s.morse(t).triplets for t in range(1, len(s.faces))]
+                morse = [s.morse(t).entries for t in range(1, len(s.faces))]
                 digest.update(repr((rep, s.faces, s.pairs, s.crit, morse)).encode())
     assert digest.hexdigest() == PINNED_DIGEST
 
@@ -398,15 +397,17 @@ def test_engine_ranks_come_from_morse_matrices(monkeypatch):
     orig = exactla.rank_mod_p
 
     def spy(m, p):
-        seen.append((m.nrows, m.ncols, sorted(m.triplets)))
+        seen.append((m.nrows, m.ncols, sorted(m.entries)))
         return orig(m, p)
 
     monkeypatch.setattr(exactla, "rank_mod_p", spy)
     params = RingParams(7, 2)
     e = HomologyEngine(params, exactla.FieldSpec.prime(3))
     assert e.block_rank(3, (1,) * 7) == 78 + 6
-    # a miss ranks the Morse matrices of the whole (1^7) strand, and only those
+    # a miss ranks the nonempty Morse matrices of the (1^7) strand, and
+    # only those: an empty one (0 x 0 and 0 x 7 here) has rank 0 unranked
     s = Strand(params, (1,) * 7)
     morse = [s.morse(t) for t in range(1, len(s.faces))]
-    assert seen == [(m.nrows, m.ncols, sorted(m.triplets)) for m in morse]
-    assert (7, 27) in [(m.nrows, m.ncols) for m in morse]
+    assert [(m.nrows, m.ncols) for m in morse] == [(0, 0), (0, 7), (7, 27)]
+    assert seen == [(m.nrows, m.ncols, sorted(m.entries)) for m in morse if m.cells]
+    assert all(nrows and ncols for nrows, ncols, _ in seen)
