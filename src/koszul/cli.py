@@ -4,7 +4,10 @@ verification suites, and the characteristic-dependence scan.
 Every command, and every `verify` suite, is a function of the parsed
 namespace alone, bound by its own subparser. Each takes --n --c, the three
 compatibility flags, and only the flags it reads, so a flag given to a
-command that would ignore it exits 2.
+command that would ignore it exits 2; so does --exact with a prime --char.
+The query commands print through one emitter (_emit, the only --format
+switch), and every suite but factorial, which reports findings as well as
+failures, ends in one verdict (_verdict): OK or one line per problem.
 
 Exit codes: 0 success; 1 verification failure or an arithmetic
 inconsistency (such as Morse matrices that do not compose to zero); 2 usage
@@ -42,9 +45,11 @@ from .homology import (
 
 
 def _field(args) -> FieldSpec:
+    # a suite without --exact (factorial, zgen) tests memberships or builds
+    # kernels, so over char 0 it always runs fraction-free
     if args.char:
         return FieldSpec.prime(args.char)
-    if args.exact:
+    if getattr(args, "exact", True):
         return FieldSpec.rational(policy="fraction_free")
     return FieldSpec.rational(policy="multiprime", num_primes=args.primes, seed=args.seed)
 
@@ -83,23 +88,40 @@ def _query(args, **extra) -> dict:
 
 
 def _meta(args, field: FieldSpec, started: float) -> dict:
-    if field.kind == "prime":
-        primes_used = [field.p]
-    elif field.policy == "multiprime":
-        primes_used = list(exactla.multiprime_primes(field.seed, field.num_primes))
-    else:
-        primes_used = []
     return {
         "char_policy": field.describe(),
-        "primes_used": primes_used,
+        "primes_used": list(field.primes),
         "elapsed_ms": int((time.monotonic() - started) * 1000),
         "engine_version": ENGINE_VERSION,
         "seed": args.seed,
     }
 
 
-def _emit_json(query: dict, result, meta: dict) -> None:
-    print(json.dumps({"query": query, "result": result, "meta": meta}))
+def _emit(args, field: FieldSpec, started: float, query: dict, rows: list[dict],
+          columns: tuple[str, ...], text: str) -> int:
+    """Print what --format asks for: rows as JSON records with the query and
+    meta, the columns of rows as CSV, or the text of the diagram format;
+    return exit code 0."""
+    if args.fmt == "json":
+        meta = _meta(args, field, started)
+        print(json.dumps({"query": query, "result": rows, "meta": meta}))
+    elif args.fmt == "csv":
+        print(",".join(columns))
+        for row in rows:
+            print(",".join(str(row[key]) for key in columns))
+    else:
+        print(text)
+    return 0
+
+
+def _verdict(ok: str, problems: list[str]) -> int:
+    """Print OK (ok) and return 0, or print one line per problem and return 1."""
+    if not problems:
+        print(f"OK ({ok})")
+        return 0
+    for line in problems:
+        print(line)
+    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -170,21 +192,13 @@ def cmd_homology(args) -> int:
     engine = _engine(args, field)
     parts = engine.orbit_dims(args.t, args.deg)
     dim = sum(parts.values())
-    orbits = [
-        {"rep": list(rep), "dim": v} for rep, v in sorted(parts.items(), reverse=True)
-    ]
-    if args.fmt == "json":
-        result = [{"t": args.t, "d": args.deg, "dim": dim, "orbits": orbits}]
-        _emit_json(_query(args, command="homology", t=args.t, deg=args.deg),
-                   result, _meta(args, field, started))
-    elif args.fmt == "csv":
-        print("t,d,dim")
-        print(f"{args.t},{args.deg},{dim}")
-    else:
-        print(f"dim H_{args.t} in degree {args.deg} = {dim}   [{field.describe()}]")
-        for entry in orbits:
-            print(f"  orbit {tuple(entry['rep'])}: {entry['dim']}")
-    return 0
+    orbits = sorted(parts.items(), reverse=True)
+    lines = [f"dim H_{args.t} in degree {args.deg} = {dim}   [{field.describe()}]"]
+    lines += [f"  orbit {rep}: {v}" for rep, v in orbits]
+    rows = [{"t": args.t, "d": args.deg, "dim": dim,
+             "orbits": [{"rep": list(rep), "dim": v} for rep, v in orbits]}]
+    query = _query(args, command="homology", t=args.t, deg=args.deg)
+    return _emit(args, field, started, query, rows, ("t", "d", "dim"), "\n".join(lines))
 
 
 def cmd_table(args) -> int:
@@ -197,18 +211,9 @@ def cmd_table(args) -> int:
     j_max = args.jmax if args.jmax is not None else min(t_max + params.c - 1, j_cap)
     table = engine.homology_table(t_max, t_max * params.c + j_max)
     query = _query(args, command="table", tmax=t_max, jmax=j_max)
-    if args.fmt == "json":
-        result = [
-            {"t": t, "d": d, "dim": v} for (t, d), v in sorted(table.entries.items())
-        ]
-        _emit_json(query, result, _meta(args, field, started))
-    elif args.fmt == "csv":
-        print("t,d,dim")
-        for (t, d), v in sorted(table.entries.items()):
-            print(f"{t},{d},{v}")
-    else:
-        print(render_diagram(params, table.entries, t_max, j_max))
-    return 0
+    rows = [{"t": t, "d": d, "dim": v} for (t, d), v in sorted(table.entries.items())]
+    text = render_diagram(params, table.entries, t_max, j_max)
+    return _emit(args, field, started, query, rows, ("t", "d", "dim"), text)
 
 
 def cmd_betti(args) -> int:
@@ -218,22 +223,13 @@ def cmd_betti(args) -> int:
     i_max = args.imax if args.imax is not None else engine.params.N - engine.params.n
     btable = engine.betti_table(args.k, i_max)
     query = _query(args, command="betti", k=args.k, imax=i_max)
-    if args.fmt == "json":
-        result = [
-            {"i": i, "j": j, "beta": v} for (i, j), v in sorted(btable.entries.items())
-        ]
-        _emit_json(query, result, _meta(args, field, started))
-    elif args.fmt == "csv":
-        print("i,j,beta")
-        for (i, j), v in sorted(btable.entries.items()):
-            print(f"{i},{j},{v}")
-    else:
-        j_grid = max((j for (_, j), v in btable.entries.items() if v), default=0)
-        print(f"Betti table of V({args.c},{args.k})   [{field.describe()}]")
-        for i in range(i_max + 1):
-            row = [str(btable.beta(i, j)) for j in range(j_grid + 1)]
-            print(f"  i={i}: " + " ".join(row))
-    return 0
+    rows = [{"i": i, "j": j, "beta": v} for (i, j), v in sorted(btable.entries.items())]
+    j_grid = max((j for (_, j), v in btable.entries.items() if v), default=0)
+    lines = [f"Betti table of V({args.c},{args.k})   [{field.describe()}]"]
+    for i in range(i_max + 1):
+        row = [str(btable.beta(i, j)) for j in range(j_grid + 1)]
+        lines.append(f"  i={i}: " + " ".join(row))
+    return _emit(args, field, started, query, rows, ("i", "j", "beta"), "\n".join(lines))
 
 
 def cmd_index(args) -> int:
@@ -241,16 +237,12 @@ def cmd_index(args) -> int:
     field = _field(args)
     engine = _engine(args, field)
     res = engine.gl_index(args.imax)
-    if args.fmt == "json":
-        witness = None
-        if res.witness:
-            witness = {"i": res.witness[0], "j": res.witness[1], "beta": res.witness[2]}
-        result = [{"index": res.value, "i_max": res.i_max, "witness": witness}]
-        _emit_json(_query(args, command="index", imax=res.i_max), result,
-                   _meta(args, field, started))
-    else:
-        print(str(res))
-    return 0
+    witness = None
+    if res.witness:
+        witness = {"i": res.witness[0], "j": res.witness[1], "beta": res.witness[2]}
+    rows = [{"index": res.value, "i_max": res.i_max, "witness": witness}]
+    query = _query(args, command="index", imax=res.i_max)
+    return _emit(args, field, started, query, rows, (), str(res))  # index offers no CSV
 
 
 def _verify_duality(args) -> int:
@@ -260,28 +252,20 @@ def _verify_duality(args) -> int:
     d_max = params.N * params.c - params.n
     table = engine.homology_table(t_max, d_max)
     report = check_duality(table, engine)
-    if report.ok:
-        print(
-            f"OK ({report.checked} entries checked, {report.direct} direct, "
-            f"{report.mirrored} mirrored)"
-        )
-        return 0
-    for t, d, dim, partner in report.mismatches:
-        print(f"MISMATCH: dim(t={t}, d={d}) = {dim} but partner has {partner}")
-    return 1
+    return _verdict(
+        f"{report.checked} entries checked, {report.direct} direct, {report.mirrored} mirrored",
+        [f"MISMATCH: dim(t={t}, d={d}) = {dim} but partner has {partner}"
+         for t, d, dim, partner in report.mismatches],
+    )
 
 
 def _verify_vanishing(args) -> int:
     report = verify_vanishing(RingParams(args.n, args.c), _field(args), cache=_cache(args))
-    if report.ok:
-        print(
-            f"OK ({report.checked} window zeros checked, "
-            f"{report.sharp_checked} sharpened)"
-        )
-        return 0
-    for t, d, dim in report.failures + report.sharp_failures:
-        print(f"NONZERO: dim H_{t} in degree {d} = {dim}")
-    return 1
+    return _verdict(
+        f"{report.checked} window zeros checked, {report.sharp_checked} sharpened",
+        [f"NONZERO: dim H_{t} in degree {d} = {dim}"
+         for t, d, dim in report.failures + report.sharp_failures],
+    )
 
 
 def _verify_factorial(args) -> int:
@@ -329,16 +313,12 @@ def _verify_coeffdim(args) -> int:
     for z in sampled:
         dim = cycles.coefficient_space_dim(z)
         if dim < z.t + 1:
-            bad.append((z, dim))
-    if not bad:
-        print(
-            f"OK ({len(sampled)} nonzero cycles with n <= {params.n}, c <= {params.c}, "
-            f"coefficient span always >= t+1)"
-        )
-        return 0
-    for z, dim in bad[:10]:
-        print(f"VIOLATION: t={z.t} coefficient span {dim} < {z.t + 1}")
-    return 1
+            bad.append(f"VIOLATION: t={z.t} coefficient span {dim} < {z.t + 1}")
+    return _verdict(
+        f"{len(sampled)} nonzero cycles with n <= {params.n}, c <= {params.c}, "
+        f"coefficient span always >= t+1",
+        bad[:10],
+    )
 
 
 def _verify_greenbound(args) -> int:
@@ -347,13 +327,11 @@ def _verify_greenbound(args) -> int:
     i_max = args.imax if args.imax is not None else engine.params.N - engine.params.n
     btable = engine.betti_table(args.k, i_max)
     report = check_green_bound(btable)
-    if report.ok:
-        print(f"OK ({report.columns_checked} columns within the degree bound)")
-        return 0
+    problems = []
     for v in report.violations:
         kind = "sharpened" if v.sharpened else "plain"
-        print(f"VIOLATION ({kind}): t_{v.i} = {v.t_i} not < {v.bound}")
-    return 1
+        problems.append(f"VIOLATION ({kind}): t_{v.i} = {v.t_i} not < {v.bound}")
+    return _verdict(f"{report.columns_checked} columns within the degree bound", problems)
 
 
 def _verify_zgen(args) -> int:
@@ -363,16 +341,15 @@ def _verify_zgen(args) -> int:
     print(f"Z_{args.t} generator degrees: "
           + ", ".join(f"{d}:{profile.counts[d]}" for d in sorted(profile.counts)))
     late = [d for d in profile.generator_degrees() if d > profile.top_degree]
-    ok = not late and profile.top_layer_in_z1_span in (True, None)
-    if ok:
-        print(f"OK (no generators above degree {profile.top_degree}; "
-              f"top layer in the Z_1-power span)")
-        return 0
+    problems = []
     if late:
-        print(f"VIOLATION: generators above degree {profile.top_degree}: {late}")
+        problems.append(f"VIOLATION: generators above degree {profile.top_degree}: {late}")
     if profile.top_layer_in_z1_span is False:
-        print("VIOLATION: top layer not spanned by Z_1 powers")
-    return 1
+        problems.append("VIOLATION: top layer not spanned by Z_1 powers")
+    return _verdict(
+        f"no generators above degree {profile.top_degree}; top layer in the Z_1-power span",
+        problems,
+    )
 
 
 def _prime_factors(value: int) -> set[int]:
@@ -502,7 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
     # memberships must be certified: over char 0 they run fraction-free
     p = _command(suites, "factorial", _verify_factorial,
                  "(c+1)! times a product of two-term cycles is a boundary", ("--char", "--seed"))
-    p.set_defaults(exact=True)
     sampled_or_exhaustive = p.add_mutually_exclusive_group()
     # a string default is converted after parsing, so it is never the object
     # an explicit --samples parses to and the exclusion check sees every value
@@ -521,7 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _command(suites, "zgen", _verify_zgen,
                  "Z_t is generated in degree <= t(c+1), its top layer by Z_1 products", ("--char",))
-    p.set_defaults(exact=True)  # kernels too, as for factorial
     p.add_argument("--t", type=int, default=1)
 
     p = _command(subs, "chardep", cmd_chardep, "primes where dimensions can jump")
@@ -538,6 +513,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "char", 0) and not exactla.is_prime(args.char):
         parser.error(f"--char must be 0 or a prime, got {args.char}")
+    if getattr(args, "char", 0) and getattr(args, "exact", False):
+        # --exact names a policy over Q, which a prime --char would drop
+        parser.exit(2, f"kosz: error: --exact needs characteristic 0, not --char {args.char}\n")
     if args.max_degree is not None and args.max_degree < 1:
         parser.error("--max-degree must be positive")
     for dest in ("tmax", "jmax", "imax", "t", "deg", "snf_guard"):

@@ -321,9 +321,10 @@ class Strand:
     pairs plus the integer Morse matrix morse(t) on the critical cells
     (crit[t-1] x crit[t]): rank d_t = pairs[t] + rank morse(t) over every
     field, and the elementary divisors of d_t are 1^pairs[t] together with
-    those of morse(t).  Only the counts (faces, one per nonempty level;
-    pairs and crit, indexed by t = 0 .. N+1) and the entries of the Morse
-    matrices are kept.
+    those of morse(t).  record(rank) is that identity, the one place a
+    strand's differential ranks are assembled.  Only the counts (faces, one
+    per nonempty level; pairs and crit, indexed by t = 0 .. N+1) and the
+    entries of the Morse matrices are kept.
 
     Delta_alpha is closed under taking subsets, so the first vertex v0
     pairs every face of its star; only the survivors (_survivors) are
@@ -395,6 +396,16 @@ class Strand:
     def morse(self, t: int) -> SparseIntMatrix:
         """The Morse matrix of d_t, crit[t-1] x crit[t], for 1 <= t <= N+1."""
         return SparseIntMatrix(self.crit[t - 1], self.crit[t], self._entries.get(t, []))
+
+    def record(self, rank: Callable[[SparseIntMatrix], int]) -> tuple[list[int], list[int]]:
+        """The strand record (faces, ranks) over the field of rank:
+        ranks[0] = 0 and ranks[t] = pairs[t] + rank(morse(t)), where an
+        empty morse(t) (no critical cell on one side) ranks 0 uncalled."""
+        ranks = [
+            self.pairs[t] + (rank(self.morse(t)) if self.crit[t - 1] and self.crit[t] else 0)
+            for t in range(1, len(self.faces))
+        ]
+        return self.faces, [0] + ranks
 
 
 class _Flow:

@@ -101,7 +101,8 @@ def multiprime_primes(seed: int, k: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Coefficient field: F_p, or the rationals under a rank policy."""
+    """Coefficient field: F_p, or the rationals under a rank policy; primes
+    names the primes its ranks are taken at."""
 
     kind: str  # "prime" | "rational"
     p: int = 0
@@ -133,6 +134,16 @@ class FieldSpec:
     @property
     def characteristic(self) -> int:
         return self.p if self.kind == "prime" else 0
+
+    @property
+    def primes(self) -> tuple[int, ...]:
+        """The primes ranks are taken at: (p,) over F_p, the seeded primes
+        under multiprime, and none under fraction_free."""
+        if self.kind == "prime":
+            return (self.p,)
+        if self.policy == "fraction_free":
+            return ()
+        return multiprime_primes(self.seed, self.num_primes)
 
     @property
     def certified(self) -> bool:
@@ -220,10 +231,10 @@ def sampled_rank(
     f: FieldSpec, rank_at: Callable[[int], Sequence[int]]
 ) -> tuple[list[int], dict[int, Sequence[int]], bool]:
     """(elementwise max, per-prime rank vectors, agreement flag) over the
-    seeded primes of a multiprime spec, where rank_at(p) is a vector of
+    primes of a multiprime spec (f.primes), where rank_at(p) is a vector of
     ranks mod p; escalates by one prime when the initial set disagrees
     anywhere."""
-    ranks = {p: rank_at(p) for p in multiprime_primes(f.seed, f.num_primes)}
+    ranks = {p: rank_at(p) for p in f.primes}
     if len({tuple(r) for r in ranks.values()}) > 1:
         extra = multiprime_primes(f.seed, f.num_primes + 1)[-1]
         ranks[extra] = rank_at(extra)

@@ -34,7 +34,7 @@ from .combinatorics import (
     vec_sub,
 )
 from .complex import Strand, differential_block, graded_dim
-from .exactla import FieldSpec, SizeGuardError, SparseIntMatrix, UnsupportedPolicyError
+from .exactla import FieldSpec, SizeGuardError, UnsupportedPolicyError
 
 # Generator profiles build every block kernel up to degree t(c+1); factorial
 # growth in t makes large t pointless.
@@ -110,14 +110,14 @@ class HomologyEngine:
     whether the duality shortcut may serve a query.
 
     Each sorted representative's record over the engine field is resolved
-    at most once per engine and kept, as is the orbit list of each degree.
-    Without a cache argument the records are stored in memory.  A record
-    missing from the cache comes from the Morse-reduced strand of its orbit
-    (complex.Strand), built only for that record, shared by its sampled
-    primes, and then dropped.  Under the multiprime policy one prime
-    usually proves the rational record (proves_rational), which is then
-    stored once under p = 0; only the strands it leaves open are sampled
-    at every seeded prime and stored per prime.
+    (_resolve) at most once per engine and kept, as is the orbit list of
+    each degree.  Without a cache argument the records are stored in
+    memory.  A record missing from the cache is that of the Morse-reduced
+    strand of its orbit (complex.Strand.record), built only for it, shared
+    by its sampled primes, and then dropped.  Under the multiprime policy
+    one prime usually proves the rational record (proves_rational), which
+    is then stored once under p = 0; only the strands it leaves open are
+    sampled at every seeded prime and stored per prime.
 
     The engine's strands share one memo of their link face counts
     (complex._subset_counts, keyed by the masked link): many strands of a
@@ -152,34 +152,14 @@ class HomologyEngine:
     def _put(self, rep: ExponentVec, p: int, record) -> None:
         self.cache.put(self.params.n, self.params.c, rep, p, *record)
 
-    def _memo_record(
-        self,
-        rep: ExponentVec,
-        p: int,
-        rank: Callable[[SparseIntMatrix], int],
-        strand: Callable[[], Strand],
-        store: bool = True,
-    ):
-        """The (faces, ranks) record stored under (rep, p); on a miss, the
-        face counts of strand() and, for every t, its matched pairs plus
-        rank(Morse matrix of d_t), stored unless store is False."""
+    def _rank_mod_p(self, rep: ExponentVec, p: int, strand: Callable[[], Strand]):
+        """rep's record over F_p, read from the cache or, on a miss, ranked on
+        strand(); never stored here, since _resolve stores every record."""
         got = self._cached(rep, p)
         if got is None:
-            s = strand()
-            ranks = [
-                s.pairs[t] + (rank(s.morse(t)) if s.crit[t - 1] and s.crit[t] else 0)
-                for t in range(1, len(s.faces))
-            ]
-            got = s.faces, [0] + ranks
+            got = strand().record(lambda m: exactla.rank_mod_p(m, p))
             self.stats["eliminations"] += 1
-            if store:
-                self._put(rep, p, got)
         return got
-
-    def _rank_mod_p(
-        self, rep: ExponentVec, p: int, strand: Callable[[], Strand], store: bool = True
-    ):
-        return self._memo_record(rep, p, lambda m: exactla.rank_mod_p(m, p), strand, store)
 
     def _record(self, alpha: ExponentVec):
         """(faces, ranks) of alpha's strand over the engine field, resolved
@@ -193,42 +173,47 @@ class HomologyEngine:
         return got
 
     def _resolve(self, rep: ExponentVec):
-        """rep's record from the cache, or from its strand, built on the
-        first miss and shared by every prime this call samples.
+        """rep's record over the engine field, and the one place records are
+        stored.  Its strand is built at most once, by the first strand() of
+        a miss, and shared by every prime this call ranks at (field.primes).
 
         A p = 0 record is a proof of the rational record: fraction-free
         elimination wrote it, or proves_rational accepted it at one prime.
-        Under the multiprime policy a p = 0 miss reads or builds the record
-        at the first seeded prime; when proves_rational accepts it, it is
-        stored under p = 0 alone (so a cache of per-prime records is
-        upgraded as it is read).  Otherwise that record is stored under its
-        prime and the seeded primes are sampled, reusing it.
+        Over Q a p = 0 miss reads or builds the record at the first seeded
+        prime; when proves_rational accepts it, it is stored under p = 0
+        alone (so a cache of per-prime records is upgraded as it is read).
+        Otherwise each sampled prime's record is stored under that prime.
+        Storing a record the cache already holds changes nothing.
         """
-        built: list[Strand] = []
+        f = self.field
+        char = f.characteristic
+        if not char:
+            got = self._cached(rep, 0)
+            if got is not None:
+                return got
+        made = None
 
         def strand() -> Strand:
-            if not built:
-                built.append(Strand(self.params, rep, self._subset_counts))
-            return built[0]
+            nonlocal made
+            if made is None:
+                made = Strand(self.params, rep, self._subset_counts)
+            return made
 
-        f = self.field
-        if f.kind == "prime":
-            return self._rank_mod_p(rep, f.p, strand)
-        if f.policy == "fraction_free":
-            return self._memo_record(rep, 0, exactla.rank_fraction_free, strand)
-        got = self._cached(rep, 0)
-        if got is not None:
+        primes = f.primes
+        if primes:
+            got = self._rank_mod_p(rep, primes[0], strand)
+        else:  # fraction-free
+            got = strand().record(exactla.rank_fraction_free)
+            self.stats["eliminations"] += 1
+        if char or not primes or proves_rational(got):
+            # the record over F_p, or a proof of the rational record
+            self._put(rep, char, got)
             return got
-        first = exactla.multiprime_primes(f.seed, f.num_primes)[0]
-        got = self._rank_mod_p(rep, first, strand, store=False)
-        if proves_rational(got):
-            self._put(rep, 0, got)
-            return got
-        if built:  # the record came from the strand, not the cache
-            self._put(rep, first, got)
 
         def ranks_at(p: int):
-            return (got if p == first else self._rank_mod_p(rep, p, strand))[1]
+            record = got if p == primes[0] else self._rank_mod_p(rep, p, strand)
+            self._put(rep, p, record)
+            return record[1]
 
         best, _, _ = exactla.sampled_rank(f, ranks_at)
         return got[0], best

@@ -127,7 +127,9 @@ def test_criterion_03_index_n4_c2():
     print(f"\nPASS criterion 3: ind = 5 at (n,c) = (4,2) in {elapsed:.1f}s")
 
 
-@pytest.mark.parametrize("n, c, value, witness", [(6, 2, 5, (6, 8, 1764))])
+@pytest.mark.parametrize(
+    "n, c, value, witness", [(6, 2, 5, (6, 8, 1764)), (7, 2, 5, (6, 8, 24696))]
+)
 def test_criterion_03_index_sampled_rows(n, c, value, witness):
     # a sampled rank never exceeds the true rank, so every sampled zero below
     # the index is a proof and the "N_5 holds" half is certified; the witness

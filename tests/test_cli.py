@@ -1,8 +1,10 @@
 import argparse
+import hashlib
 import json
 import os
 import re
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -22,7 +24,14 @@ from koszul.cli import (
 from koszul.combinatorics import RingParams
 from koszul.cycles import sample_nonzero_cycles
 from koszul.exactla import FieldSpec, multiprime_primes
-from koszul.homology import HomologyEngine
+from koszul.homology import (
+    DualityReport,
+    GreenBoundReport,
+    GreenBoundViolation,
+    HomologyEngine,
+    VanishingReport,
+    ZGeneratorProfile,
+)
 
 
 def run_cli(capsys, *argv):
@@ -115,6 +124,58 @@ def test_verify_zgen_ok(capsys):
     assert code == 0
     assert "3:2" in out
     assert "OK" in out
+
+
+def _report(report):
+    # a stand-in for a suite's report function, whatever it is called with
+    return lambda *args, **kwargs: report
+
+
+_COEFFDIM_VIOLATIONS = "".join(
+    f"VIOLATION: t={t} coefficient span 1 < {t + 1}\n" for t in (3, 1, 1, 1, 1, 2, 1, 2, 2, 2)
+)
+
+
+@pytest.mark.parametrize(
+    "argv, target, name, fake, expected",
+    [
+        (["duality"], cli, "check_duality",
+         _report(DualityReport(4, 2, 2, [(1, 4, 3, 2), (2, 6, 0, 1)])),
+         "MISMATCH: dim(t=1, d=4) = 3 but partner has 2\n"
+         "MISMATCH: dim(t=2, d=6) = 0 but partner has 1\n"),
+        (["vanishing"], cli, "verify_vanishing",
+         _report(VanishingReport(5, [(1, 5, 2)], 1, [(2, 7, 1)])),
+         "NONZERO: dim H_1 in degree 5 = 2\nNONZERO: dim H_2 in degree 7 = 1\n"),
+        # twelve failing samples, of which the first ten are listed
+        (["coeffdim", "--samples", "12", "--seed", "5"], cli.cycles, "coefficient_space_dim",
+         lambda z: 1, _COEFFDIM_VIOLATIONS),
+        (["greenbound"], cli, "check_green_bound",
+         _report(GreenBoundReport(3, [
+             GreenBoundViolation(2, 5, Fraction(7, 2), False),
+             GreenBoundViolation(2, 5, Fraction(3), True),
+         ])),
+         "VIOLATION (plain): t_2 = 5 not < 7/2\nVIOLATION (sharpened): t_2 = 5 not < 3\n"),
+        (["zgen"], cli.HomologyEngine, "z_generator_profile",
+         _report(ZGeneratorProfile({2: 3, 3: 0, 5: 1}, 4, True)),
+         "Z_1 generator degrees: 2:3, 3:0, 5:1\nVIOLATION: generators above degree 4: [5]\n"),
+        (["zgen"], cli.HomologyEngine, "z_generator_profile",
+         _report(ZGeneratorProfile({2: 3, 3: 0}, 4, False)),
+         "Z_1 generator degrees: 2:3, 3:0\nVIOLATION: top layer not spanned by Z_1 powers\n"),
+        (["zgen"], cli.HomologyEngine, "z_generator_profile",
+         _report(ZGeneratorProfile({2: 3, 5: 1, 6: 2}, 4, False)),
+         "Z_1 generator degrees: 2:3, 5:1, 6:2\n"
+         "VIOLATION: generators above degree 4: [5, 6]\n"
+         "VIOLATION: top layer not spanned by Z_1 powers\n"),
+    ],
+    ids=["duality", "vanishing", "coeffdim", "greenbound", "zgen-late", "zgen-unspanned",
+         "zgen-both"],
+)
+def test_verify_failure_output_is_pinned(capsys, monkeypatch, argv, target, name, fake, expected):
+    # each suite's report is made to fail: exit 1 and one line per problem
+    monkeypatch.setattr(target, name, fake)
+    code, out = run_cli(capsys, "verify", argv[0], "--n", "3", "--c", "2", *argv[1:])
+    assert code == 1
+    assert out == expected
 
 
 STRATUM_1_7 = ["--n", "7", "--c", "2", "--stratum", "1", "1", "1", "1", "1", "1", "1"]
@@ -282,6 +343,35 @@ def test_commands_refuse_flags_they_do_not_read(capsys, tmp_path, argv):
     assert not (tmp_path / "cache").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    ["homology --t 1 --deg 3", "table", "betti", "index",
+     "verify duality", "verify vanishing", "verify greenbound"],
+)
+def test_exact_with_a_prime_char_exits_2(capsys, tmp_path, argv):
+    # --exact names a policy over Q: over F_2 it would be dropped without a word
+    words = argv.split()
+    command = 2 if words[0] == "verify" else 1
+    cache = tmp_path / "cache"
+    err = _exits_2(capsys, *words[:command], "--n", "2", "--c", "2", *words[command:],
+                   "--char", "2", "--exact", "--cache-dir", str(cache))
+    assert err.startswith("kosz: error: ") and err.count("\n") == 1
+    assert "--exact" in err and "--char" in err
+    assert not cache.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    ["homology --t 1 --deg 3 --char 0 --exact", "verify zgen --char 3"],
+)
+def test_exact_at_char_0_and_zgen_over_a_prime_still_run(capsys, argv):
+    # zgen, like factorial, is certified by default and takes no --exact
+    words = argv.split()
+    command = 2 if words[0] == "verify" else 1
+    code, out = run_cli(capsys, *words[:command], "--n", "3", "--c", "2", *words[command:])
+    assert code == 0 and out
+
+
 def test_zgen_reads_no_cache(capsys, tmp_path, monkeypatch):
     # a generator profile reads no strand record, so it opens no cache
     missing = tmp_path / "missing"
@@ -322,14 +412,75 @@ def test_readme_flag_table_matches_the_parser():
     assert parsed == rows
 
 
-def test_readme_commands_parse():
-    # every `kosz ...` line of the README's command-line block is a valid call
+def _readme_commands() -> list[list[str]]:
+    """The argv of every `kosz ...` line of the README's command-line block."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```")[1]
-    commands = [line.split()[1:] for line in block.splitlines() if line.startswith("kosz ")]
+    return [line.split()[1:] for line in block.splitlines() if line.startswith("kosz ")]
+
+
+def test_readme_commands_parse():
+    # every `kosz ...` line of the README's command-line block is a valid call
+    commands = _readme_commands()
     assert len(commands) >= 11
     for argv in commands:
         assert build_parser().parse_args(argv).func.__module__ == "koszul.cli"
+
+
+# SHA-256 of the stdout of every README example, and of the other formats of
+# the commands that offer --format, with JSON's meta.elapsed_ms set to 0
+_README_STDOUT = {
+    "table --n 3 --c 3 --char 0":
+        "bb25bd8e1091382d2cf8659b31c75dc6e7a2e8c78b6d50d8b6d2274ffe643d63",
+    "homology --n 7 --c 2 --t 2 --deg 7 --char 3":
+        "a3d741f2ab970922ab5cce79d6367932bee2c87cf1eb29dcd6f0e4ce2fcbff30",
+    "betti --n 3 --c 3 --k 1 --char 0 --format csv":
+        "835b0f09124cc5145ddcaa868ead5da131ecc1e3fa8e24706aac90062e329452",
+    "index --n 4 --c 2 --char 0":
+        "73dcdcd7f7792d8b5778eb3db825ee072d9d7f84d9729a69b36df09366f81117",
+    "verify duality --n 3 --c 2 --char 0":
+        "797ced8df3eb84030b45d057c4246770ab8c81216da2f3733db7f93479149995",
+    "verify vanishing --n 3 --c 3 --char 0":
+        "5dd445cd211ad146225c2893a5612dc235253dd7c292cac3f3ae2b09c1344832",
+    "verify factorial --n 3 --c 2 --char 0 --samples 50":
+        "7219cbd924d30d9bd1255fae33418c0789a94e1b41bfabae5edac19c892aa23e",
+    "verify factorial --n 7 --c 2 --char 3 --stratum 1 1 1 1 1 1 1":
+        "89bfbe402efdf51356d517b9ae31d82863b246fcdd7a97d7be24a896b6cfc8ab",
+    "verify coeffdim --n 3 --c 2 --samples 200":
+        "fd3835355de7da7e97d5ceee817fb051eff0c761e3f1c83033ec0cda3ec610a4",
+    "verify greenbound --n 3 --c 3 --k 0 --char 0":
+        "d25c90d1d63bd4eab6e3fbbf2abfa0b74854033e57dafd4c2e49407a6b0c206a",
+    "verify zgen --n 3 --c 2 --t 2 --char 0":
+        "cb1b06180fff66b03e8a5ea995b7b4fd6b93d393eb13d9d9057e13e843338f75",
+    "chardep --n 7 --c 2 --t 2 --deg 7":
+        "7505205d7b114cc679f401fae2ff1892c943d3658bec935171b9a77e4dde2f75",
+    "homology --n 7 --c 2 --t 2 --deg 7 --char 3 --format csv":
+        "e5927b83dd7905c06aafaaa4fb84c35d4fa5f75b72bf4c24883a8b86be390dde",
+    "homology --n 7 --c 2 --t 2 --deg 7 --char 3 --format json":
+        "ac8770f8dd3446d93328bb008503d236c6d143c38b01885cb24c7c42b0c79a6a",
+    "table --n 3 --c 3 --char 0 --format csv":
+        "cf3b71d71212c939662857940d46f6ec9f332b98d84b1fbea5c25781bd61cd6e",
+    "table --n 3 --c 3 --char 0 --format json":
+        "3039913e074273cf6ee562c26f339aad0545345336efb73ee8a5a4c3ea92aac6",
+    "betti --n 3 --c 3 --k 1 --char 0":
+        "d8bf680faa99625c36f80633eefb000c355a558f3d90d4cf1cb6b597e5f6ee01",
+    "betti --n 3 --c 3 --k 1 --char 0 --format json":
+        "18ebea3d398a86a62d0fba09b0a6264f1bc8161ae8822f0522ec90e00e18cc5d",
+    "index --n 4 --c 2 --char 0 --format json":
+        "126fc54f0c0b7f2183007906f396efac51b4a5780378d3877e534ba904357d1b",
+}
+
+
+def test_readme_examples_print_the_pinned_stdout(capsys, monkeypatch):
+    # each README example runs, exits 0 and prints what it printed when pinned
+    monkeypatch.delenv("KOSZ_CACHE_DIR", raising=False)
+    readme = [" ".join(argv) for argv in _readme_commands()]
+    assert set(readme) <= set(_README_STDOUT)
+    for command, digest in _README_STDOUT.items():
+        code, out = run_cli(capsys, *command.split())
+        out = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out)
+        assert code == 0, command
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, command
 
 
 def test_verify_coeffdim(capsys):
