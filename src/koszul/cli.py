@@ -4,7 +4,8 @@ verification suites, and the characteristic-dependence scan.
 Every command, and every `verify` suite, is a function of the parsed
 namespace alone, bound by its own subparser. Each takes --n --c, the three
 compatibility flags, and only the flags it reads, so a flag given to a
-command that would ignore it exits 2; so does --exact with a prime --char.
+command that would ignore it exits 2; so does --exact with a prime --char,
+and --primes or --seed with either.
 The query commands print through one emitter (_emit, the only --format
 switch), and every suite but factorial, which reports findings as well as
 failures, ends in one verdict (_verdict): OK or one line per problem.
@@ -388,9 +389,10 @@ def cmd_chardep(args) -> int:
             if m.cells > args.snf_guard:
                 skipped.append((t, rep, m.cells))
                 continue
-            for divisor in exactla.elementary_divisors(m, max_cells=args.snf_guard):
-                if divisor > 1:
-                    jump_primes |= _prime_factors(divisor)
+            # each divisor divides the next, so the last carries every prime
+            divisors = exactla.elementary_divisors(m, max_cells=args.snf_guard)
+            if divisors:
+                jump_primes |= _prime_factors(divisors[-1])
     found = ", ".join(str(p) for p in sorted(jump_primes)) or "none"
     if skipped:
         # a skipped block may carry any prime, so the answer is partial
@@ -406,14 +408,23 @@ def cmd_chardep(args) -> int:
 # parser
 
 
+class _Given(argparse.Action):
+    """Store the value and note the flag in the namespace's `given`, so that
+    a flag given explicitly is told from its default."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = {*getattr(namespace, "given", ()), option_string}
+
+
 # The field, cache and output flags, each given only to the commands that
 # read it.
 _SHARED = {
     "--char": dict(type=int, default=0, help="coefficient characteristic: 0 or a prime"),
-    "--seed": dict(type=int, default=0),
+    "--seed": dict(type=int, default=0, action=_Given),
     "--cache-dir": dict(default=None, help="rank cache directory (default $KOSZ_CACHE_DIR)"),
     "--exact": dict(action="store_true", help="fraction-free rational ranks"),
-    "--primes": dict(type=int, default=2, help="multiprime sample size for char 0"),
+    "--primes": dict(type=int, default=2, action=_Given, help="multiprime sample size for char 0"),
 }
 _ENGINE = ("--char", "--seed", "--cache-dir", "--exact", "--primes")
 _FORMATS = ("diagram", "csv", "json")
@@ -516,6 +527,11 @@ def main(argv=None) -> int:
     if getattr(args, "char", 0) and getattr(args, "exact", False):
         # --exact names a policy over Q, which a prime --char would drop
         parser.exit(2, f"kosz: error: --exact needs characteristic 0, not --char {args.char}\n")
+    sampling = sorted(getattr(args, "given", ()))
+    if sampling and hasattr(args, "exact") and (args.exact or args.char):
+        # of the fields the commands taking --exact offer, only multiprime samples primes
+        field = "--exact" if args.exact else f"--char {args.char}"
+        parser.exit(2, f"kosz: error: {' and '.join(sampling)} would be ignored with {field}\n")
     if args.max_degree is not None and args.max_degree < 1:
         parser.error("--max-degree must be positive")
     for dest in ("tmax", "jmax", "imax", "t", "deg", "snf_guard"):

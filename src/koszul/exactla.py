@@ -543,21 +543,27 @@ class ColumnSpace:
 # Smith normal form
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    x, nx, y, ny, g, ng = 1, 0, 0, 1, a, b
-    while ng:
-        q = g // ng
-        x, nx = nx, x - q * nx
-        y, ny = ny, y - q * ny
-        g, ng = ng, g - q * ng
-    if g < 0:
-        x, y, g = -x, -y, -g
-    return x, y, g
+def _least_entry(rows: list[dict[int, int]]) -> tuple[int, int]:
+    """(row, column) of an entry of least magnitude: the first unit found."""
+    best = None
+    for r, row in enumerate(rows):
+        for c, v in row.items():
+            if best is None or abs(v) < best[0]:
+                best = (abs(v), r, c)
+                if best[0] == 1:
+                    return r, c
+    return best[1], best[2]
 
 
 def elementary_divisors(m: SparseIntMatrix, max_cells: int = SNF_CELL_GUARD) -> list[int]:
     """Nonzero Smith normal form diagonal entries, ascending.
 
+    One corner rule: an entry of least magnitude, the first unit found, is
+    the corner.  Floor quotients reduce its column by row operations and
+    then, the column clear, its row by column operations, which change that
+    row alone; a remainder left is the next, smaller corner.  A non-unit
+    corner is a divisor only if it divides every remaining entry; else a
+    row that breaks this is added to its row, leaving a smaller remainder.
     The rank over F_p equals the number of divisors coprime to p.  Guarded:
     refuse oversized inputs instead of grinding.
     """
@@ -566,89 +572,33 @@ def elementary_divisors(m: SparseIntMatrix, max_cells: int = SNF_CELL_GUARD) -> 
             f"matrix has {m.cells} cells, over the Smith normal form guard "
             f"{max_cells} (--snf-guard)"
         )
-    A = m.to_dense()
-    nr, nc = m.nrows, m.ncols
-
-    def row_op(i1: int, i2: int, j: int) -> None:
-        a, b = A[i1][j], A[i2][j]
-        if b == 0:
-            return
-        if a == 0:
-            A[i1], A[i2] = A[i2], A[i1]
-            return
-        if b % a == 0:
-            q = -(b // a)
-            A[i2] = [x + q * y for x, y in zip(A[i2], A[i1])]
-            return
-        x, y, g = _xgcd(a, b)
-        mbg, ag = -(b // g), a // g
-        A[i1], A[i2] = (
-            [x * u + y * v for u, v in zip(A[i1], A[i2])],
-            [mbg * u + ag * v for u, v in zip(A[i1], A[i2])],
-        )
-
-    def col_op(j1: int, j2: int, i: int) -> None:
-        a, b = A[i][j1], A[i][j2]
-        if b == 0:
-            return
-        if a == 0:
-            for row in A:
-                row[j1], row[j2] = row[j2], row[j1]
-            return
-        if b % a == 0:
-            q = -(b // a)
-            for row in A:
-                row[j2] += q * row[j1]
-            return
-        x, y, g = _xgcd(a, b)
-        mbg, ag = -(b // g), a // g
-        for row in A:
-            u, v = row[j1], row[j2]
-            row[j1] = x * u + y * v
-            row[j2] = mbg * u + ag * v
-
+    by_row: dict[int, dict[int, int]] = {}
+    for r, c, v in m.entries:
+        by_row.setdefault(r, {})[c] = v
+    rows = list(by_row.values())
     diag: list[int] = []
-    k = 0
-    while k < min(nr, nc):
-        # move a minimal-magnitude nonzero entry to the pivot slot
-        best = None
-        for i in range(k, nr):
-            for j in range(k, nc):
-                v = A[i][j]
-                if v and (best is None or abs(v) < abs(A[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        if bi != k:
-            A[k], A[bi] = A[bi], A[k]
-        if bj != k:
-            for row in A:
-                row[k], row[bj] = row[bj], row[k]
-        while True:
-            for i in range(k + 1, nr):
-                if A[i][k]:
-                    row_op(k, i, k)
-            if any(A[k][j] for j in range(k + 1, nc)):
-                for j in range(k + 1, nc):
-                    if A[k][j]:
-                        col_op(k, j, k)
-            if not any(A[i][k] for i in range(k + 1, nr)) and not any(
-                A[k][j] for j in range(k + 1, nc)
-            ):
-                # enforce divisibility of the remaining block by the pivot
-                pivot = A[k][k]
-                culprit = None
-                for i in range(k + 1, nr):
-                    for j in range(k + 1, nc):
-                        if A[i][j] % pivot:
-                            culprit = i
-                            break
-                    if culprit is not None:
-                        break
-                if culprit is None:
-                    break
-                A[k] = [x + y for x, y in zip(A[k], A[culprit])]
-        diag.append(abs(A[k][k]))
-        k += 1
+    while rows:
+        i, j = _least_entry(rows)
+        top = rows[i]
+        p = top[j]
+        for row in rows:
+            if row is not top and j in row and (q := row[j] // p):
+                for c, v in top.items():
+                    x = row.get(c, 0) - q * v
+                    if x:
+                        row[c] = x
+                    else:
+                        del row[c]
+        if any(j in row for row in rows if row is not top):
+            continue  # a remainder in the column: a smaller entry exists
+        # the column is clear, so column operations change the corner's row alone
+        rest = {c: x for c, v in top.items() if c != j and (x := v % p)}
+        if not rest and abs(p) > 1:  # a unit needs no divisibility check
+            culprit = next((row for row in rows if any(v % p for v in row.values())), {})
+            rest = {c: x for c, v in culprit.items() if (x := v % p)}
+        if rest:
+            rows[i] = {j: p} | rest
+            continue
+        diag.append(abs(p))
+        rows = [row for row in rows if row and row is not top]
     return sorted(diag)

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from koszul.cli import RankCache
+from koszul.cli import RankCache, main
 from koszul.combinatorics import RingParams
 from koszul.cycles import (
     coefficient_space_dim,
@@ -280,3 +280,17 @@ def test_criterion_12_stretch_char5_jump():
     assert dim5 != 0
     assert dim0 == 0
     print(f"\nPASS criterion 12: beta[5,7] jumps to {dim5} in characteristic 5")
+
+
+def test_criterion_12_chardep_names_5(capsys):
+    # the Smith form of the 276 x 1,008 Morse matrix at (2,...,2), t = 6, has
+    # one divisor 5; under the default guard its 278,208 cells are skipped
+    base = ["chardep", "--n", "7", "--c", "2", "--t", "5", "--deg", "14"]
+    assert main([*base, "--snf-guard", "300000"]) == 0
+    assert capsys.readouterr().out == "characteristics where dimensions can jump: 5\n"
+    assert main(base) == 0
+    assert capsys.readouterr().out == (
+        "characteristics where dimensions can jump: unknown (partial: 1 skipped, listed below)\n"
+        "  skipped block t=6 alpha=(2, 2, 2, 2, 2, 2, 2) (278208 cells over --snf-guard)\n"
+    )
+    print("\nPASS criterion 12: chardep names the prime 5")

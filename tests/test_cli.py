@@ -362,10 +362,42 @@ def test_exact_with_a_prime_char_exits_2(capsys, tmp_path, argv):
 
 @pytest.mark.parametrize(
     "argv",
-    ["homology --t 1 --deg 3 --char 0 --exact", "verify zgen --char 3"],
+    ["homology --t 1 --deg 3", "table", "betti", "index",
+     "verify duality", "verify vanishing", "verify greenbound"],
+)
+@pytest.mark.parametrize("field", ["--exact", "--char 3"])
+@pytest.mark.parametrize("sampling", ["--primes 5", "--seed 4", "--primes 2 --seed 0"])
+def test_sampling_flags_with_a_certified_field_exit_2(capsys, tmp_path, argv, field, sampling):
+    # only the multiprime policy samples primes: under --exact or a prime
+    # --char, --primes and --seed would be dropped, their defaults included
+    words = argv.split()
+    command = 2 if words[0] == "verify" else 1
+    cache = tmp_path / "cache"
+    err = _exits_2(capsys, *words[:command], "--n", "2", "--c", "2", *words[command:],
+                   *field.split(), *sampling.split(), "--cache-dir", str(cache))
+    flags = " and ".join(w for w in sampling.split() if w.startswith("--"))
+    assert err == f"kosz: error: {flags} would be ignored with {field}\n"
+    assert not cache.exists()
+
+
+@pytest.mark.parametrize("char", ["4", "4294967311"])
+def test_char_that_is_not_a_word_sized_prime_exits_2(capsys, tmp_path, char):
+    cache = tmp_path / "cache"
+    err = _exits_2(capsys, "table", "--n", "2", "--c", "2", "--char", char,
+                   "--cache-dir", str(cache))
+    assert err.splitlines()[-1].startswith("kosz: error: ") and char in err
+    assert not cache.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    ["homology --t 1 --deg 3 --char 0 --exact", "verify zgen --char 3",
+     "table --char 0 --seed 5", "index --primes 3 --seed 1",
+     "verify factorial --char 3 --seed 3 --samples 5", "verify coeffdim --seed 3 --samples 5"],
 )
 def test_exact_at_char_0_and_zgen_over_a_prime_still_run(capsys, argv):
-    # zgen, like factorial, is certified by default and takes no --exact
+    # zgen, like factorial, is certified by default and takes no --exact;
+    # --seed and --primes stay valid wherever a rank or a sample reads them
     words = argv.split()
     command = 2 if words[0] == "verify" else 1
     code, out = run_cli(capsys, *words[:command], "--n", "3", "--c", "2", *words[command:])
@@ -558,9 +590,10 @@ def test_parser_is_reused_and_left_unchanged(capsys):
     # leak into the next one's defaults
     assert build_parser() is build_parser()
     table = ["table", "--n", "3", "--c", "2", "--format", "json"]
-    code, out = run_cli(capsys, *table, "--exact", "--primes", "3", "--seed", "7")
+    code, out = run_cli(capsys, *table, "--primes", "3", "--seed", "7")
     assert code == 0
-    assert json.loads(out)["query"]["exact"] is True
+    query = json.loads(out)["query"]
+    assert (query["primes"], query["seed"]) == (3, 7)
     with pytest.raises(SystemExit) as exc:
         main(["table", "--n", "3"])  # missing --c
     assert exc.value.code == 2

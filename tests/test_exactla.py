@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -295,6 +297,51 @@ def test_divisor_chain_divides():
     for _ in range(10):
         m = _random_pm1(rng, rng.randint(2, 6), rng.randint(2, 6))
         divs = elementary_divisors(m)
+        for a, b in zip(divs, divs[1:]):
+            assert b % a == 0
+
+
+def _det(rows):
+    """Leibniz determinant of a small square integer matrix."""
+    total = 0
+    for perm in itertools.permutations(range(len(rows))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        total += (-1) ** inversions * math.prod(row[j] for row, j in zip(rows, perm))
+    return total
+
+
+def _divisors_from_minors(A):
+    """Independent Smith form: D_k is the gcd of the k x k minors and
+    d_k = D_k / D_(k-1), up to the rank, where D_k first vanishes."""
+    nr, nc = len(A), len(A[0])
+    out, prev = [], 1
+    for k in range(1, min(nr, nc) + 1):
+        dk = math.gcd(*(
+            _det([[A[i][j] for j in cols] for i in rows])
+            for rows in itertools.combinations(range(nr), k)
+            for cols in itertools.combinations(range(nc), k)
+        ))
+        if dk == 0:
+            break
+        out.append(dk // prev)
+        prev = dk
+    return out
+
+
+def test_elementary_divisors_equal_the_minor_gcd_quotients():
+    rng = random.Random(53)
+    for trial in range(300):
+        nr, nc = rng.randint(1, 4), rng.randint(1, 5)
+        if trial % 3:
+            A = [[rng.randint(-6, 6) for _ in range(nc)] for _ in range(nr)]
+        else:  # a product through a narrower middle is rank-deficient
+            k = rng.randint(1, max(1, min(nr, nc) - 1))
+            B = [[rng.randint(-6, 6) for _ in range(k)] for _ in range(nr)]
+            C = [[rng.randint(-6, 6) for _ in range(nc)] for _ in range(k)]
+            A = [[sum(B[i][h] * C[h][j] for h in range(k)) for j in range(nc)]
+                 for i in range(nr)]
+        divs = elementary_divisors(SparseIntMatrix.from_dense(A))
+        assert divs == _divisors_from_minors(A), A
         for a, b in zip(divs, divs[1:]):
             assert b % a == 0
 

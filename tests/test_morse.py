@@ -349,6 +349,19 @@ def test_matching_complex_of_k7_pins_the_char3_jump():
     assert 3 in elementary_divisors(m)
 
 
+@pytest.mark.parametrize("n, torsion", [(5, {}), (6, {}), (7, {3: [3]})])
+def test_matching_complex_torsion(n, torsion):
+    # at c = 2 the strand (1^n) is the matching complex M_n; Bouc (1992):
+    # the reduced H_1(M_7) is Z/3, and M_5, M_6 have no torsion
+    s = Strand(RingParams(n, 2), (1,) * n)
+    found = {}
+    for t in range(1, len(s.faces)):
+        above_one = [d for d in elementary_divisors(s.morse(t)) if d > 1]
+        if above_one:
+            found[t] = above_one
+    assert found == torsion
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_reduction_property(data):
