@@ -34,11 +34,13 @@ class RankCache:
     F_p record whose homology is never nonzero at two adjacent levels (see
     homology.proves_rational); sampled ranks that lack that proof are kept
     under their primes.
-    One JSON object per line with stable key order; records from other
-    engine versions are ignored.  A file may hold records of any ring, though
-    cache_path gives each ring its own.  With path None the cache lives in
-    memory.  New records go through one append handle, opened at the first
-    and flushed after each, so the file stays current for other readers.
+    One JSON object per line, keys sorted, as json.dumps(record,
+    sort_keys=True) prints it; put writes that line directly, without the
+    JSON encoder.  Records from other engine versions are ignored.  A file
+    may hold records of any ring, though cache_path gives each ring its
+    own.  With path None the cache lives in memory.  New records go through
+    one append handle, opened at the first and flushed after each, so the
+    file stays current for other readers.
     """
 
     def __init__(self, path: str | None = None):
@@ -113,19 +115,16 @@ class RankCache:
             return
         self._mem[key] = value
         if self.path:
-            rec = {
-                "n": n,
-                "c": c,
-                "alpha": list(alpha),
-                "p": p,
-                "faces": list(faces),
-                "ranks": list(ranks),
-                "engine": ENGINE_VERSION,
-            }
+            # json.dumps(record, sort_keys=True), written out: a list of ints
+            # prints as its JSON array
+            line = (
+                f'{{"alpha": {list(alpha)}, "c": {c}, "engine": "{ENGINE_VERSION}", '
+                f'"faces": {list(faces)}, "n": {n}, "p": {p}, "ranks": {list(ranks)}}}\n'
+            )
             try:
                 if self._fh is None:
                     self._fh = open(self.path, "a", encoding="utf-8")
-                self._fh.write(json.dumps(rec, sort_keys=True) + "\n")
+                self._fh.write(line)
                 self._fh.flush()  # current for any other reader of the file
             except OSError as exc:
                 raise OSError(f"cannot append to cache {self.path}: {exc}") from exc

@@ -420,7 +420,8 @@ class _Given(argparse.Action):
 # The field, cache and output flags, each given only to the commands that
 # read it.
 _SHARED = {
-    "--char": dict(type=int, default=0, help="coefficient characteristic: 0 or a prime"),
+    "--char": dict(type=int, default=0,
+                   help="coefficient characteristic: 0 or a prime below 2^31"),
     "--seed": dict(type=int, default=0, action=_Given),
     "--cache-dir": dict(default=None, help="rank cache directory (default $KOSZ_CACHE_DIR)"),
     "--exact": dict(action="store_true", help="fraction-free rational ranks"),
@@ -522,8 +523,11 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "char", 0) and not exactla.is_prime(args.char):
-        parser.error(f"--char must be 0 or a prime, got {args.char}")
+    if getattr(args, "char", 0):
+        try:
+            exactla.FieldSpec.prime(args.char)  # the one judge of a word-sized prime
+        except ValueError:
+            parser.error(f"--char must be 0 or a prime below 2^31, got {args.char}")
     if getattr(args, "char", 0) and getattr(args, "exact", False):
         # --exact names a policy over Q, which a prime --char would drop
         parser.exit(2, f"kosz: error: --exact needs characteristic 0, not --char {args.char}\n")

@@ -14,13 +14,16 @@ and never assembled into the full graded component.  Bases and chains
 The multidegree-alpha strand is the augmented chain complex of a simplicial
 complex Delta_alpha (see Strand), which algebraic Morse theory shrinks to a
 few critical cells before any elimination runs.  Strand never enumerates
-Delta_alpha: it walks once, over the faces that survive the matching on the
-first vertex, and counts the link of that vertex with a subset-sum DP.
-Most Delta_alpha are cones on that vertex; one packed comparison finds
-them, and their strands skip the walk and everything after it.  The DP
-runs on the link with its slack fields cleared, so strands that differ
-only there ask the same question, and a caller may memoize the count
-(HomologyEngine does, once per engine).
+Delta_alpha.  One packed pass over its ring's table (_monomial_table)
+lists the vertices, and one sum of their exponent columns gives both the
+cone test and the key of the link of the first vertex v0, whose faces a
+subset-sum DP counts.  The DP runs on the link with its slack fields
+cleared, so strands that differ only there ask the same question, and a
+caller may memoize the count (HomologyEngine does, once per engine).  Most
+Delta_alpha are cones on v0, and their strands stop after that count.  Any
+other strand walks once, over the faces that survive the matching on v0,
+and makes the matching on the second vertex v1 during that walk: the upper
+faces of the v1 pairs are never visited.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import functools
 import math
 from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .combinatorics import ExponentVec, RingParams, monomial_count, monomial_table
 from .exactla import SparseIntMatrix
@@ -69,10 +72,9 @@ def block_basis(params: RingParams, t: int, alpha: ExponentVec) -> list[tuple[in
         return []
     if sum(alpha) < t * params.c:
         return []
-    ranks, _, width, guard = _vertices(params, alpha)
-    packed = _monomial_table(params.n, params.c, width)
-    top = _pack(alpha, width) | guard
-    return [chosen for chosen, _ in _divisor_walk(packed, ranks, top, guard, t, distinct=True)]
+    ranks, top, table = _vertices(params, alpha)
+    walk = _divisor_walk(table.packed, ranks, top, table.guard, t, distinct=True)
+    return [chosen for chosen, _ in walk]
 
 
 def _divisor_walk(
@@ -150,10 +152,36 @@ def graded_dim(params: RingParams, t: int, d: int) -> int:
     return math.comb(params.N, t) * monomial_count(params.n, d - t * params.c)
 
 
-def _vertices(params: RingParams, alpha: ExponentVec) -> tuple[list[int], list[int], int, int]:
-    """(ranks, cands, width, guard): the ranks of the degree-c monomials
-    dividing X^alpha, in rank order, each packed at width, and the guard
-    bits of that width.
+class _Packing(NamedTuple):
+    """The degree-c monomials of a ring, packed at one field width."""
+
+    width: int
+    monomials: tuple[ExponentVec, ...]  # in rank order
+    packed: list[int]  # each monomial, packed at width
+    guard: int  # the guard bit of every field
+    fields: tuple[int, ...]  # the mask of each field, its guard bit excluded
+
+
+@functools.lru_cache(maxsize=None)
+def _monomial_table(n: int, c: int, width: int) -> _Packing:
+    """The ring's degree-c monomials packed at width, with the guard bits
+    and field masks of that width: one table per ring and width, whatever
+    the strand."""
+    monomials = monomial_table(n, c)[0]
+    field = (1 << (width - 1)) - 1
+    return _Packing(
+        width,
+        monomials,
+        [_pack(m, width) for m in monomials],
+        _guard(n, width),
+        tuple(field << (k * width) for k in range(n)),
+    )
+
+
+def _vertices(params: RingParams, alpha: ExponentVec) -> tuple[list[int], int, _Packing]:
+    """(ranks, top, table): the ranks of the degree-c monomials dividing
+    X^alpha, in rank order; alpha packed with its guard bits set; and the
+    ring's table (_monomial_table) at the width alpha needs.
 
     Pack exponent vectors into one int, a guard bit above every field, so
     "m divides r" is one subtraction: no field of (r | guard) - m borrows.
@@ -161,76 +189,79 @@ def _vertices(params: RingParams, alpha: ExponentVec) -> tuple[list[int], list[i
     does not divide never borrows past its own field, and v + cap in
     _survivors (each field at most 2 max alpha) never carries into a guard.
     """
-    width = max(*alpha, params.c).bit_length() + 2
-    guard = _guard(params.n, width)
-    packed = _monomial_table(params.n, params.c, width)
-    top = _pack(alpha, width) | guard
-    ranks = [r for r, m in enumerate(packed) if (top - m) & guard == guard]
-    return ranks, [packed[r] for r in ranks], width, guard
-
-
-@functools.lru_cache(maxsize=None)
-def _monomial_table(n: int, c: int, width: int) -> list[int]:
-    """The degree-c monomials of the ring in rank order, each packed at
-    width; one table per ring and width, whatever the strand."""
-    return [_pack(m, width) for m in monomial_table(n, c)[0]]
+    table = _monomial_table(params.n, params.c, max(*alpha, params.c).bit_length() + 2)
+    guard = table.guard
+    top = _pack(alpha, table.width) | guard
+    return [r for r, m in enumerate(table.packed) if (top - m) & guard == guard], top, table
 
 
 def _survivors(
     verts: list[ExponentVec], cands: list[int], width: int, guard: int, alpha: ExponentVec
-) -> list[list[int]]:
-    """Faces of Delta_alpha that survive the element matching on its first
-    vertex v = verts[0]: the sigma without v with sigma + v not in
-    Delta_alpha, i.e. v does not divide alpha - prod sigma.
+) -> tuple[list[list[int]], list[list[int]]]:
+    """(kept, lower): the faces of Delta_alpha that survive the element
+    matching on its first vertex v0 = verts[0], split by the matching on
+    the second, v1 (there are two: a strand on one vertex is a cone).  One
+    list of bitmasks per face size (bit i is verts[i]) in each; a list may
+    be empty.
 
-    cands holds the vertices packed as in _vertices.  One list of bitmasks
-    per face size (bit i is verts[i]); trailing lists may be empty.  The
-    walk passes fit lists down as it grows faces in rank order, and drops a
-    subtree once v divides its residual and the later vertices together
-    cannot take enough of v's support to change that.
-
-    Most Delta_alpha are cones on v: alpha covers v plus everything the
-    later vertices can take of v's support (capped at alpha), so v divides
-    every residual.  That is one packed comparison, made first; a cone has
-    no survivor and the list is empty.
+    A survivor is a face sigma without v0 whose residual alpha - prod sigma
+    v0 does not divide (sigma + v0 is not a face).  A survivor sigma without
+    v1 whose residual v1 divides is the lower face of a pair of the v1
+    matching: sigma + v1 is a face, and it survives v0, since its residual
+    is below sigma's.  Those are listed in lower; the survivors left to the
+    later matchings are kept.  Faces grow in rank order, so the walk passes
+    fit lists (cands: the vertices packed as in _vertices) down, and skips
+    two kinds of subtree.  One, once v0 divides the residual and the later
+    vertices together cannot take enough of v0's support to change that:
+    it holds no survivor.  Two, an upper face tau of a v1 pair (tau holds
+    v1 and tau - v1 survives): every face below it in the walk is again
+    one, since both conditions are monotone, so none is visited and each is
+    counted through its lower partner.
     """
-    v, pv = verts[0], cands[0]
-    support = [k for k, x in enumerate(v) if x]
-    # take[k]: what the vertices after i take of v's support; need[i]: v
-    # plus that, capped at alpha; a residual above need[i] keeps v
+    pv, pv1 = cands[0], cands[1]
+    support = [k for k, x in enumerate(verts[0]) if x]
+    # take[k]: what the vertices after i take of v0's support; need[i]: v0
+    # plus that, capped at alpha; a residual above need[i] keeps v0
     # whatever follows i
     take = [0] * len(alpha)
     for u in verts[1:]:
         for k in support:
             take[k] += u[k]
-    root = _pack(alpha, width)
-    cone = pv + sum(min(take[k], alpha[k]) << (k * width) for k in support)
-    if ((root | guard) - cone) & guard == guard:
-        return []
     need = [0] * len(verts)
-    need[0] = cone
     for i in range(1, len(verts)):
         for k in support:
             take[k] -= verts[i][k]
         need[i] = pv + sum(min(take[k], alpha[k]) << (k * width) for k in support)
-    levels = []
-    level = [(0, root, list(range(1, len(verts))))]
+    kept, lower = [[]], [[]]  # v0 divides alpha: the empty face is matched
+    level = [(0, _pack(alpha, width), list(range(1, len(verts))))]
     while level:
-        levels.append([face for face, r, _ in level if ((r | guard) - pv) & guard != guard])
-        nxt = []
+        keep, low, nxt = [], [], []
         for face, r, fits in level:
             for pos, i in enumerate(fits):
                 child = r - cands[i]
                 top = child | guard
                 if (top - need[i]) & guard == guard:
                     continue
+                grown = face | 1 << i
+                if (top - pv) & guard != guard:  # a survivor
+                    if grown & 2:
+                        if ((child + pv1 | guard) - pv) & guard != guard:
+                            continue  # grown - v1 survives: the upper face of a v1 pair
+                        keep.append(grown)
+                    elif (top - pv1) & guard == guard:
+                        low.append(grown)
+                    else:
+                        keep.append(grown)
                 nxt.append((
-                    face | 1 << i,
+                    grown,
                     child,
                     [j for j in fits[pos + 1 :] if (top - cands[j]) & guard == guard],
                 ))
+        if nxt:
+            kept.append(keep)
+            lower.append(low)
         level = nxt
-    return levels
+    return kept, lower
 
 
 def _pack(u: Sequence[int], width: int) -> int:
@@ -239,44 +270,6 @@ def _pack(u: Sequence[int], width: int) -> int:
 
 def _guard(n: int, width: int) -> int:
     return sum(1 << (i * width + width - 1) for i in range(n))
-
-
-def _link_chain(
-    verts: list[ExponentVec],
-    cands: list[int],
-    width: int,
-    guard: int,
-    alpha: ExponentVec,
-    counts: Callable[[tuple[int, ...], int, int], tuple[int, ...]],
-) -> tuple[list[list[int]], list[int], tuple[int, ...]]:
-    """(survivors, faces, link faces) of Delta_alpha on the vertices verts,
-    packed as cands (_vertices).  Face counts are indexed by size.
-
-    With v the first vertex, every face is a survivor (_survivors), a face
-    of lk v = {tau : tau + v in Delta_alpha}, or such a face plus v, so
-    f(Delta) = a(Delta) + (1 + z) f(lk v), with a counting the survivors.
-    The faces of lk v are the subsets of the later vertices whose product
-    divides alpha - v; they are counted, not walked, by counts
-    (_subset_counts or a memo of it).  A field that the fitting later
-    vertices together cannot exhaust (their summed exponent at most the
-    residual's) never binds, so it is cleared from the residual and from
-    every vertex first: the count is the same, and strands that differ
-    only in slack fields ask counts the same question.
-    """
-    if not verts:
-        return [[0]], [1], ()  # no vertex: the empty face survives
-    survivors = _survivors(verts, cands, width, guard, alpha)
-    top = (_pack(alpha, width) | guard) - cands[0]
-    later = [i for i in range(1, len(verts)) if (top - cands[i]) & guard == guard]
-    field = (1 << (width - 1)) - 1
-    totals = [sum(e) for e in zip(*(verts[i] for i in later))]
-    keep = guard | sum(
-        field << (k * width) for k, total in enumerate(totals) if total > alpha[k] - verts[0][k]
-    )
-    link = counts(tuple(cands[i] & keep for i in later), top & keep, guard)
-    a = [len(level) for level in survivors]
-    faces = [sum(f) for f in zip_longest(a, (*link, 0), (0, *link), fillvalue=0)]
-    return survivors, faces, link
 
 
 def _subset_counts(cands: tuple[int, ...], top: int, guard: int) -> tuple[int, ...]:
@@ -326,17 +319,28 @@ class Strand:
     per nonempty level; pairs and crit, indexed by t = 0 .. N+1) and the
     entries of the Morse matrices are kept.
 
-    Delta_alpha is closed under taking subsets, so the first vertex v0
-    pairs every face of its star; only the survivors (_survivors) are
-    walked, once, and the later matchings and the gradient flow run on
-    them.  A face matched with v0 flows to 0: every facet of its partner
-    other than itself contains v0, so is the upper face of a pair.  The
-    face counts, and the pairs of the first matching (one per face of
-    lk v0), come from the survivor counts and the face counts of lk v0,
-    which a subset-sum DP counts without walking (_link_chain); counts is
-    that DP, or a memo of it.  A cone on v0 has no survivor: its strand
-    stops after the counts, with every crit 0 and no Morse entry.  The
-    vertices come from a table of the ring's packed degree-c monomials.
+    One packed pass over the ring's table (_vertices) lists the vertices;
+    summing their exponent columns once gives both the cone test and the
+    link key.  Delta_alpha is closed under taking subsets, so the first
+    vertex v0 pairs every face of its star: every face is a survivor
+    (_survivors), a face of lk v0 = {tau : tau + v0 in Delta_alpha}, or
+    such a face plus v0, so f(Delta) = a(Delta) + (1 + z) f(lk v0), with a
+    counting the survivors, and the first matching has one pair per face
+    of lk v0.  The faces of lk v0 are the subsets of the later vertices
+    whose product divides alpha - v0; counts (_subset_counts, or a memo of
+    it) counts them without walking.  A field that v0 and those vertices
+    together cannot take past alpha never binds, so it is cleared from the
+    residual and every vertex first: strands that differ only in such
+    slack fields ask counts the same question.  Most Delta_alpha are cones
+    on v0: every later vertex fits alpha - v0, and every field of v0's
+    support is slack.  A cone has no survivor, so its strand stops after
+    the counts, with every crit 0 and no Morse entry.
+
+    Otherwise the survivors are walked once, and the matching on v1 is
+    made during that walk: its upper faces are never visited.  The later
+    matchings and the gradient flow run on the survivors it leaves.  A
+    face matched with v0 flows to 0: every facet of its partner other than
+    itself contains v0, so is the upper face of a pair.
     """
 
     __slots__ = ("faces", "pairs", "crit", "_entries")
@@ -348,22 +352,53 @@ class Strand:
         counts: Callable[[tuple[int, ...], int, int], tuple[int, ...]] = _subset_counts,
     ):
         alpha = tuple(alpha)
-        ranks, cands, width, guard = _vertices(params, alpha)
-        monomials = monomial_table(params.n, params.c)[0]
-        verts = [monomials[r] for r in ranks]
-        levels, self.faces, link = _link_chain(verts, cands, width, guard, alpha, counts)
         size = params.N + 2
-        self.pairs = [0] * size
-        # the first matching pairs each face tau of lk v0 with tau + v0
-        self.pairs[1 : len(link) + 1] = link
-        if not any(levels):
-            # a cone on v0: the first matching pairs every face
-            self.crit = [0] * size
-            self._entries = {}
+        self.pairs = pairs = [0] * size
+        self._entries = {}
+        ranks, top, (width, monomials, packed, guard, fields) = _vertices(params, alpha)
+        if not ranks:
+            # no vertex: the empty face is the only face, and critical
+            self.faces = [1]
+            self.crit = [1] + [0] * (size - 1)
             return
-        alive = {face for level in levels for face in level}
+        cands = [packed[r] for r in ranks]
+        v0 = monomials[ranks[0]]
+        totals = [sum(column) for column in zip(*(monomials[r] for r in ranks))]
+        # a cone when alpha covers v0 plus all the later vertices take of
+        # v0's support: then every later vertex fits alpha - v0 too
+        cone = all(total <= a for total, a, x in zip(totals, alpha, v0) if x)
+        link_top = top - cands[0]
+        later = range(1, len(ranks))
+        if not cone:
+            later = [i for i in later if (link_top - cands[i]) & guard == guard]
+            totals = [sum(column) for column in zip(v0, *(monomials[ranks[i]] for i in later))]
+        keep = guard
+        for k, total in enumerate(totals):
+            if total > alpha[k]:  # a binding field
+                keep |= fields[k]
+        link = counts(tuple(cands[i] & keep for i in later), link_top & keep, guard)
+        # the first matching pairs each face tau of lk v0 with tau + v0
+        pairs[1 : len(link) + 1] = link
+        if cone:
+            self.faces = [x + y for x, y in zip((*link, 0), (0, *link))]
+            self.crit = [0] * size
+            return
+
+        verts = [monomials[r] for r in ranks]
+        kept, lower = _survivors(verts, cands, width, guard, alpha)
+        # survivors: the kept faces, the lower faces of the v1 pairs, and
+        # their upper faces, one size up
+        a = [len(k) + len(low) for k, low in zip(kept, lower)] + [0]
         up: dict[int, int] = {}  # lower face of a later pair -> vertex bit of its partner
-        for i in range(1, len(verts)):  # the later vertices, rank order
+        for t, level in enumerate(lower):
+            pairs[t + 1] += len(level)
+            a[t + 1] += len(level)
+            up.update(dict.fromkeys(level, 2))
+        if not a[-1]:
+            a.pop()
+        self.faces = [sum(f) for f in zip_longest(a, (*link, 0), (0, *link), fillvalue=0)]
+        alive = {face for level in kept for face in level}
+        for i in range(2, len(verts)):  # the matchings after v1, rank order
             bit = 1 << i
             # the upper faces of this matching; alive shrinks fast enough
             # that indexing the survivors by vertex costs more than the scan
@@ -371,9 +406,9 @@ class Strand:
                 alive.discard(face)
                 alive.discard(face ^ bit)
                 up[face ^ bit] = bit
-                self.pairs[face.bit_count()] += 1
+                pairs[face.bit_count()] += 1
         nlevels = len(self.faces)
-        crit_levels = [sorted(f for f in level if f in alive) for level in levels]
+        crit_levels = [sorted(f for f in level if f in alive) for level in kept]
         crit_levels += [[] for _ in range(nlevels - len(crit_levels))]
         self.crit = [len(level) for level in crit_levels] + [0] * (size - nlevels)
         index = {f: j for level in crit_levels for j, f in enumerate(level)}

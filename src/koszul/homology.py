@@ -89,21 +89,22 @@ def duality_partner(params: RingParams, i: int, j: int) -> tuple[int, int]:
     return params.N - params.n - i, params.N * params.c - params.n - j
 
 
-def _record_dim(record, t: int) -> int:
-    """faces[t] - ranks[t] - ranks[t+1] of a (faces, ranks) strand record."""
+def homology_vector(record) -> list[int]:
+    """dim H_t = faces[t] - ranks[t] - ranks[t+1] of a (faces, ranks) strand
+    record, for t = 0 .. len(faces) - 1."""
     faces, ranks = record
     r = (*ranks, 0)  # rank d_{t+1} = 0 above the top level
-    return faces[t] - r[t] - r[t + 1] if 0 <= t < len(faces) else 0
+    return [f - r[t] - r[t + 1] for t, f in enumerate(faces)]
 
 
-def proves_rational(record) -> bool:
-    """Whether an F_p strand record is also the strand's record over Q.
+def proves_rational(dims) -> bool:
+    """Whether an F_p strand record, of homology vector dims, is also the
+    strand's record over Q.
 
     Over Q each rank is rank_p d_t + delta_t with delta_t >= 0, so
     h_t(Q) = h_t(F_p) - delta_t - delta_{t+1} >= 0 bounds delta_t by
     min(h_{t-1}(F_p), h_t(F_p)).  Every delta_t is then 0 unless the F_p
     homology is nonzero at two adjacent levels."""
-    dims = [_record_dim(record, t) for t in range(len(record[0]))]
     return not any(low and high for low, high in zip(dims, dims[1:]))
 
 
@@ -112,11 +113,12 @@ class HomologyEngine:
     whether the duality shortcut may serve a query.
 
     Each sorted representative's record over the engine field is resolved
-    (_resolve) at most once per engine and kept, as is the orbit list of
-    each degree.  Without a cache argument the records are stored in
-    memory.  A record missing from the cache is that of the Morse-reduced
-    strand of its orbit (complex.Strand.record), built only for it, shared
-    by its sampled primes, and then dropped.  Under the multiprime policy
+    (_resolve) at most once per engine and kept with its homology vector,
+    derived once, as is the orbit list of each degree.  Without a cache
+    argument the records are stored in memory.  A record missing from the
+    cache is that of the Morse-reduced strand of its orbit
+    (complex.Strand.record), built only for it, shared by its sampled
+    primes, and then dropped.  Under the multiprime policy
     one prime usually proves the rational record (proves_rational), which
     is then stored once under p = 0; only the strands it leaves open are
     sampled at every seeded prime and stored per prime.
@@ -164,8 +166,9 @@ class HomologyEngine:
         return got
 
     def _record(self, alpha: ExponentVec):
-        """(faces, ranks) of alpha's strand over the engine field, resolved
-        once per engine; a later call is a memo hit, counted as a cache hit."""
+        """(faces, ranks, dims) of alpha's strand over the engine field, dims
+        its homology vector; resolved once per engine, and a later call is a
+        memo hit, counted as a cache hit."""
         rep = tuple(sorted(alpha, reverse=True))
         got = self._records.get(rep)
         if got is None:
@@ -175,9 +178,10 @@ class HomologyEngine:
         return got
 
     def _resolve(self, rep: ExponentVec):
-        """rep's record over the engine field, and the one place records are
-        stored.  Its strand is built at most once, by the first strand() of
-        a miss, and shared by every prime this call ranks at (field.primes).
+        """rep's record over the engine field with its homology vector
+        (faces, ranks, dims), and the one place records are stored.  Its
+        strand is built at most once, by the first strand() of a miss, and
+        shared by every prime this call ranks at (field.primes).
 
         A p = 0 record is a proof of the rational record: fraction-free
         elimination wrote it, or proves_rational accepted it at one prime.
@@ -192,7 +196,7 @@ class HomologyEngine:
         if not char:
             got = self._cached(rep, 0)
             if got is not None:
-                return got
+                return (*got, homology_vector(got))
         made = None
 
         def strand() -> Strand:
@@ -207,10 +211,11 @@ class HomologyEngine:
         else:  # fraction-free
             got = strand().record(exactla.rank_fraction_free)
             self.stats["eliminations"] += 1
-        if char or not primes or proves_rational(got):
+        dims = homology_vector(got)
+        if char or not primes or proves_rational(dims):
             # the record over F_p, or a proof of the rational record
             self._put(rep, char, got)
-            return got
+            return (*got, dims)
 
         def ranks_at(p: int):
             record = got if p == primes[0] else self._rank_mod_p(rep, p, strand)
@@ -218,7 +223,7 @@ class HomologyEngine:
             return record[1]
 
         best, _, _ = exactla.sampled_rank(f, ranks_at)
-        return got[0], best
+        return got[0], best, homology_vector((got[0], best))
 
     def block_rank(self, t: int, alpha: ExponentVec) -> int:
         """Rank of the t-th differential block at alpha over the engine field."""
@@ -228,7 +233,8 @@ class HomologyEngine:
     def block_dim(self, t: int, alpha: ExponentVec) -> int:
         """Homology dimension of the single multidegree-alpha block:
         faces[t] - ranks[t] - ranks[t+1] of alpha's strand record."""
-        return _record_dim(self._record(alpha), t)
+        dims = self._record(alpha)[2]
+        return dims[t] if 0 <= t < len(dims) else 0
 
     # -- degree level --------------------------------------------------------
 
@@ -280,12 +286,11 @@ class HomologyEngine:
         faces_t = 0
         parts: dict[ExponentVec, int] = {}
         for rep, weight in self._orbits_of(d):
-            record = self._record(rep)
-            if t < len(record[0]):
-                faces_t += weight * record[0][t]
-            contribution = weight * _record_dim(record, t)
-            if contribution:
-                parts[rep] = contribution
+            faces, _, dims = self._record(rep)
+            if t < len(faces):
+                faces_t += weight * faces[t]
+                if dims[t]:
+                    parts[rep] = weight * dims[t]
         chain_dim = graded_dim(params, t, d)
         if faces_t != chain_dim:
             # the strands partition the basis of K_t in degree d

@@ -22,6 +22,7 @@ from koszul.cli import (
     structural_zero,
 )
 from koszul.combinatorics import RingParams
+from koszul.complex import Strand
 from koszul.cycles import sample_nonzero_cycles
 from koszul.exactla import FieldSpec, multiprime_primes
 from koszul.homology import (
@@ -385,7 +386,10 @@ def test_char_that_is_not_a_word_sized_prime_exits_2(capsys, tmp_path, char):
     cache = tmp_path / "cache"
     err = _exits_2(capsys, "table", "--n", "2", "--c", "2", "--char", char,
                    "--cache-dir", str(cache))
-    assert err.splitlines()[-1].startswith("kosz: error: ") and char in err
+    # one refusal shape, from cli.main: the usage line, then the --char bound
+    assert err.startswith("usage: kosz ")
+    refusal = f"kosz: error: --char must be 0 or a prime below 2^31, got {char}"
+    assert err.splitlines()[-1] == refusal
     assert not cache.exists()
 
 
@@ -1027,6 +1031,29 @@ def test_cache_reports_conflicting_records(tmp_path, caplog):
     assert [r.getMessage() for r in caplog.records] == [
         f"{path}:3: cache record for alpha=(2, 2), p=3 differs from line 2; keeping line 3"
     ]
+
+
+def test_cache_lines_are_the_json_encoders(tmp_path, caplog):
+    # put writes each line itself: the bytes of json.dumps(record,
+    # sort_keys=True) for records of several rings, p = 0 and primes, and
+    # faces and ranks from 1 to 13 entries long
+    path = tmp_path / "ranks.jsonl"
+    cache = RankCache(str(path))
+    expected = []
+    for n, c, alpha in [(2, 2, (0, 0)), (3, 3, (9, 8, 8)), (4, 2, (3, 3, 2, 2)),
+                        (7, 2, (1,) * 7), (12, 1, (1,) * 12)]:
+        strand = Strand(RingParams(n, c), alpha)
+        for p in (0, 3, 32003):
+            rank = exactla.rank_fraction_free if not p else lambda m, p=p: exactla.rank_mod_p(m, p)
+            faces, ranks = strand.record(rank)
+            cache.put(n, c, alpha, p, faces, ranks)
+            rec = {"n": n, "c": c, "alpha": list(alpha), "p": p, "faces": list(faces),
+                   "ranks": list(ranks), "engine": ENGINE_VERSION}
+            expected.append(json.dumps(rec, sort_keys=True) + "\n")
+    assert len(max(expected, key=len)) > 200
+    assert path.read_bytes() == "".join(expected).encode()
+    assert RankCache(str(path))._mem == cache._mem and len(cache._mem) == 15
+    assert not caplog.records
 
 
 def test_high_degrees_need_no_flag(capsys):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from koszul import exactla
+from koszul import complex, exactla
 from koszul.combinatorics import (
     ExponentVec,
     RingParams,
@@ -23,14 +23,13 @@ from koszul.complex import (
     Strand,
     _check_composite_zero,
     _Flow,
-    _link_chain,
     _subset_counts,
     _vertices,
     differential_block,
     graded_dim,
 )
 from koszul.exactla import SparseIntMatrix, elementary_divisors, rank_fraction_free, rank_mod_p
-from koszul.homology import proves_rational
+from koszul.homology import homology_vector, proves_rational
 
 PRIMES = (2, 3, 32003)
 
@@ -181,7 +180,7 @@ def test_one_prime_certificate_is_sound():
         for p in PRIMES:
             rec = record(lambda m: rank_mod_p(m, p))
             wrong += rec != rational
-            if proves_rational(rec):
+            if proves_rational(homology_vector(rec)):
                 assert rec == rational, (params.n, params.c, rep, p)
                 accepted += 1
             else:
@@ -208,6 +207,57 @@ def test_survivor_walk_matches_full_enumeration():
     for params, rep in CASES:
         s = Strand(params, rep)
         assert (s.faces, s.pairs, s.crit) == matched_by_enumeration(params, rep), (params, rep)
+
+
+def spy_walk(monkeypatch) -> list[tuple]:
+    """Route Strand's face walk through a spy; each call appends its
+    (alpha, kept, lower) to the list returned."""
+    calls = []
+    walk = complex._survivors
+
+    def spy(verts, cands, width, guard, alpha):
+        kept, lower = walk(verts, cands, width, guard, alpha)
+        calls.append((alpha, kept, lower))
+        return kept, lower
+
+    monkeypatch.setattr(complex, "_survivors", spy)
+    return calls
+
+
+def test_only_non_cone_strands_enter_the_walk(monkeypatch):
+    # Delta_alpha is a cone on v0 (bit 0) when every face without v0 takes
+    # it; a cone's strand stops after the counts, so at (4,2) up to degree
+    # 19 only the 47 strands that have a vertex and are no cone walk faces
+    calls = spy_walk(monkeypatch)
+    params = RingParams(4, 2)
+    non_cones = []
+    for d in range(20):
+        for rep in partitions_into(d, 4):
+            levels = face_levels(params, rep)
+            faces = {f for level in levels for f in level}
+            if len(levels) > 1 and any(not f & 1 and f | 1 not in faces for f in faces):
+                non_cones.append(rep)
+            Strand(params, rep)
+    assert [alpha for alpha, _, _ in calls] == non_cones
+    assert len(non_cones) == 47
+
+
+def test_walk_skips_the_upper_faces_of_the_second_matching(monkeypatch):
+    # the matching on v1 (bit 1) is made during the walk: of the 5,658
+    # survivors of v0 at this multidegree, the walk lists 1,134 lower faces
+    # of v1 pairs and none of their 1,134 upper faces
+    params, alpha = RingParams(7, 2), (2, 2, 2, 2, 2, 1, 1)
+    faces = {f for level in face_levels(params, alpha) for f in level}
+    survivors = {f for f in faces if not f & 1 and f | 1 not in faces}
+    upper = {f for f in survivors if f & 2 and f ^ 2 in survivors}
+    assert (len(survivors), len(upper)) == (5_658, 1_134)
+    calls = spy_walk(monkeypatch)
+    s = Strand(params, alpha)
+    [(_, kept, lower)] = calls
+    listed = [f for level in kept + lower for f in level]
+    assert sorted(listed) == sorted(survivors - upper)
+    assert sorted(f for level in lower for f in level) == sorted(f ^ 2 for f in upper)
+    assert (s.faces, s.pairs, s.crit) == matched_by_enumeration(params, alpha)
 
 
 @settings(max_examples=40, deadline=None)
@@ -242,17 +292,18 @@ def link_alphas(n: int, c: int) -> list[ExponentVec]:
 
 @pytest.mark.parametrize("n,c", [(n, c) for n in range(1, 7) for c in range(1, 5)])
 def test_masked_link_counts_match_combinations(n, c):
-    monomials = monomial_table(n, c)[0]
     for alpha in link_alphas(n, c):
-        ranks, cands, width, guard = _vertices(RingParams(n, c), alpha)
-        verts = [monomials[r] for r in ranks]
+        ranks, _, table = _vertices(RingParams(n, c), alpha)
+        verts = [table.monomials[r] for r in ranks]
+        width = table.width
         asked = []
 
         def counts(fits, top, guard):
-            asked.append((fits, top))
-            return _subset_counts(fits, top, guard)
+            asked.append((fits, top, _subset_counts(fits, top, guard)))
+            return asked[-1][2]
 
-        _, _, link = _link_chain(verts, cands, width, guard, alpha, counts)
+        Strand(RingParams(n, c), alpha, counts)
+        [(fits, top, link)] = asked
         residual = vec_sub(alpha, verts[0])
         plain = [
             sum(
@@ -273,7 +324,6 @@ def test_masked_link_counts_match_combinations(n, c):
         def fields(packed):
             return [packed >> (k * width) & field for k in range(n)]
 
-        [(fits, top)] = asked
         assert fields(top) == [0 if k in slack else r for k, r in enumerate(residual)]
         assert [fields(m) for m in fits] == [
             [0 if k in slack else x for k, x in enumerate(u)] for u in fitting
