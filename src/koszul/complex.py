@@ -9,21 +9,15 @@ brackets of a slice, and differential_block indexes its rows and columns
 by them.  The differential preserves the multidegree, so it decomposes
 into independent blocks, one per alpha.  Blocks are generated on demand
 and never assembled into the full graded component.  Bases and chains
-(koszul.cycles) share one packed divisor walk (_divisor_walk).
+(koszul.cycles, through products_dividing) share one packed divisor walk.
 
 The multidegree-alpha strand is the augmented chain complex of a simplicial
-complex Delta_alpha (see Strand), which algebraic Morse theory shrinks to a
-few critical cells before any elimination runs.  Strand never enumerates
-Delta_alpha.  One packed pass over its ring's table (_monomial_table)
-lists the vertices, and one sum of their exponent columns gives both the
-cone test and the key of the link of the first vertex v0, whose faces a
-subset-sum DP counts.  The DP runs on the link with its slack fields
-cleared, so strands that differ only there ask the same question, and a
-caller may memoize the count (HomologyEngine does, once per engine).  Most
-Delta_alpha are cones on v0, and their strands stop after that count.  Any
-other strand walks once, over the faces that survive the matching on v0,
-and makes the matching on the second vertex v1 during that walk: the upper
-faces of the v1 pairs are never visited.
+complex Delta_alpha, which algebraic Morse theory shrinks to a few critical
+cells before any elimination runs (Strand).  Delta_alpha is never
+enumerated: most strands are cones and stop after one face count that a
+caller may memoize, and any other walks its survivors once.  The Morse
+matrices come from the gradient flow (_image), one loop that lists and
+sums each boundary once, over one flow memo per strand.
 """
 
 from __future__ import annotations
@@ -68,9 +62,7 @@ def block_basis(params: RingParams, t: int, alpha: ExponentVec) -> list[tuple[in
     brackets come from one walk (_divisor_walk) over the packed degree-c
     monomials that divide X^alpha (_vertices), as the faces of a strand do.
     """
-    if t < 0 or any(a < 0 for a in alpha):
-        return []
-    if sum(alpha) < t * params.c:
+    if t < 0 or any(a < 0 for a in alpha) or sum(alpha) < t * params.c:
         return []
     ranks, top, table = _vertices(params, alpha)
     walk = _divisor_walk(table.packed, ranks, top, table.guard, t, distinct=True)
@@ -106,6 +98,25 @@ def _divisor_walk(
         level = nxt
     # the last entry is any position that still divides the residual
     return [(chosen + (i,), res - packed[i]) for chosen, res, fits in level for i in fits]
+
+
+def products_dividing(
+    vectors: Sequence[ExponentVec], alpha: ExponentVec, k: int, distinct: bool
+) -> list[tuple[tuple[int, ...], ExponentVec]]:
+    """(positions, residual) for every choice of k of the exponent vectors,
+    in increasing position (nondecreasing when not distinct), whose sum
+    divides alpha; residual is alpha less that sum.  Listed in lexicographic
+    order of the positions, by the walk that lists basis brackets."""
+    width = max((*alpha, *(x for v in vectors for x in v)), default=0).bit_length() + 1
+    guard = _pack([1 << (width - 1)] * len(alpha), width)
+    packed = [_pack(v, width) for v in vectors]
+    top = _pack(alpha, width) | guard
+    fits = [i for i, m in enumerate(packed) if (top - m) & guard == guard]
+    field = (1 << (width - 1)) - 1  # a field without its guard bit
+    return [
+        (chosen, tuple(res >> s & field for s in range(0, len(alpha) * width, width)))
+        for chosen, res in _divisor_walk(packed, fits, top, guard, k, distinct)
+    ]
 
 
 @dataclass
@@ -173,7 +184,7 @@ def _monomial_table(n: int, c: int, width: int) -> _Packing:
         width,
         monomials,
         [_pack(m, width) for m in monomials],
-        _guard(n, width),
+        _pack([1 << (width - 1)] * n, width),
         tuple(field << (k * width) for k in range(n)),
     )
 
@@ -268,10 +279,6 @@ def _pack(u: Sequence[int], width: int) -> int:
     return sum(x << (i * width) for i, x in enumerate(u))
 
 
-def _guard(n: int, width: int) -> int:
-    return sum(1 << (i * width + width - 1) for i in range(n))
-
-
 def _subset_counts(cands: tuple[int, ...], top: int, guard: int) -> tuple[int, ...]:
     """The number of t-subsets of the packed vertices cands whose product
     divides the residual top (packed, guard bits set), by t.  A pure
@@ -338,9 +345,10 @@ class Strand:
 
     Otherwise the survivors are walked once, and the matching on v1 is
     made during that walk: its upper faces are never visited.  The later
-    matchings and the gradient flow run on the survivors it leaves.  A
-    face matched with v0 flows to 0: every facet of its partner other than
-    itself contains v0, so is the upper face of a pair.
+    matchings run on the survivors it leaves, and each Morse column is the
+    gradient flow of a critical face (_image) over one flow memo for the
+    whole strand.  A face matched with v0 flows to 0: every facet of its
+    partner other than itself contains v0, so is the upper face of a pair.
     """
 
     __slots__ = ("faces", "pairs", "crit", "_entries")
@@ -412,14 +420,12 @@ class Strand:
         crit_levels += [[] for _ in range(nlevels - len(crit_levels))]
         self.crit = [len(level) for level in crit_levels] + [0] * (size - nlevels)
         index = {f: j for level in crit_levels for j, f in enumerate(level)}
-        columns: list[list[dict[int, int]]] = [[] for _ in range(size)]
-        for t in range(1, nlevels):
-            if not self.crit[t - 1] or not self.crit[t]:
-                # morse(t) is empty: no critical face to flow from or onto
-                columns[t] = [{} for _ in crit_levels[t]]
-                continue
-            flow = _Flow(index, up, alpha)
-            columns[t] = [flow.image(face) for face in crit_levels[t]]
+        memo: dict[int, dict[int, int]] = {}  # the flow of each matched face, every level
+        # morse(t) by columns, empty unless critical faces lie below to flow onto
+        columns = [
+            [_image(f, index, up, memo, alpha) if t and self.crit[t - 1] else {} for f in level]
+            for t, level in enumerate(crit_levels)
+        ]
         self._entries = {
             t: sorted((r, j, v) for j, col in enumerate(cols) for r, v in col.items())
             for t, cols in enumerate(columns)
@@ -443,97 +449,62 @@ class Strand:
         return self.faces, [0] + ranks
 
 
-class _Flow:
-    """Gradient flow of one homological level onto its critical cells.
+def _image(
+    face: int, index: dict[int, int], up: dict[int, int], memo: dict[int, dict[int, int]],
+    alpha: ExponentVec,
+) -> dict[int, int]:
+    """The Morse differential of the critical face: its boundary pushed onto
+    the critical cells, {position in its level (index): coefficient}.
 
-    image(sigma) sums, over the alternating paths sigma -> tau_1 / tau_1 + v_1
-    -> tau_2 / ... -> critical cell, the products of boundary signs, with
-    -1/[d(tau + v) : tau] at every matched step.  The flow of each matched
-    face tau is memoized, and computed by one post-order sweep that walks
-    the boundary of its partner tau + v exactly once (_terms): the sweep
-    descends into the first facet not yet resolved, and once none is left it
-    sums the flows of that same facet list into memo[tau].  A path that
-    returns to a face still open on the sweep means the matching is not
-    acyclic, and raises instead of looping.
+    It sums, over the alternating paths face -> tau_1 / tau_1 + v_1 -> ...
+    -> critical cell, the products of boundary signs, with -1/[d(tau + v) :
+    tau] at every matched step; a facet neither critical nor the lower face
+    of a pair (up) flows to 0.  memo maps each matched face resolved so far
+    to its flow; a strand keeps one for all its levels, as faces of
+    different sizes never collide.  One loop lists each boundary and sums
+    it as it goes, deleting the k-th smallest vertex with sign (-1)^(k-1)
+    as differential_block does.  A matched facet not in memo suspends the
+    sum on a stack and starts its partner's, which once done is memoized
+    scaled; the suspended sum then resumes at that facet.  So each
+    partner's boundary is summed once, at any depth, and a path back to a
+    face still open on the stack (a cyclic matching) raises.
     """
-
-    def __init__(self, index: dict[int, int], up: dict[int, int], alpha: ExponentVec):
-        self.index = index
-        self.up = up
-        self.alpha = alpha
-        self.memo: dict[int, dict[int, int]] = {}
-
-    def image(self, face: int) -> dict[int, int]:
-        """The Morse differential of a critical face: d face, pushed to critical cells."""
-        terms = self._terms(face, None)
-        index, memo = self.index, self.memo
-        for facet, _ in terms:
-            if facet not in index and facet not in memo:
-                self._flow_of(facet)
-        return self._sum(terms, 1)
-
-    def _terms(self, face: int, skip: int | None) -> list[tuple[int, int]]:
-        """(facet, sign) pairs of face, other than skip, that are critical or
-        the lower face of a pair; the others flow to 0.  Deleting the k-th
-        smallest vertex (k = 1, 2, ...) carries (-1)^(k-1), as in
-        differential_block."""
-        index, up = self.index, self.up
-        out = []
-        sign = 1
-        rest = face
+    # suspended sums (face walked, facet it skips, bits left, sign, sum); the root skips itself
+    stack: list[tuple[int, int, int, int, dict[int, int]]] = []
+    x, skip, rest, sign, acc = face, face, face, 1, {}
+    open_: set[int] = set()
+    while True:
         while rest:
             low = rest & -rest
-            facet = face ^ low
-            if facet != skip and (facet in index or facet in up):
-                out.append((facet, sign))
-            sign = -sign
-            rest ^= low
-        return out
-
-    def _sum(self, terms: list[tuple[int, int]], scale: int) -> dict[int, int]:
-        """scale * the sum of sign * flow(facet) over terms, every matched
-        facet already memoized; a critical facet is its own flow."""
-        index, memo = self.index, self.memo
-        out: dict[int, int] = {}
-        for facet, sign in terms:
-            c = scale * sign
+            facet = x ^ low
             j = index.get(facet)
             if j is not None:
-                out[j] = out.get(j, 0) + c
-            else:
-                for j, v in memo[facet].items():
-                    out[j] = out.get(j, 0) + c * v
-        return {j: v for j, v in out.items() if v}
-
-    def _flow_of(self, tau: int) -> None:
-        """Memoize the flow of the matched face tau and of every matched face
-        its gradient paths pass through."""
-        index, memo, up, walk = self.index, self.memo, self.up, self._terms
-        # [face, its partner's terms, the first position not yet resolved]
-        stack = [[tau, walk(tau | up[tau], tau), 0]]
-        open_ = {tau}
-        while stack:
-            top = stack[-1]
-            x, terms, pos = top
-            while pos < len(terms) and (terms[pos][0] in index or terms[pos][0] in memo):
-                pos += 1
-            if pos < len(terms):
-                y = terms[pos][0]
-                if y in open_:
-                    raise ArithmeticError(
-                        f"cyclic gradient path in the Morse matching at t={y.bit_count() + 1}, "
-                        f"alpha={self.alpha}"
-                    )
-                top[2] = pos + 1  # y is memoized by the time x is on top again
-                open_.add(y)
-                stack.append([y, walk(y | up[y], y), 0])
-                continue
-            # the pivot [d partner : x] is (-1)^(vertices of x below the
-            # matched one), so -1/pivot is -pivot
-            pivot = -1 if (x & (up[x] - 1)).bit_count() % 2 else 1
-            memo[x] = self._sum(terms, -pivot)
-            open_.discard(x)
-            stack.pop()
+                acc[j] = acc.get(j, 0) + sign
+            elif facet in up and facet != skip:
+                flow = memo.get(facet)
+                if flow is None:
+                    if facet in open_:
+                        raise ArithmeticError(
+                            f"cyclic gradient path in the Morse matching at "
+                            f"t={facet.bit_count() + 1}, alpha={alpha}"
+                        )
+                    open_.add(facet)
+                    stack.append((x, skip, rest, sign, acc))
+                    x = rest = facet | up[facet]
+                    skip, sign, acc = facet, 1, {}
+                    continue
+                for j, v in flow.items():
+                    acc[j] = acc.get(j, 0) + sign * v
+            rest ^= low
+            sign = -sign
+        if not stack:
+            return {j: v for j, v in acc.items() if v}
+        # the pivot [d partner : skip] is (-1)^(vertices of skip below the
+        # matched one), so -1/pivot is -pivot
+        scale = 1 if (skip & (up[skip] - 1)).bit_count() % 2 else -1
+        memo[skip] = {j: scale * v for j, v in acc.items() if v}
+        open_.discard(skip)
+        x, skip, rest, sign, acc = stack.pop()
 
 
 def _check_composite_zero(
@@ -546,6 +517,4 @@ def _check_composite_zero(
             for r2, w in prev[r].items():
                 acc[r2] = acc.get(r2, 0) + v * w
         if any(acc.values()):
-            raise ArithmeticError(
-                f"Morse matrices do not compose to zero at t={t}, alpha={alpha}"
-            )
+            raise ArithmeticError(f"Morse matrices do not compose to zero at t={t}, alpha={alpha}")

@@ -31,7 +31,7 @@ from .combinatorics import (
     unit_vector,
     vec_add,
 )
-from .complex import _divisor_walk, _guard, _pack, differential_block, sort_gens
+from .complex import differential_block, products_dividing, sort_gens
 from .exactla import ColumnSpace, FieldSpec, SizeGuardError
 
 # The alternating-sum constructor iterates over (t+1)! permutations.
@@ -119,17 +119,11 @@ def z1_products_dividing(
     without repetition when distinct, whose multidegrees together divide
     alpha; residual is alpha less their sum.  Listed in lexicographic order
     of the positions, by the walk that lists basis brackets
-    (complex._divisor_walk)."""
+    (complex.products_dividing)."""
     gens = z1_generators_dividing(params, alpha)
-    width = max(alpha, default=0).bit_length() + 1  # every generator field is at most max(alpha)
-    guard = _guard(params.n, width)
-    packed = [_pack(degree, width) for _, _, degree in gens]
-    top = _pack(alpha, width) | guard
-    mask = (1 << (width - 1)) - 1  # a field without its guard bit
-    shifts = range(0, params.n * width, width)
     return [
-        (tuple(gens[pos] for pos in chosen), tuple(res >> s & mask for s in shifts))
-        for chosen, res in _divisor_walk(packed, list(range(len(gens))), top, guard, k, distinct)
+        (tuple(gens[pos] for pos in chosen), res)
+        for chosen, res in products_dividing([degree for _, _, degree in gens], alpha, k, distinct)
     ]
 
 

@@ -227,19 +227,14 @@ def rank_mod_p(m: SparseIntMatrix, p: int) -> int:
     return span.rank
 
 
-def sampled_rank(
-    f: FieldSpec, rank_at: Callable[[int], Sequence[int]]
-) -> tuple[list[int], dict[int, Sequence[int]], bool]:
-    """(elementwise max, per-prime rank vectors, agreement flag) over the
-    primes of a multiprime spec (f.primes), where rank_at(p) is a vector of
-    ranks mod p; escalates by one prime when the initial set disagrees
-    anywhere."""
-    ranks = {p: rank_at(p) for p in f.primes}
-    if len({tuple(r) for r in ranks.values()}) > 1:
-        extra = multiprime_primes(f.seed, f.num_primes + 1)[-1]
-        ranks[extra] = rank_at(extra)
-    agreed = len({tuple(r) for r in ranks.values()}) == 1
-    return [max(col) for col in zip(*ranks.values())], ranks, agreed
+def sampled_rank(f: FieldSpec, rank_at: Callable[[int], Sequence[int]]) -> list[int]:
+    """The elementwise max of the rank vectors rank_at(p) over the primes of
+    a multiprime spec (f.primes); escalates by one prime when the initial
+    set disagrees anywhere."""
+    ranks = [rank_at(p) for p in f.primes]
+    if len({tuple(r) for r in ranks}) > 1:
+        ranks.append(rank_at(multiprime_primes(f.seed, f.num_primes + 1)[-1]))
+    return [max(col) for col in zip(*ranks)]
 
 
 def rank_fraction_free(m: SparseIntMatrix) -> int:

@@ -222,7 +222,7 @@ class HomologyEngine:
             self._put(rep, p, record)
             return record[1]
 
-        best, _, _ = exactla.sampled_rank(f, ranks_at)
+        best = exactla.sampled_rank(f, ranks_at)
         return got[0], best, homology_vector((got[0], best))
 
     def block_rank(self, t: int, alpha: ExponentVec) -> int:

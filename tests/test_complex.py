@@ -1,4 +1,5 @@
 import random
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -9,9 +10,24 @@ from koszul.complex import (
     block_basis,
     differential_block,
     graded_dim,
+    products_dividing,
     sort_gens,
 )
 from koszul.exactla import rank_mod_p
+
+
+def test_products_dividing_matches_plain_enumeration():
+    # some vectors do not divide alpha, one by an entry far above max(alpha)
+    alpha = (3, 1, 2)
+    vectors = [(1, 0, 1), (0, 1, 0), (9, 0, 0), (2, 0, 0), (0, 2, 0), (1, 0, 1), (0, 0, 0)]
+    for k in range(5):
+        for distinct, choose in ((True, combinations), (False, combinations_with_replacement)):
+            expected = []
+            for chosen in choose(range(len(vectors)), k):
+                residual = tuple(a - sum(vectors[i][j] for i in chosen) for j, a in enumerate(alpha))
+                if min(residual) >= 0:
+                    expected.append((chosen, residual))
+            assert products_dividing(vectors, alpha, k, distinct) == expected
 
 
 def test_block_basis_examples():
@@ -185,9 +201,9 @@ def test_empty_morse_matrices_need_no_gradient_flow(monkeypatch):
     # at (9, 8, 8) of m^5 in three variables all 889 critical cells have four
     # vertices, so every Morse matrix is empty and no flow has to be walked
     def no_flow(*args):
-        raise AssertionError("a gradient flow was built for an empty Morse matrix")
+        raise AssertionError("a gradient flow was walked for an empty Morse matrix")
 
-    monkeypatch.setattr(complex, "_Flow", no_flow)
+    monkeypatch.setattr(complex, "_image", no_flow)
     s = Strand(RingParams(3, 5), (9, 8, 8))
     assert s.crit[4] == sum(s.crit) == 889
     for t in range(1, len(s.faces)):
@@ -199,27 +215,33 @@ def test_cyclic_flow_error_names_t_and_alpha():
     # the singletons {0} -> {1} -> {2} -> {0} form a cyclic gradient path
     up = {0b001: 0b010, 0b010: 0b100, 0b100: 0b001}
     with pytest.raises(ArithmeticError, match=r"at t=2, alpha=\(1, 1, 1\)"):
-        complex._Flow({}, up, (1, 1, 1)).image(0b011)
+        complex._image(0b011, {}, up, {}, (1, 1, 1))
+
+
+class _SetOnce(dict):
+    """A memo that refuses to store a key twice."""
+
+    def __setitem__(self, key, value):
+        assert key not in self, f"the flow of {key:b} was computed twice"
+        super().__setitem__(key, value)
 
 
 def test_flow_walks_each_boundary_once(monkeypatch):
-    # the gradient flow walks the partner of every matched face it memoizes
-    # once, and every critical face whose image it takes once; no more
-    walks = []
+    # one memo serves every level of the strand, and the flow of every
+    # matched face in it is computed once: its partner's boundary is walked
+    # once, when the flow is stored
+    image = complex._image
+    memos: dict[int, _SetOnce] = {}
     images = []
-    terms, image = complex._Flow._terms, complex._Flow.image
 
-    def counted_terms(self, face, skip):
-        walks.append((self, face))
-        return terms(self, face, skip)
-
-    def counted_image(self, face):
+    def counted_image(face, index, up, memo, alpha):
         images.append(face)
-        return image(self, face)
+        return image(face, index, up, memos.setdefault(id(memo), _SetOnce()), alpha)
 
-    monkeypatch.setattr(complex._Flow, "_terms", counted_terms)
-    monkeypatch.setattr(complex._Flow, "image", counted_image)
-    Strand(RingParams(7, 2), (2, 2, 2, 1, 1, 1, 1))
-    memoized = sum(len(flow.memo) for flow in {flow for flow, _ in walks})
-    assert memoized == 349
-    assert len(walks) == len(set(walks)) == memoized + len(images)
+    monkeypatch.setattr(complex, "_image", counted_image)
+    s = Strand(RingParams(7, 2), (2, 2, 2, 1, 1, 1, 1))
+    (memo,) = memos.values()
+    assert len(memo) == 349
+    assert len(images) == len(set(images)) == sum(
+        s.crit[t] for t in range(1, len(s.faces)) if s.crit[t - 1]
+    )

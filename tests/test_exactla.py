@@ -105,27 +105,34 @@ def test_sampled_rank_escalates_on_any_disagreement():
     primes = multiprime_primes(11, 4)
     vectors = {p: [0, 3, 2, 1] for p in primes}
     vectors[primes[0]] = [0, 3, 1, 1]
-    best, ranks, agreed = exactla.sampled_rank(QM, vectors.__getitem__)
-    assert list(ranks) == list(primes)  # one more prime was drawn
-    assert best == [0, 3, 2, 1] and not agreed
-    best, ranks, agreed = exactla.sampled_rank(QM, lambda p: [0, 3, 2, 1])
-    assert list(ranks) == list(primes[:3]) and best == [0, 3, 2, 1] and agreed
+    asked = []
+
+    def rank_at(p):
+        asked.append(p)
+        return vectors[p]
+
+    assert exactla.sampled_rank(QM, rank_at) == [0, 3, 2, 1]
+    assert asked == list(primes)  # one more prime was drawn
+    vectors[primes[0]] = [0, 3, 2, 1]
+    asked.clear()
+    assert exactla.sampled_rank(QM, rank_at) == [0, 3, 2, 1]
+    assert asked == list(primes[:3])  # agreement: no prime past the initial set
 
 
 def test_rank_identity_and_small():
     eye = SparseIntMatrix.from_triplets(5, 5, [(i, i, 1) for i in range(5)])
     assert rank_fraction_free(eye) == rank_mod_p(eye, 5) == 5
-    assert exactla.sampled_rank(QM, lambda p: [rank_mod_p(eye, p)])[0] == [5]
+    assert exactla.sampled_rank(QM, lambda p: [rank_mod_p(eye, p)]) == [5]
     m = SparseIntMatrix.from_dense([[1, 1], [1, -1]])
     assert rank_fraction_free(m) == 2
-    assert exactla.sampled_rank(QM, lambda p: [rank_mod_p(m, p)])[0] == [2]
+    assert exactla.sampled_rank(QM, lambda p: [rank_mod_p(m, p)]) == [2]
     assert rank_mod_p(m, 2) == 1  # determinant -2
 
 
 def test_rank_empty_and_zero():
     z = SparseIntMatrix(3, 4, [])
     assert rank_fraction_free(z) == rank_mod_p(z, 7) == 0
-    assert exactla.sampled_rank(QM, lambda p: [rank_mod_p(z, p)])[0] == [0]
+    assert exactla.sampled_rank(QM, lambda p: [rank_mod_p(z, p)]) == [0]
     assert rank_fraction_free(SparseIntMatrix(0, 0, [])) == 0
 
 
@@ -135,8 +142,9 @@ def test_rank_policies_agree_on_random_pm1():
         m = _random_pm1(rng, rng.randint(1, 9), rng.randint(1, 9))
         exact = rank_fraction_free(m)
         assert exact == _rank_fraction_oracle(m)
-        best, per_prime, agreed = exactla.sampled_rank(QM, lambda p: [rank_mod_p(m, p)])
-        assert agreed and best == [exact]
+        per_prime = {}
+        best = exactla.sampled_rank(QM, lambda p: per_prime.setdefault(p, [rank_mod_p(m, p)]))
+        assert len(per_prime) == QM.num_primes and best == [exact]  # agreed at once
         for p in (2, 3, 5, 7, 11, 13):
             assert rank_mod_p(m, p) <= exact
 
@@ -416,8 +424,12 @@ def test_fraction_free_agrees_with_multiprime_on_all_run_blocks():
                 if m.ncols == 0 or m.nrows == 0:
                     continue
                 exact = rank_fraction_free(m)
-                best, per_prime, agreed = exactla.sampled_rank(QM, lambda p: [rank_mod_p(m, p)])
-                assert agreed and best == [exact], (t, rep, exact, per_prime)
+                per_prime = {}
+                best = exactla.sampled_rank(
+                    QM, lambda p: per_prime.setdefault(p, [rank_mod_p(m, p)])
+                )
+                # agreed at once: no prime past the initial set was drawn
+                assert len(per_prime) == QM.num_primes and best == [exact], (t, rep, per_prime)
                 checked += 1
     assert checked > 3000
 

@@ -2,6 +2,7 @@
 against the raw differential blocks it replaces."""
 
 import hashlib
+import sys
 from itertools import combinations
 from math import comb
 
@@ -22,7 +23,7 @@ from koszul.combinatorics import (
 from koszul.complex import (
     Strand,
     _check_composite_zero,
-    _Flow,
+    _image,
     _subset_counts,
     _vertices,
     differential_block,
@@ -369,7 +370,8 @@ def test_orbit_weighted_face_counts_fill_each_degree(n, c, top):
 
 # SHA-256 of the Morse output of every orbit representative of these rings
 # up to these degrees (1,836 strands), recorded before the gradient flow
-# became one post-order sweep: any change of matching, order or sign shows.
+# became one post-order sweep and kept since it became one loop that lists
+# and sums each boundary once: any change of matching, order or sign shows.
 PINNED_RINGS = [(3, 3, 18), (4, 2, 14), (7, 2, 12), (4, 3, 16), (3, 4, 20), (3, 5, 20)]
 PINNED_DIGEST = "2dd073c835f2ffe0f3d03243f09001243988ca9b4fa2f95479443a169ba1a003"
 
@@ -443,9 +445,21 @@ def test_cyclic_flow_raises():
     # vertices 0, 1, 2; each singleton matched up so the gradient paths
     # run {0} -> {1} -> {2} -> {0}
     up = {0b001: 0b010, 0b010: 0b100, 0b100: 0b001}
-    flow = _Flow({}, up, (1, 1, 1))
     with pytest.raises(ArithmeticError, match="cyclic gradient path"):
-        flow.image(0b011)
+        _image(0b011, {}, up, {}, (1, 1, 1))
+
+
+def test_flow_deeper_than_the_recursion_limit():
+    # the singletons {1} -> {2} -> ... -> {L} form one gradient path of
+    # L - 1 matched steps, each carrying +1, ending on the critical {L};
+    # deleting vertex 1 from {0, 1} leaves the critical {0} with sign -1
+    L = 5000
+    assert L > sys.getrecursionlimit()
+    up = {1 << i: 1 << (i + 1) for i in range(1, L)}
+    index = {0b1: 0, 1 << L: 1}
+    memo: dict[int, dict[int, int]] = {}
+    assert _image(0b11, index, up, memo, (1,) * (L + 1)) == {0: -1, 1: 1}
+    assert len(memo) == L - 1 and all(memo[1 << i] == {1: 1} for i in range(1, L))
 
 
 def test_nonzero_composite_raises():
