@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import weakref
 
 ENGINE_VERSION = "0.2.0"
 
@@ -40,7 +41,7 @@ class RankCache:
     may hold records of any ring, though cache_path gives each ring its
     own.  With path None the cache lives in memory.  New records go through
     one append handle, opened at the first and flushed after each, so the
-    file stays current for other readers.
+    file stays current for other readers, and closed with the cache.
     """
 
     def __init__(self, path: str | None = None):
@@ -124,6 +125,7 @@ class RankCache:
             try:
                 if self._fh is None:
                     self._fh = open(self.path, "a", encoding="utf-8")
+                    weakref.finalize(self, self._fh.close)  # closed with the cache
                 self._fh.write(line)
                 self._fh.flush()  # current for any other reader of the file
             except OSError as exc:

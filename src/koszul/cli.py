@@ -58,7 +58,9 @@ def _field(args) -> FieldSpec:
 def _cache(args) -> RankCache:
     directory = args.cache_dir or os.environ.get("KOSZ_CACHE_DIR")
     if not directory:
-        return RankCache(None)  # memory-only: dedupes shared strand records
+        # memory-only: within a command the engine's _records memo resolves
+        # each strand once, so nothing reads this cache back
+        return RankCache(None)
     os.makedirs(directory, exist_ok=True)
     return RankCache(cache_path(directory, args.n, args.c))
 

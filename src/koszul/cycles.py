@@ -1,9 +1,10 @@
 """Explicit integer chains in the complex, each inside one multidegree:
-two-term degree-(c+1) generators of Z_1 (with the walk over their products
-dividing a multidegree, which the Z_t generator profiles of koszul.homology
-share), the alternating-sum cycles built from factorizations u = b*a, wedge
-products, differentials, boundary-membership tests, and the verifier for
-the inclusion (c+1)! * m^(c-1) * Z_1^c inside the boundaries.
+two-term degree-(c+1) generators of Z_1 (with the one walk that lists them
+and their products dividing a multidegree, which the Z_t generator profiles
+of koszul.homology share), the alternating-sum cycles built from
+factorizations u = b*a, wedge products, differentials, boundary-membership
+tests, and the verifier for the inclusion (c+1)! * m^(c-1) * Z_1^c inside
+the boundaries.
 
 A chain is its multidegree alpha and its coefficients at sorted brackets:
 inside one multidegree the bracket fixes the monomial coefficient (see
@@ -23,14 +24,7 @@ from dataclasses import dataclass
 from itertools import chain, permutations, product
 from typing import Iterable, Sequence
 
-from .combinatorics import (
-    ExponentVec,
-    RingParams,
-    divides,
-    monomial_table,
-    unit_vector,
-    vec_add,
-)
+from .combinatorics import ExponentVec, RingParams, monomial_table, unit_vector, vec_add
 from .complex import differential_block, products_dividing, sort_gens
 from .exactla import ColumnSpace, FieldSpec, SizeGuardError
 
@@ -94,36 +88,25 @@ def z1_generator(params: RingParams, b: ExponentVec, i: int, j: int) -> CycleEle
     return CycleElement(params, 1, alpha, {(u_j,): 1, (u_i,): -1})
 
 
-def z1_generators_dividing(
-    params: RingParams, alpha: ExponentVec
-) -> list[tuple[ExponentVec, tuple[int, int], ExponentVec]]:
-    """(b, (i, j), multidegree) of every two-term Z_1 generator
-    z1_generator(params, b, i, j) whose multidegree divides alpha, in rank
-    order of b and then i < j."""
-    n = params.n
-    out = []
-    for b in monomial_table(n, params.c - 1)[0]:
-        for i in range(n):
-            for j in range(i + 1, n):
-                degree = vec_add(b, vec_add(unit_vector(n, i), unit_vector(n, j)))
-                if divides(degree, alpha):
-                    out.append((b, (i, j), degree))
-    return out
-
-
 def z1_products_dividing(
     params: RingParams, alpha: ExponentVec, k: int, distinct: bool
-) -> list[tuple[tuple[tuple[ExponentVec, tuple[int, int], ExponentVec], ...], ExponentVec]]:
-    """(generators, residual) for every choice of k entries of
-    z1_generators_dividing(params, alpha), in increasing position and
-    without repetition when distinct, whose multidegrees together divide
-    alpha; residual is alpha less their sum.  Listed in lexicographic order
-    of the positions, by the walk that lists basis brackets
-    (complex.products_dividing)."""
-    gens = z1_generators_dividing(params, alpha)
+) -> list[tuple[tuple[tuple[ExponentVec, tuple[int, int]], ...], ExponentVec]]:
+    """(generators, residual) for every choice of k two-term Z_1 generators
+    (b, (i, j)) of z1_generator(params, b, i, j), listed in rank order of b
+    and then i < j and chosen in increasing position, without repetition
+    when distinct, whose multidegrees together divide alpha; residual is
+    alpha less their sum.  Listed in lexicographic order of the positions,
+    by the walk that lists basis brackets (complex.products_dividing),
+    whose fit test drops the generators that do not divide alpha."""
+    n = params.n
+    gens = [
+        (b, (i, j)) for b in monomial_table(n, params.c - 1)[0]
+        for i in range(n) for j in range(i + 1, n)
+    ]
+    degrees = [vec_add(b, vec_add(unit_vector(n, i), unit_vector(n, j))) for b, (i, j) in gens]
     return [
         (tuple(gens[pos] for pos in chosen), res)
-        for chosen, res in products_dividing([degree for _, _, degree in gens], alpha, k, distinct)
+        for chosen, res in products_dividing(degrees, alpha, k, distinct)
     ]
 
 
@@ -312,18 +295,6 @@ class FactorialReport:
         return not self.failures
 
 
-def _stratum_witnesses(
-    params: RingParams, alpha: ExponentVec
-) -> list[tuple[tuple[ExponentVec, ...], tuple[tuple[int, int], ...]]]:
-    """Every product witness of multidegree alpha, factors unordered: c
-    two-term generators, repeats allowed, and the degree-(c-1) residual as
-    the outer monomial (alpha has degree c(c+1) + c-1)."""
-    return [
-        (tuple(b for b, _, _ in chosen) + (residual,), tuple(pair for _, pair, _ in chosen))
-        for chosen, residual in z1_products_dividing(params, alpha, params.c, distinct=False)
-    ]
-
-
 def verify_factorial_theorem(
     params: RingParams,
     samples: int,
@@ -354,7 +325,12 @@ def verify_factorial_theorem(
                 f"every witness at c={c} has degree {degree} = c(c+1) + c-1, "
                 f"but the stratum has degree {sum(stratum)}"
             )
-        combos = _stratum_witnesses(params, tuple(stratum))
+        # every witness, factors unordered: c generators, repeats allowed,
+        # and the degree-(c-1) residual as the outer monomial
+        combos = [
+            (tuple(b for b, _ in chosen) + (residual,), tuple(pair for _, pair in chosen))
+            for chosen, residual in z1_products_dividing(params, tuple(stratum), c, distinct=False)
+        ]
         blocks = {tuple(stratum): range(len(combos))}
     else:
         rng = random.Random(seed)
@@ -411,11 +387,11 @@ def _random_z1(rng: random.Random, params: RingParams) -> CycleElement:
 
 
 def sample_nonzero_cycles(
-    count: int, seed: int, n_max: int = 4, c_max: int = 3, t_max: int = 3
+    count: int, seed: int, n_max: int = 4, c_max: int = 3
 ) -> list[CycleElement]:
-    """Seeded stream of nonzero cycles: two-term generators, alternating-sum
-    cycles, and wedge products thereof.  Zero normalizations are discarded
-    and redrawn."""
+    """Seeded stream of nonzero cycles of homological degree at most 3:
+    two-term generators, alternating-sum cycles, and wedge products thereof.
+    Zero normalizations are discarded and redrawn."""
     rng = random.Random(seed)
     out: list[CycleElement] = []
     attempts = 0
@@ -431,10 +407,10 @@ def sample_nonzero_cycles(
             z = _random_z1(rng, params)
         elif kind == "wedge":
             z = _random_z1(rng, params)
-            for _ in range(rng.randint(2, t_max) - 1):
+            for _ in range(rng.randint(2, 3) - 1):
                 z = wedge(z, _random_z1(rng, params))
         else:
-            t = rng.randint(1, t_max)
+            t = rng.randint(1, 3)
             s = rng.randint(1, c)
             a = tuple(rng.choice(monomial_table(n, s)[0]) for _ in range(t + 1))
             b = tuple(rng.choice(monomial_table(n, c - s)[0]) for _ in range(t))

@@ -433,26 +433,17 @@ class HomologyEngine:
                 span.extend(images)
                 new_gens += weight * (len(kern) - span.rank)
                 if d == top and top_spanned:
-                    span.extend(self._z1_wedge_vectors(t, rep, index, z1))
+                    # the wedges of t distinct two-term generators summing to rep
+                    products = cycles.z1_products_dividing(params, rep, t, distinct=True)
+                    wedges = (
+                        cycles.wedge(*(z1(b, pair) for b, pair in chosen)).terms
+                        for chosen, residual in products
+                        if not any(residual)
+                    )
+                    span.extend([{index[gens]: v for gens, v in w.items()} for w in wedges])
                     top_spanned = all(span.members(kern))
             counts[d] = new_gens
         return ZGeneratorProfile(counts, top, top_spanned)
-
-    def _z1_wedge_vectors(
-        self, t: int, alpha: ExponentVec, index: dict, z1: Callable
-    ) -> list[dict[int, int]]:
-        """Sparse coordinate vectors, at the basis positions of index, of the
-        nonzero wedge products of t distinct two-term Z_1 generators whose
-        multidegrees sum to alpha; z1(b, (i, j)) builds the generator of b
-        and the pair i < j."""
-        out = []
-        for chosen, residual in cycles.z1_products_dividing(self.params, alpha, t, distinct=True):
-            if any(residual):
-                continue
-            terms = cycles.wedge(*(z1(b, pair) for b, pair, _ in chosen)).terms
-            if terms:
-                out.append({index[gens]: value for gens, value in terms.items()})
-        return out
 
 
 @dataclass

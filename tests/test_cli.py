@@ -871,6 +871,22 @@ def test_env_cache_dir(tmp_path, monkeypatch, capsys):
     assert os.path.exists(cache_path(str(tmp_path), 2, 2))
 
 
+def test_cache_file_is_closed_once_the_command_returns(tmp_path, monkeypatch, capsys):
+    # every handle opened on the cache file is closed by the time the
+    # command returns, not left for the interpreter to reclaim at exit
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr("koszul.cache.open", recording_open, raising=False)
+    code, _ = run_cli(capsys, "table", "--n", "2", "--c", "2", "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert [fh.name for fh in opened] == [cache_path(str(tmp_path), 2, 2)]  # the append handle
+    assert all(fh.closed for fh in opened)
+
+
 def test_unusable_cache_dir_exits_2(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")

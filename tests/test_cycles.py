@@ -282,15 +282,22 @@ def test_coefficient_space_dim_matches_the_rank_of_the_coefficients(seed):
     "n,c,alpha", [(3, 2, (3, 2, 2)), (4, 2, (2, 2, 1, 2)), (3, 3, (4, 3, 3)), (3, 1, (3, 3, 0))]
 )
 def test_z1_products_match_plain_enumeration(n, c, alpha):
+    # the generators and their multidegrees by plain loops, every choice by
+    # itertools, kept when the summed multidegree fits alpha
     params = RingParams(n, c)
-    gens = cycles.z1_generators_dividing(params, alpha)
+    gens, degree = [], {}
+    for b in monomial_table(n, c - 1)[0]:
+        for i in range(n):
+            for j in range(i + 1, n):
+                gens.append((b, (i, j)))
+                degree[b, (i, j)] = tuple(x + (v == i) + (v == j) for v, x in enumerate(b))
     for k in range(4):
         for distinct, choose in ((True, combinations), (False, combinations_with_replacement)):
             expected = []
             for chosen in choose(gens, k):
                 residual = alpha
-                for _, _, degree in chosen:
-                    residual = tuple(a - x for a, x in zip(residual, degree))
+                for g in chosen:
+                    residual = tuple(a - x for a, x in zip(residual, degree[g]))
                 if min(residual) >= 0:
                     expected.append((chosen, residual))
             assert cycles.z1_products_dividing(params, alpha, k, distinct) == expected

@@ -1,10 +1,10 @@
-import functools
+import itertools
 
 import pytest
 
 from koszul import complex, cycles, exactla, homology
 from koszul.cache import RankCache
-from koszul.combinatorics import RingParams, compositions, unit_vector, vec_sub
+from koszul.combinatorics import RingParams, compositions, monomial_table, unit_vector, vec_sub
 from koszul.complex import differential_block
 from koszul.exactla import FieldSpec, UnsupportedPolicyError
 from koszul.homology import (
@@ -230,7 +230,12 @@ def _profile_over_compositions(e, t):
     oracle."""
     params, field = e.params, e.field
     top = t * (params.c + 1)
-    z1 = functools.cache(lambda b, pair: cycles.z1_generator(params, b, *pair))
+    z1_gens = [
+        cycles.z1_generator(params, b, i, j)
+        for b in monomial_table(params.n, params.c - 1)[0]
+        for i in range(params.n)
+        for j in range(i + 1, params.n)
+    ]
     counts, spanned, prev = {}, True, {}
     for d in range(t * params.c, top + Z_PROFILE_DEGREES_PAST_TOP + 1):
         cur, counts[d] = {}, 0
@@ -255,7 +260,13 @@ def _profile_over_compositions(e, t):
             span.extend(images)
             counts[d] += len(kern) - span.rank
             if d == top:
-                span.extend(e._z1_wedge_vectors(t, alpha, index, z1))
+                # every wedge of t distinct generators whose degrees sum to alpha
+                wedges = [
+                    cycles.wedge(*chosen).terms
+                    for chosen in itertools.combinations(z1_gens, t)
+                    if tuple(map(sum, zip(*(z.alpha for z in chosen)))) == alpha
+                ]
+                span.extend([{index[gens]: v for gens, v in w.items()} for w in wedges])
                 spanned = spanned and all(span.contains(_dense(v, len(index))) for v in kern)
         prev = cur
     return counts, spanned
