@@ -27,7 +27,10 @@ def cache_path(directory: str, n: int, c: int) -> str:
 class RankCache:
     """Append-only line-delimited store of multidegree-strand records.
 
-    A record is keyed by (n, c, sorted alpha, p).  faces[t] counts the
+    A record is keyed by (n, c, alpha, p), where a HomologyEngine's alpha
+    is a strand key (complex.strand_key: sorted, each part capped at
+    M = binomial(n+c-1, c-1)), so every multidegree whose parts differ only
+    above M reads the one record.  faces[t] counts the
     t-vertex faces of Delta_alpha, the basis of K_t at alpha (faces[0] = 1),
     and ranks[t] is the rank of d_t at alpha over F_p, or over Q when p = 0
     (ranks[0] = 0), so dim H_t at alpha is faces[t] - ranks[t] - ranks[t+1].

@@ -34,6 +34,12 @@ class RingParams:
         """Number of degree-c monomials, binomial(n+c-1, c)."""
         return math.comb(self.n + self.c - 1, self.c)
 
+    @property
+    def M(self) -> int:
+        """The exponent of one variable summed over all degree-c monomials,
+        c*N/n = binomial(n+c-1, c-1)."""
+        return math.comb(self.n + self.c - 1, self.c - 1)
+
 
 def monomial_count(n: int, d: int) -> int:
     """Number of degree-d monomials in n variables."""

@@ -307,8 +307,35 @@ def _subset_counts(cands: tuple[int, ...], top: int, guard: int) -> tuple[int, .
     return tuple(counts)
 
 
+def strand_key(params: RingParams, alpha: ExponentVec) -> ExponentVec:
+    """The multidegree whose Strand stands for alpha's: alpha sorted in
+    decreasing order, each part capped at M = params.M = binomial(n+c-1, c-1).
+
+    Permuting the variables carries Delta_alpha onto the complex of the
+    permuted alpha, so one sorted multidegree serves its orbit.  A face of
+    Delta_alpha is a set of distinct degree-c monomials, so its product
+    takes at most M of any variable, the sum over all of them.  A field
+    alpha_k >= M never refuses a face, so Delta_alpha = Delta_min(alpha, M)
+    with the same vertices in the same order, hence the same matchings,
+    Morse matrices and records over every field.  A key whose first part is
+    M has x_1^c as a cone point: a face without it takes at most M - c of
+    x_1, so adding x_1^c keeps it a face.  That strand is acyclic and has
+    no homology over any field.
+
+    A tuple alpha that is its own key is returned itself, so a list that
+    keeps both holds one tuple.
+    """
+    cap = params.M
+    key = tuple(min(a, cap) for a in sorted(alpha, reverse=True))
+    return alpha if key == alpha else key
+
+
 class Strand:
     """The multidegree-alpha strand of K(m^c), Morse-reduced.
+
+    Every multidegree with the same strand_key (alpha sorted, each part
+    capped at M) has this strand up to relabelling the variables, so a
+    HomologyEngine builds one per key, at the key itself.
 
     A face of Delta_alpha with t vertices is the basis element of K_t whose
     brackets are those vertices, so the strand is the augmented simplicial

@@ -6,9 +6,12 @@ and minimal generator profiles of the cycle modules Z_t.
 Throughout, dim H_t in internal degree d is computed multidegree by
 multidegree: each orbit of multidegrees under variable permutation
 contributes orbit_size * (faces_t - rank d_t - rank d_{t+1}), read from the
-record of its sorted representative strand (koszul.cache), which holds the
-face count and the differential rank of every level.  HomologyEngine.orbit_dims
-gives these contributions and dim H_t(d) is their sum.  The duality
+record of its strand (koszul.cache), which holds the face count and the
+differential rank of every level.  A record is keyed by complex.strand_key:
+the sorted representative with each part capped at M = binomial(n+c-1, c-1),
+since no face takes more of a variable than that, so orbits that differ only
+above M share one record.  HomologyEngine.orbit_dims gives these
+contributions and dim H_t(d) is their sum.  The duality
 dim H_t(d) = dim H_{N-n-t}(Nc-n-d) lets a query be served from its partner:
 a side without t-chains (d < tc) first, since it reads 0 at no cost, and
 otherwise the lower internal degree, whose strands have fewer faces.  Fewer
@@ -35,7 +38,7 @@ from .combinatorics import (
     unit_vector,
     vec_sub,
 )
-from .complex import Strand, differential_block, graded_dim
+from .complex import Strand, differential_block, graded_dim, strand_key
 from .exactla import FieldSpec, SizeGuardError, UnsupportedPolicyError
 
 # Generator profiles build every block kernel up to degree t(c+1); factorial
@@ -112,16 +115,21 @@ class HomologyEngine:
     """Shared context for a run: ring, field, strand-record memo, and
     whether the duality shortcut may serve a query.
 
-    Each sorted representative's record over the engine field is resolved
-    (_resolve) at most once per engine and kept with its homology vector,
-    derived once, as is the orbit list of each degree.  Without a cache
-    argument the records are stored in memory.  A record missing from the
-    cache is that of the Morse-reduced strand of its orbit
+    Records are keyed by complex.strand_key (the sorted representative,
+    each part capped at M), so the orbits of one key share one record.
+    Each key's record over the engine field is resolved (_resolve) at most
+    once per engine and kept with its homology vector, derived once; the
+    orbit list of each degree, with each orbit's key, is listed once too.
+    Without a cache argument the records are stored in memory.  A record
+    missing from the cache is that of the Morse-reduced strand at its key
     (complex.Strand.record), built only for it, shared by its sampled
-    primes, and then dropped.  Under the multiprime policy
-    one prime usually proves the rational record (proves_rational), which
-    is then stored once under p = 0; only the strands it leaves open are
-    sampled at every seeded prime and stored per prime.
+    primes, and then dropped.  A key whose first part is M is a cone on
+    x_1^c, so its record must show no homology: _resolve raises
+    ArithmeticError on one that does, as a bad cache record would.  Under
+    the multiprime policy one prime usually proves the rational record
+    (proves_rational), which is then stored once under p = 0; only the
+    strands it leaves open are sampled at every seeded prime and stored per
+    prime.
 
     The engine's strands share one memo of their link face counts
     (complex._subset_counts, keyed by the masked link): many strands of a
@@ -141,44 +149,44 @@ class HomologyEngine:
         self.cache = RankCache(None) if cache is None else cache
         self.use_duality = use_duality
         self.stats = {"eliminations": 0, "cache_hits": 0}
-        self._records: dict[ExponentVec, tuple] = {}  # sorted rep -> record over field
-        self._orbits: dict[int, list[tuple[ExponentVec, int]]] = {}  # d -> (rep, orbit size)
+        self._records: dict[ExponentVec, tuple] = {}  # strand key -> record over field
+        # d -> (sorted rep, orbit size, strand key) of each orbit
+        self._orbits: dict[int, list[tuple[ExponentVec, int, ExponentVec]]] = {}
         self._subset_counts = functools.cache(complex._subset_counts)
 
     # -- block level --------------------------------------------------------
 
-    def _cached(self, rep: ExponentVec, p: int):
-        got = self.cache.get(self.params.n, self.params.c, rep, p)
+    def _cached(self, key: ExponentVec, p: int):
+        got = self.cache.get(self.params.n, self.params.c, key, p)
         if got is not None:
             self.stats["cache_hits"] += 1
         return got
 
-    def _put(self, rep: ExponentVec, p: int, record) -> None:
-        self.cache.put(self.params.n, self.params.c, rep, p, *record)
+    def _put(self, key: ExponentVec, p: int, record) -> None:
+        self.cache.put(self.params.n, self.params.c, key, p, *record)
 
-    def _rank_mod_p(self, rep: ExponentVec, p: int, strand: Callable[[], Strand]):
-        """rep's record over F_p, read from the cache or, on a miss, ranked on
+    def _rank_mod_p(self, key: ExponentVec, p: int, strand: Callable[[], Strand]):
+        """key's record over F_p, read from the cache or, on a miss, ranked on
         strand(); never stored here, since _resolve stores every record."""
-        got = self._cached(rep, p)
+        got = self._cached(key, p)
         if got is None:
             got = strand().record(lambda m: exactla.rank_mod_p(m, p))
             self.stats["eliminations"] += 1
         return got
 
-    def _record(self, alpha: ExponentVec):
-        """(faces, ranks, dims) of alpha's strand over the engine field, dims
-        its homology vector; resolved once per engine, and a later call is a
-        memo hit, counted as a cache hit."""
-        rep = tuple(sorted(alpha, reverse=True))
-        got = self._records.get(rep)
+    def _record(self, key: ExponentVec):
+        """(faces, ranks, dims) of the strand at key (complex.strand_key) over
+        the engine field, dims its homology vector; resolved once per engine,
+        and a later call is a memo hit, counted as a cache hit."""
+        got = self._records.get(key)
         if got is None:
-            got = self._records[rep] = self._resolve(rep)
+            got = self._records[key] = self._resolve(key)
         else:
             self.stats["cache_hits"] += 1
         return got
 
-    def _resolve(self, rep: ExponentVec):
-        """rep's record over the engine field with its homology vector
+    def _resolve(self, key: ExponentVec):
+        """key's record over the engine field with its homology vector
         (faces, ranks, dims), and the one place records are stored.  Its
         strand is built at most once, by the first strand() of a miss, and
         shared by every prime this call ranks at (field.primes).
@@ -190,50 +198,58 @@ class HomologyEngine:
         alone (so a cache of per-prime records is upgraded as it is read).
         Otherwise each sampled prime's record is stored under that prime.
         Storing a record the cache already holds changes nothing.
+
+        Every record it returns, read or built, passes the closed-form
+        oracle of strand_key: at a key whose first part is M the homology
+        vector is 0, else ArithmeticError.
         """
         f = self.field
         char = f.characteristic
-        if not char:
-            got = self._cached(rep, 0)
-            if got is not None:
-                return (*got, homology_vector(got))
-        made = None
+        got = None if char else self._cached(key, 0)
+        if got is None:
+            made = None
 
-        def strand() -> Strand:
-            nonlocal made
-            if made is None:
-                made = Strand(self.params, rep, self._subset_counts)
-            return made
+            def strand() -> Strand:
+                nonlocal made
+                if made is None:
+                    made = Strand(self.params, key, self._subset_counts)
+                return made
 
-        primes = f.primes
-        if primes:
-            got = self._rank_mod_p(rep, primes[0], strand)
-        else:  # fraction-free
-            got = strand().record(exactla.rank_fraction_free)
-            self.stats["eliminations"] += 1
+            primes = f.primes
+            if primes:
+                got = self._rank_mod_p(key, primes[0], strand)
+            else:  # fraction-free
+                got = strand().record(exactla.rank_fraction_free)
+                self.stats["eliminations"] += 1
+            if char or not primes or proves_rational(homology_vector(got)):
+                # the record over F_p, or a proof of the rational record
+                self._put(key, char, got)
+            else:
+
+                def ranks_at(p: int):
+                    record = got if p == primes[0] else self._rank_mod_p(key, p, strand)
+                    self._put(key, p, record)
+                    return record[1]
+
+                got = got[0], exactla.sampled_rank(f, ranks_at)
         dims = homology_vector(got)
-        if char or not primes or proves_rational(dims):
-            # the record over F_p, or a proof of the rational record
-            self._put(rep, char, got)
-            return (*got, dims)
-
-        def ranks_at(p: int):
-            record = got if p == primes[0] else self._rank_mod_p(rep, p, strand)
-            self._put(rep, p, record)
-            return record[1]
-
-        best = exactla.sampled_rank(f, ranks_at)
-        return got[0], best, homology_vector((got[0], best))
+        if key[0] == self.params.M and any(dims):
+            raise ArithmeticError(
+                f"strand record at alpha={key}, p={char} has homology {dims}, but "
+                f"x_1^{self.params.c} is a cone point of its complex "
+                f"(alpha_1 = M = {self.params.M}); a corrupt cache record, or a fault"
+            )
+        return (*got, dims)
 
     def block_rank(self, t: int, alpha: ExponentVec) -> int:
         """Rank of the t-th differential block at alpha over the engine field."""
-        ranks = self._record(alpha)[1]
+        ranks = self._record(strand_key(self.params, alpha))[1]
         return ranks[t] if 0 < t < len(ranks) else 0
 
     def block_dim(self, t: int, alpha: ExponentVec) -> int:
         """Homology dimension of the single multidegree-alpha block:
         faces[t] - ranks[t] - ranks[t+1] of alpha's strand record."""
-        dims = self._record(alpha)[2]
+        dims = self._record(strand_key(self.params, alpha))[2]
         return dims[t] if 0 <= t < len(dims) else 0
 
     # -- degree level --------------------------------------------------------
@@ -254,13 +270,17 @@ class HomologyEngine:
         of the duality that _side picks."""
         return sum(self.orbit_dims(*self._side(t, d)).values())
 
-    def _orbits_of(self, d: int) -> list[tuple[ExponentVec, int]]:
-        """(sorted representative, orbit size) of every orbit of degree-d
-        multidegrees, in partitions_into order; listed once per engine."""
+    def _orbits_of(self, d: int) -> list[tuple[ExponentVec, int, ExponentVec]]:
+        """(sorted representative, orbit size, strand key) of every orbit of
+        degree-d multidegrees, in partitions_into order; listed once per
+        engine."""
         orbits = self._orbits.get(d)
         if orbits is None:
-            n = self.params.n
-            orbits = self._orbits[d] = [(rep, orbit_size(rep)) for rep in partitions_into(d, n)]
+            params = self.params
+            orbits = self._orbits[d] = [
+                (rep, orbit_size(rep), strand_key(params, rep))
+                for rep in partitions_into(d, params.n)
+            ]
         return orbits
 
     def orbit_dims(self, t: int, d: int) -> dict[ExponentVec, int]:
@@ -281,12 +301,12 @@ class HomologyEngine:
             # degree >= c is divisible by one of the generators
             if d >= params.c:
                 return {}
-            return dict(self._orbits_of(d))
+            return {rep: weight for rep, weight, _ in self._orbits_of(d)}
 
         faces_t = 0
         parts: dict[ExponentVec, int] = {}
-        for rep, weight in self._orbits_of(d):
-            faces, _, dims = self._record(rep)
+        for rep, weight, key in self._orbits_of(d):
+            faces, _, dims = self._record(key)
             if t < len(faces):
                 faces_t += weight * faces[t]
                 if dims[t]:
@@ -419,7 +439,7 @@ class HomologyEngine:
         for d in range(t * params.c, top + Z_PROFILE_DEGREES_PAST_TOP + 1):
             memo = {alpha: got for alpha, got in memo.items() if sum(alpha) == d - 1}
             new_gens = 0
-            for rep, weight in self._orbits_of(d):
+            for rep, weight, _ in self._orbits_of(d):
                 cols, kern = kernel(rep)
                 if not kern:
                     continue

@@ -21,7 +21,7 @@ from koszul.cli import (
     render_diagram,
     structural_zero,
 )
-from koszul.combinatorics import RingParams
+from koszul.combinatorics import RingParams, partitions_into
 from koszul.complex import Strand
 from koszul.cycles import sample_nonzero_cycles
 from koszul.exactla import FieldSpec, multiprime_primes
@@ -747,6 +747,21 @@ def test_strand_open_to_one_prime_is_sampled_per_prime(capsys, tmp_path):
     assert all(p in ({0}, set(multiprime_primes(0, 2))) for p in ps.values())
 
 
+def forbid_strands(monkeypatch) -> None:
+    """Make building a strand or walking its faces fail, in every koszul
+    module that holds either."""
+
+    def built(*args):
+        raise AssertionError("a replay built a strand or walked its faces")
+
+    # read both before the first patch replaces complex's own
+    targets = complex.Strand, complex._survivors
+    for module in [m for name, m in sys.modules.items() if name.startswith("koszul")]:
+        for attr, value in vars(module).items():
+            if any(value is target for target in targets):
+                monkeypatch.setattr(module, attr, built)
+
+
 def test_per_prime_cache_is_upgraded_on_read(capsys, tmp_path, monkeypatch):
     # a cache holding the records of each seeded prime and no p=0 record, as
     # versions that stored every sampled prime wrote it
@@ -760,14 +775,8 @@ def test_per_prime_cache_is_upgraded_on_read(capsys, tmp_path, monkeypatch):
     _, cold = run_cli(capsys, *table, "--cache-dir", fresh)
     proven = Path(cache_path(fresh, 3, 3)).read_text().splitlines()
 
-    def built(*args):
-        raise AssertionError("a replay built a strand or walked its faces")
-
     with monkeypatch.context() as patch:
-        for module in [m for name, m in sys.modules.items() if name.startswith("koszul")]:
-            for attr, value in vars(module).items():
-                if value is complex.Strand or value is complex._survivors:
-                    patch.setattr(module, attr, built)
+        forbid_strands(patch)
         code, replay = run_cli(capsys, *table, "--cache-dir", legacy)
     assert code == 0 and replay == cold
     # the replay appends the p=0 record of every strand, proven at one prime
@@ -788,6 +797,44 @@ def test_per_prime_cache_is_upgraded_on_read(capsys, tmp_path, monkeypatch):
     assert code == 0 and again == cold
     assert gets and set(gets) == {0}  # a second replay reads p=0 records only
     assert path.read_text().splitlines() == lines
+
+
+def test_cache_of_uncapped_reps_replays(capsys, tmp_path, monkeypatch, caplog):
+    # a cache written as versions that keyed records by the sorted
+    # representative wrote it: the p=0 record of every rep up to degree
+    # N*c, parts above M = 5 included.  Each capped key is itself a rep of
+    # no higher degree, so a warm run reads them all, builds no strand and
+    # appends nothing.
+    params = RingParams(4, 2)
+    argv = ["verify", "vanishing", "--n", "4", "--c", "2"]
+    _, cold = run_cli(capsys, *argv)
+    path = Path(cache_path(str(tmp_path), 4, 2))
+    legacy = RankCache(str(path))
+    for d in range(params.N * params.c + 1):
+        for rep in partitions_into(d, params.n):
+            legacy.put(4, 2, rep, 0, *Strand(params, rep).record(exactla.rank_fraction_free))
+    written = path.read_bytes()
+    forbid_strands(monkeypatch)
+    code, warm = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
+    assert code == 0 and warm == cold
+    assert path.read_bytes() == written
+    assert not caplog.records
+
+
+def test_homology_at_a_cone_key_exits_1(capsys, tmp_path):
+    # at (2,2) M = 3, so the key (3, 1) is a cone on x^2, with faces
+    # [1, 2, 1] and ranks [0, 1, 1].  Ranks [0, 1, 0] pass the loader's
+    # checks but leave homology, which the vanishing suite would report as a
+    # window failure at degree 5, read through the orbit of (4, 1).
+    path = Path(cache_path(str(tmp_path), 2, 2))
+    path.write_text(record([3, 1], 0, [1, 2, 1], [0, 1, 0]))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "vanishing", "--n", "2", "--c", "2", "--cache-dir", str(tmp_path)])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.startswith(
+        "kosz: error: strand record at alpha=(3, 1), p=0 has homology [0, 1, 1], "
+        "but x_1^2 is a cone point"
+    )
 
 
 def test_output_determinism(capsys):

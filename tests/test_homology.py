@@ -102,14 +102,14 @@ def test_duality_acceleration_picks_cheap_side():
 
 
 # Over one prime, stats["eliminations"] counts the strand records an engine
-# resolves, one per sorted representative.
+# resolves, one per strand key (sorted, each part capped at M).
 FP = FieldSpec.prime(32003)
 
 
 def test_duality_side_keeps_the_table_and_resolves_fewer_records():
     e = HomologyEngine(RingParams(3, 3), FP)
     table = e.homology_table(7, 27)
-    assert e.stats["eliminations"] == 119
+    assert e.stats["eliminations"] == 112
     direct = HomologyEngine(RingParams(3, 3), FP, use_duality=False)
     assert table.entries == direct.homology_table(7, 27).entries
 
@@ -117,7 +117,7 @@ def test_duality_side_keeps_the_table_and_resolves_fewer_records():
 def test_duality_side_index_scan_resolves_fewer_records():
     e = HomologyEngine(RingParams(6, 2), FP)
     result = e.gl_index()
-    assert e.stats["eliminations"] == 319
+    assert e.stats["eliminations"] == 250
     assert result.value == 5
     assert result.witness == (6, 8, 1764)
 
@@ -317,9 +317,10 @@ def test_z_profile_builds_each_kernel_and_z1_generator_once(monkeypatch):
 
 
 def test_engine_counts_each_masked_link_once(monkeypatch):
-    # the 597 strands of the (4,2) vanishing suite ask 141 distinct link
-    # questions once their slack fields are cleared; each engine asks each
-    # once, and a second engine counts afresh
+    # the (4,2) vanishing suite resolves 597 orbits but only 113 strand keys,
+    # one strand each, and those ask 92 distinct link questions once their
+    # slack fields are cleared; each engine asks each once, and a second
+    # engine counts afresh
     calls = {"counts": 0, "strands": 0}
 
     def counting(name, fn):
@@ -332,9 +333,9 @@ def test_engine_counts_each_masked_link_once(monkeypatch):
     monkeypatch.setattr(complex, "_subset_counts", counting("counts", complex._subset_counts))
     monkeypatch.setattr(homology, "Strand", counting("strands", complex.Strand))
     assert verify_vanishing(RingParams(4, 2), QM).ok
-    assert calls == {"counts": 141, "strands": 597}
+    assert calls == {"counts": 92, "strands": 113}
     assert verify_vanishing(RingParams(4, 2), QM).ok
-    assert calls == {"counts": 282, "strands": 1194}
+    assert calls == {"counts": 184, "strands": 226}
 
 
 def test_acceleration_matches_direct():

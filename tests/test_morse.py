@@ -441,6 +441,37 @@ def test_strand_of_a_permuted_multidegree_has_the_same_counts():
     assert a.pairs == b.pairs and a.crit == b.crit
 
 
+@pytest.mark.parametrize("n,c", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (5, 2), (2, 5), (3, 4)])
+def test_strand_of_a_part_above_m_is_the_strand_at_its_key(monkeypatch, n, c):
+    # every rep with a part above M, up to degree 2M + 2 (so two parts can
+    # exceed M), builds the strand at its key: the same counts,
+    # Morse matrices and records over F_2, F_3, F_5 and Q, and no homology,
+    # as a cone on x_1^c.  Reversed, with the capped part last, most are no
+    # cone on their first vertex, and the survivor walk of each matches
+    # that of its reversed key (up to degree M + 2c, where walks are small).
+    walks = spy_walk(monkeypatch)
+    params = RingParams(n, c)
+    ranks = [rank_fraction_free] + [lambda m, p=p: rank_mod_p(m, p) for p in (2, 3, 5)]
+    checked = 0
+    for d in range(2 * params.M + 3):
+        for rep in partitions_into(d, n):
+            if rep[0] <= params.M:
+                continue
+            key = complex.strand_key(params, rep)
+            assert key == tuple(min(a, params.M) for a in rep)
+            cases = [(rep, key), (rep[::-1], key[::-1])][: 2 if d <= params.M + 2 * c else 1]
+            for alpha, capped in cases:
+                s, k = Strand(params, alpha), Strand(params, capped)
+                assert (s.faces, s.pairs, s.crit) == (k.faces, k.pairs, k.crit), alpha
+                assert all(s.morse(t) == k.morse(t) for t in range(1, params.N + 2)), alpha
+                records = [s.record(rank) for rank in ranks]
+                assert records == [k.record(rank) for rank in ranks], alpha
+            assert not any(any(homology_vector(s.record(rank))) for rank in ranks), rep
+            checked += 1
+    assert checked
+    assert walks and all(a[1:] == b[1:] for a, b in zip(walks[::2], walks[1::2]))
+
+
 def test_cyclic_flow_raises():
     # vertices 0, 1, 2; each singleton matched up so the gradient paths
     # run {0} -> {1} -> {2} -> {0}
