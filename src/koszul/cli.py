@@ -283,7 +283,6 @@ def _verify_factorial(args) -> int:
     report = cycles.verify_factorial_theorem(
         params, args.samples, args.seed, field, stratum=stratum
     )
-    small_char = 0 < field.characteristic <= params.c + 1
     print(
         f"factorial check: {len(report.witnesses)} witnesses, scale {report.factorial}, "
         f"{field.describe()}"
@@ -292,8 +291,7 @@ def _verify_factorial(args) -> int:
     if report.failures:
         for w in report.failures[:10]:
             print(f"  SCALED NON-BOUNDARY: b={w.b_monomials} pairs={w.pairs}")
-        if not small_char:
-            return 1
+        return 1
     if report.findings:
         print(f"  findings: {len(report.findings)} unscaled witnesses outside the boundaries")
         w = report.findings[0]

@@ -4,7 +4,7 @@ and their products dividing a multidegree, which the Z_t generator profiles
 of koszul.homology share), the alternating-sum cycles built from
 factorizations u = b*a, wedge products, differentials, boundary-membership
 tests, and the verifier for the inclusion (c+1)! * m^(c-1) * Z_1^c inside
-the boundaries.
+the boundaries, with one membership test per product.
 
 A chain is its multidegree alpha and its coefficients at sorted brackets:
 inside one multidegree the bracket fixes the monomial coefficient (see
@@ -270,9 +270,9 @@ class FactorialWitness:
 class FactorialReport:
     """Outcome of testing (c+1)! * b * z_1 ^ ... ^ z_c for boundary membership.
 
-    A scaled element failing over characteristic 0 or > c+1 is a bug; an
-    unscaled element failing is a recorded finding (it shows the factorial
-    scaling is doing real work in small characteristic)."""
+    A scaled element fails only where the field inverts (c+1)!, and is a bug
+    there; an unscaled element failing is a recorded finding (in
+    characteristic <= c+1, where the scaled one is 0, the scaling does work)."""
 
     factorial: int
     seed: int | None  # None when a stratum was enumerated
@@ -310,8 +310,9 @@ def verify_factorial_theorem(
     is already a boundary; misses there are findings, not failures.  Each
     two-term generator is built once per run and shared by its witnesses.
     Witnesses are grouped by multidegree, read off their factors; each
-    block with a nonzero product builds one column space, which tests
-    (c+1)! * f and f in turn for every nonzero product f in one batch.
+    block with a nonzero product builds one column space, which tests each
+    nonzero product f once, in one batch: over a field (c+1)! is zero or a
+    unit, so (c+1)! * f is a boundary iff f is or the field kills (c+1)!.
     """
     c, n = params.c, params.n
     fact = math.factorial(c + 1)
@@ -331,24 +332,21 @@ def verify_factorial_theorem(
             (tuple(b for b, _ in chosen) + (residual,), tuple(pair for _, pair in chosen))
             for chosen, residual in z1_products_dividing(params, tuple(stratum), c, distinct=False)
         ]
-        blocks = {tuple(stratum): range(len(combos))}
     else:
         rng = random.Random(seed)
         monomials = monomial_table(n, c - 1)[0]
-        combos = []
-        blocks = {}
-        for w in range(samples):
-            bs = tuple(rng.choice(monomials) for _ in range(c + 1))
-            prs = tuple(tuple(rng.sample(range(n), 2)) for _ in range(c))
-            combos.append((bs, prs))
-            # the multidegree of the witness, read off its factors
-            alpha = [sum(col) for col in zip(*bs)]
-            for i, j in prs:
-                alpha[i] += 1
-                alpha[j] += 1
-            blocks.setdefault(tuple(alpha), []).append(w)
+        combos = [
+            (tuple(rng.choice(monomials) for _ in range(c + 1)),
+             tuple(tuple(rng.sample(range(n), 2)) for _ in range(c)))
+            for _ in range(samples)
+        ]
     z1 = functools.cache(lambda b, pair: z1_generator(params, b, *pair))
-    zero, scaled, unscaled = ([True] * len(combos) for _ in range(3))
+    blocks: dict[ExponentVec, list[int]] = {}
+    for w, (bs, prs) in enumerate(combos):
+        # the multidegree of the witness, read off its factors
+        alpha = map(sum, zip(bs[c], *(z1(b, pair).alpha for b, pair in zip(bs, prs))))
+        blocks.setdefault(tuple(alpha), []).append(w)
+    zero, unscaled = [True] * len(combos), [True] * len(combos)
     for alpha, block in blocks.items():
 
         def products():
@@ -358,20 +356,18 @@ def verify_factorial_theorem(
                 terms = wedge(*(z1(b, pair) for b, pair in zip(bs, prs))).terms
                 if terms:
                     zero[w] = False
-                    yield {gens: fact * v for gens, v in terms.items()}
                     yield terms
 
         found = products()
         first = next(found, None)
         if first is None:  # every product of the block vanishes: no span to build
             continue
-        flags = iter(_boundary_members(params, c, alpha, field, chain([first], found)))
-        for w in block:
-            if not zero[w]:
-                scaled[w], unscaled[w] = next(flags), next(flags)
+        flags = _boundary_members(params, c, alpha, field, chain([first], found))
+        for w, flag in zip([w for w in block if not zero[w]], flags):
+            unscaled[w] = flag
     witnesses = [
-        FactorialWitness(bs, prs, z, s, u)
-        for (bs, prs), z, s, u in zip(combos, zero, scaled, unscaled)
+        FactorialWitness(bs, prs, z, u or not field.inverts(fact), u)
+        for (bs, prs), z, u in zip(combos, zero, unscaled)
     ]
     return FactorialReport(fact, None if stratum is not None else seed, witnesses)
 

@@ -145,6 +145,11 @@ class FieldSpec:
             return ()
         return multiprime_primes(self.seed, self.num_primes)
 
+    def inverts(self, k: int) -> bool:
+        """Whether the integer k is a unit: k != 0 over Q, p does not divide k
+        over F_p.  At k = (c+1)! this is the paper's hypothesis, char 0 or > c+1."""
+        return k % self.p != 0 if self.kind == "prime" else k != 0
+
     @property
     def certified(self) -> bool:
         """Whether ranks and memberships under this spec are exact proofs."""

@@ -24,6 +24,7 @@ vanishing suites do exactly that).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -359,6 +360,9 @@ class HomologyEngine:
         For each i only finitely many j need checking: nonzero entries force
         j*c < i*c + i + c (degree bound on cycle generators) and
         j*c <= N*c - n (dual window), so a clean scan is a certificate.
+
+        Closed-form oracle: where the field inverts (c+1)!, Bruns-Conca-Roemer
+        prove ind >= c+1, so a first failure at i <= c+1 raises ArithmeticError.
         """
         params = self.params
         hard_top = params.N - params.n
@@ -369,6 +373,13 @@ class HomologyEngine:
             while j * params.c <= degree_top:
                 beta = self.betti(0, i, j)
                 if beta:
+                    if i <= params.c + 1 and self.field.inverts(math.factorial(params.c + 1)):
+                        raise ArithmeticError(
+                            f"beta[{i},{j}] = {beta} gives ind = {i - 1}, but ind >= "
+                            f"{params.c + 1} over {self.field.describe()}, where "
+                            f"{params.c + 1}! is a unit (Bruns-Conca-Roemer); "
+                            "a corrupt cache record, or a fault"
+                        )
                     return GLIndexResult(i_max, i - 1, (i, j, beta))
                 j += 1
         return GLIndexResult(i_max, None, None)
@@ -552,11 +563,10 @@ class GreenBoundReport:
 
 def check_green_bound(btable: BettiTable) -> GreenBoundReport:
     """Assert every t_i of the table satisfies t_i < 1 + i + (i-k)/c, with the
-    sharper (i-k-1)/c version when the characteristic is 0 or > c+1 and
-    i >= c.  A violation is a build-stopping bug, reported not raised."""
+    sharper (i-k-1)/c version when the field inverts (c+1)! and i >= c.
+    A violation is a build-stopping bug, reported not raised."""
     c = btable.params.c
-    char = btable.field.characteristic
-    sharp_ok = char == 0 or char > c + 1
+    sharp_ok = btable.field.inverts(math.factorial(c + 1))
     violations: list[GreenBoundViolation] = []
     columns = 0
     for i, t_i in sorted(btable.max_degrees().items()):
@@ -590,7 +600,7 @@ def verify_vanishing(params: RingParams, field: FieldSpec, cache=None) -> Vanish
     the zeros.  The scan covers the degrees where chains exist on both
     sides of the dual window, and c degrees past its top; beyond that the
     dual-degree basis is empty.  The sharper char-0 statement
-    (j = t+c-1 for t >= c) is included when the characteristic allows."""
+    (j = t+c-1 for t >= c) is included when the field inverts (c+1)!."""
     engine = HomologyEngine(params, field, cache=cache, use_duality=False)
     structural_top = params.N * params.c - params.n
     checked = 0
@@ -606,7 +616,7 @@ def verify_vanishing(params: RingParams, field: FieldSpec, cache=None) -> Vanish
             j += 1
     sharp_checked = 0
     sharp_failures = []
-    if field.characteristic == 0 or field.characteristic > params.c + 1:
+    if field.inverts(math.factorial(params.c + 1)):
         for t in range(params.c, params.N - params.n + 1):
             d = t * params.c + t + params.c - 1
             dim = engine.homology_dim(t, d)

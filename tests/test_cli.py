@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from koszul import cli, complex, exactla
+from koszul import cli, complex, cycles, exactla
 from koszul.cache import cache_path
 from koszul.cli import (
     ENGINE_VERSION,
@@ -517,6 +517,57 @@ def test_readme_examples_print_the_pinned_stdout(capsys, monkeypatch):
         out = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out)
         assert code == 0, command
         assert hashlib.sha256(out.encode()).hexdigest() == digest, command
+
+
+# SHA-256 of the stdout of verify factorial at c = 3, where (c+1)! = 24 is a
+# unit over F_5, zero over F_2 and nonzero over Q; the stratum (5,5,4) has 359
+# witnesses.  Each exits 0.
+_FACTORIAL_C3_STDOUT = {
+    "verify factorial --n 3 --c 3 --char 5 --stratum 5 5 4":
+        "5a1310b20cd20501503ab9dd158e22a1de9e5be8189f6b70e1e22848271aae53",
+    "verify factorial --n 3 --c 3 --char 2 --stratum 5 5 4":
+        "5e86b5d4c0972c4b74792e539ddcfddc26a17de177dd3ba37c83f73bd9e21131",
+    "verify factorial --n 3 --c 3 --char 0 --stratum 5 5 4":
+        "b78a23a98235f6a4a864fd99480fb4136e264e6f8c01471bf5ea23a74d9c9a72",
+    "verify factorial --n 3 --c 3 --char 0 --samples 50":
+        "f43e6139d60f3ead672554fc5908a950cfbd25d77a3cbb693dfc795ce7e488c8",
+}
+
+
+@pytest.mark.parametrize("command", _FACTORIAL_C3_STDOUT)
+def test_verify_factorial_at_c3_prints_the_pinned_stdout(capsys, command):
+    code, out = run_cli(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _FACTORIAL_C3_STDOUT[command]
+
+
+@pytest.mark.parametrize("char", ["0", "2", "5"])
+def test_verify_factorial_failure_exits_1_in_every_characteristic(capsys, monkeypatch, char):
+    # a scaled non-boundary is a fault wherever it shows: over F_2 the
+    # scaled product is 0, so there it can only come from a broken verifier
+    witness = cycles.FactorialWitness(((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((0, 1), (1, 2)),
+                                      False, False, False)
+    monkeypatch.setattr(cycles, "verify_factorial_theorem",
+                        lambda *a, **kw: cycles.FactorialReport(6, 0, [witness]))
+    code, out = run_cli(capsys, "verify", "factorial", "--n", "3", "--c", "2", "--char", char)
+    assert code == 1
+    assert out.splitlines()[1:] == [
+        "  SCALED NON-BOUNDARY: b=((1, 0, 0), (0, 1, 0), (0, 0, 1)) pairs=((0, 1), (1, 2))"
+    ]
+
+
+def test_index_below_the_theorem_exits_1(capsys, monkeypatch):
+    # beta[4,6] of V(3,0) at n = 3 would give ind = 3 < c+1 over Q
+    original = HomologyEngine.betti
+    monkeypatch.setattr(HomologyEngine, "betti", lambda self, k, i, j: (
+        1 if (k, i, j) == (0, 4, 6) else original(self, k, i, j)))
+    with pytest.raises(SystemExit) as exc:
+        main(["index", "--n", "3", "--c", "3", "--char", "0"])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.startswith(
+        "kosz: error: beta[4,6] = 1 gives ind = 3, but ind >= 4 over multiprime(k=2, seed=0), "
+        "where 4! is a unit (Bruns-Conca-Roemer)"
+    )
 
 
 def test_verify_coeffdim(capsys):

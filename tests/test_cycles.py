@@ -24,7 +24,7 @@ from koszul.cycles import (
     wedge,
     z1_generator,
 )
-from koszul.exactla import FieldSpec, SparseIntMatrix, rank_fraction_free
+from koszul.exactla import ColumnSpace, FieldSpec, SparseIntMatrix, rank_fraction_free
 
 QF = FieldSpec.rational(policy="fraction_free")
 
@@ -339,6 +339,34 @@ def test_factorial_stratum_builds_each_z1_generator_once(monkeypatch):
     assert len(r.witnesses) == 630
     assert len(r.findings) == 630
     assert not r.failures
+
+
+@pytest.mark.parametrize(
+    "params,samples,seed,field,stratum,expected",
+    [
+        (RingParams(7, 2), 0, 0, FieldSpec.prime(3), (1,) * 7, 630),
+        (RingParams(4, 3), 0, 0, FieldSpec.prime(5), (4, 4, 3, 3), 5630),
+        (RingParams(3, 3), 50, 0, QF, None, 43),
+    ],
+    ids=["1^7-prime(3)", "4433-prime(5)", "3,3-sampled-Q"],
+)
+def test_factorial_tests_each_nonzero_product_once(
+    monkeypatch, params, samples, seed, field, stratum, expected
+):
+    # over a field (c+1)! is zero or a unit, so the membership test of f
+    # decides both flags: one vector per nonzero product reaches the spans
+    handed = []
+    original = ColumnSpace.members
+
+    def spy(self, vecs):
+        vecs = list(vecs)
+        handed.extend(vecs)
+        return original(self, vecs)
+
+    monkeypatch.setattr(ColumnSpace, "members", spy)
+    r = verify_factorial_theorem(params, samples, seed, field, stratum=stratum)
+    nonzero = [w for w in r.witnesses if not w.is_zero]
+    assert len(handed) == len(nonzero) == expected
 
 
 def _witness_flags_one_by_one(params, witnesses, field):

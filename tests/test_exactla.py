@@ -90,6 +90,19 @@ def _rank_mod_p_oracle(rows, p):
     return r
 
 
+FIELDS = [QM, QF, *(FieldSpec.prime(p) for p in (2, 3, 5, 7, 32003))]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FieldSpec.describe)
+def test_field_inverts_exactly_the_factorials_it_does_not_kill(field):
+    # 0 is never a unit; m! is one exactly when the characteristic is 0 or
+    # above m, since a prime divides m! iff it is at most m
+    assert not field.inverts(0)
+    char = field.characteristic
+    for m in (1, 3, 4, 5):
+        assert field.inverts(math.factorial(m)) == (char == 0 or char > m), m
+
+
 def test_prime_generation():
     primes = multiprime_primes(0, 3)
     assert len(set(primes)) == 3

@@ -188,6 +188,55 @@ def test_vanishing_suite_small():
     assert rep.ok and rep.checked > 0 and rep.sharp_checked > 0
 
 
+FIELDS = [QM, QF, *(FieldSpec.prime(p) for p in (2, 3, 5, 7, 32003))]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FieldSpec.describe)
+@pytest.mark.parametrize("n,c", [(3, 2), (3, 3)])
+def test_sharp_checks_run_in_char_0_or_above_c_plus_1(n, c, field):
+    # the paper's hypothesis, written out: char K = 0 or char K > c+1
+    char = field.characteristic
+    sharp = char == 0 or char > c + 1
+    params = RingParams(n, c)
+    report = verify_vanishing(params, field)
+    assert report.ok
+    assert (report.sharp_checked > 0) == sharp
+    # beta[c+1, c+3] lies inside the plain bound c+3 < 1 + (c+1) + (c+1)/c
+    # and on the sharpened one, 1 + (c+1) + c/c = c+3
+    probe = homology.BettiTable(params, 0, field, {(c + 1, c + 3): 1})
+    violations = [(v.i, v.t_i, v.sharpened) for v in check_green_bound(probe).violations]
+    assert violations == ([(c + 1, c + 3, True)] if sharp else [])
+
+
+def _betti_with(monkeypatch, i, j):
+    """Make every engine report beta[i,j](V(c,0)) = 1 over its true table."""
+    original = HomologyEngine.betti
+
+    def betti(self, k, i_, j_):
+        return 1 if (k, i_, j_) == (0, i, j) else original(self, k, i_, j_)
+
+    monkeypatch.setattr(HomologyEngine, "betti", betti)
+
+
+def test_index_below_c_plus_2_raises_where_the_field_inverts_the_factorial(monkeypatch):
+    # for i <= c the degree bound leaves no j > i+1 to scan, so the first
+    # position with i <= c+1 that the scan reads is (c+1, c+3) = (4, 6)
+    _betti_with(monkeypatch, 4, 6)
+    for field in (QM, QF, FieldSpec.prime(5)):
+        with pytest.raises(ArithmeticError, match=r"beta\[4,6\] = 1 gives ind = 3, but ind >= 4"):
+            engine(3, 3, field).gl_index()
+    for p in (2, 3):  # p divides 4! = 24: the theorem says nothing
+        res = engine(3, 3, FieldSpec.prime(p)).gl_index()
+        assert (res.value, res.witness) == (3, (4, 6, 1))
+
+
+def test_index_of_c_plus_1_agrees_with_the_theorem(monkeypatch):
+    # a first failure at i = c+2 gives ind = c+1, which the scan returns
+    _betti_with(monkeypatch, 5, 7)
+    res = engine(3, 3, QF).gl_index()
+    assert (res.value, res.witness) == (4, (5, 7, 1))
+
+
 def test_z_profile_trivial_and_guarded():
     prof = engine(2, 2, QF).z_generator_profile(0)
     assert prof.counts == {0: 1}
