@@ -17,6 +17,7 @@ ENGINE_VERSION = "0.2.0"
 log = logging.getLogger("kosz")
 
 _decode = json.JSONDecoder().decode
+_INT = frozenset((int,))  # the one type a key field, face count or rank may have
 
 
 def cache_path(directory: str, n: int, c: int) -> str:
@@ -62,7 +63,17 @@ class RankCache:
         checks: faces and ranks are JSON integers, as many faces as ranks,
         from 1 face and rank 0, 0 <= ranks[t] <= min(faces[t-1], faces[t]) and
         ranks[t] + ranks[t+1] <= faces[t].  Of two valid records for one key
-        that differ, the later is kept, with a warning."""
+        that differ, the later is kept, with a warning.
+
+        A line costs one JSON decode and one pass over its levels.  Level t
+        tests ranks[t-1] + ranks[t] <= faces[t-1], the second check at t - 1
+        (at t = 1 it is the first check's ranks[1] <= faces[0] = 1), and
+        0 <= ranks[t] <= faces[t]; the ranks are nonnegative, so the two
+        give the first check's ranks[t] <= faces[t-1] too, and the second
+        check at the top level follows from the first.  A failing level is
+        named by the first of the checks above, in their order, that fails.
+        """
+        mem = self._mem
         kept: dict[tuple, int] = {}  # key -> line of the record in memory
         failed: dict[tuple, list[tuple[int, Exception]]] = {}  # key -> (line, fault)
         with open(path, "rb") as fh:
@@ -75,20 +86,21 @@ class RankCache:
                     if rec["engine"] != ENGINE_VERSION:
                         continue
                     n, c, alpha, p = rec["n"], rec["c"], tuple(rec["alpha"]), rec["p"]
-                    if {type(n), type(c), type(p), *map(type, alpha)} != {int}:
+                    if not (type(n) is type(c) is type(p) is int
+                            and _INT.issuperset(map(type, alpha))):
                         raise TypeError("n, c, alpha and p must be integers")
                     key = n, c, alpha, p
                     faces, ranks = tuple(rec["faces"]), tuple(rec["ranks"])
-                    if not {*map(type, faces), *map(type, ranks)} <= {int}:
+                    if not _INT.issuperset(map(type, faces + ranks)):
                         raise TypeError("faces and ranks must be integers")
                     if len(faces) != len(ranks) or faces[:1] != (1,) or ranks[:1] != (0,):
                         raise ValueError("need as many faces as ranks, from 1 face and rank 0")
-                    r = ranks + (0,)
-                    for t in range(1, len(faces)):
-                        if not 0 <= r[t] <= min(faces[t - 1], faces[t]):
-                            raise ValueError(f"rank d_{t} = {r[t]} above a face count or negative")
-                        if r[t] + r[t + 1] > faces[t]:
-                            raise ValueError(f"rank d_{t} + rank d_{t + 1} above {faces[t]} faces")
+                    levels = zip(faces, faces[1:], ranks, ranks[1:])
+                    for t, (low, face, r_low, r) in enumerate(levels, 1):
+                        if r_low + r > low or r < 0 or r > face:
+                            if t > 1 and r_low + r > low:
+                                raise ValueError(f"rank d_{t - 1} + rank d_{t} above {low} faces")
+                            raise ValueError(f"rank d_{t} = {r} above a face count or negative")
                 except (KeyError, TypeError, ValueError) as exc:
                     if key is None:
                         log.warning("%s:%d: skipping corrupt cache line (%s)", path, lineno, exc)
@@ -96,12 +108,13 @@ class RankCache:
                         failed.setdefault(key, []).append((lineno, exc))
                     continue
                 failed.pop(key, None)
-                if self._mem.get(key, (faces, ranks)) != (faces, ranks):
+                old = mem.get(key)
+                if old is not None and old != (faces, ranks):
                     log.warning(
                         "%s:%d: cache record for alpha=%s, p=%d differs from line %d; "
                         "keeping line %d", path, lineno, key[2], key[3], kept[key], lineno,
                     )
-                self._mem[key] = faces, ranks
+                mem[key] = faces, ranks
                 kept[key] = lineno
         for (_, _, alpha, p), faults in failed.items():
             for lineno, exc in faults:

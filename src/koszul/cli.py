@@ -29,7 +29,7 @@ import time
 
 from . import cycles, exactla
 from .cache import ENGINE_VERSION, RankCache, cache_path
-from .combinatorics import RingParams, partitions_into
+from .combinatorics import RingParams, orbits_into
 from .complex import Strand, graded_dim
 from .exactla import FieldSpec, SizeGuardError
 from .homology import (
@@ -377,7 +377,7 @@ def cmd_chardep(args) -> int:
     params = RingParams(args.n, args.c)
     jump_primes: set[int] = set()
     skipped = []
-    for rep in partitions_into(args.deg, params.n):
+    for rep, _ in orbits_into(args.deg, params.n):
         strand = None
         for t in (args.t, args.t + 1):
             if t < 1 or t > params.N:

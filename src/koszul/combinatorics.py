@@ -29,12 +29,14 @@ class RingParams:
         if self.c < 1:
             raise ValueError(f"need a positive power, got c={self.c}")
 
-    @property
+    # computed at the first read: frozen fields, and cached_property writes
+    # the instance dict directly
+    @functools.cached_property
     def N(self) -> int:
         """Number of degree-c monomials, binomial(n+c-1, c)."""
         return math.comb(self.n + self.c - 1, self.c)
 
-    @property
+    @functools.cached_property
     def M(self) -> int:
         """The exponent of one variable summed over all degree-c monomials,
         c*N/n = binomial(n+c-1, c-1)."""
@@ -98,6 +100,37 @@ def orbit_size(alpha: Sequence[int]) -> int:
     for mult in counts.values():
         size //= math.factorial(mult)
     return size
+
+
+def orbits_into(d: int, n: int) -> Iterator[tuple[ExponentVec, int]]:
+    """Each weakly decreasing length-n vector of total d with its orbit
+    size, orbit_size(rep) = n!/prod(mult!), in partitions_into order.
+
+    The walk fills the parts one slot at a time, a level of prefixes per
+    slot (each level in order, so the last lists the vectors in order), and
+    divides n! down as it goes: a part equal to the one before it, the m-th
+    of its run, divides the size by m.  The last two parts are placed
+    together."""
+    if n == 1:
+        yield (d,), 1
+        return
+    # (prefix, remaining total, last part, its run length, size so far)
+    level = [((), d, d, 0, math.factorial(n))]
+    for slots in range(n, 2, -1):
+        deeper = []
+        add = deeper.append
+        for prefix, remaining, cap, run, size in level:
+            # a head below ceil(remaining / slots) leaves too much for the rest
+            for head in range(min(remaining, cap), -(-remaining // slots) - 1, -1):
+                run_h = run + 1 if head == cap else 1
+                add((prefix + (head,), remaining - head, head, run_h, size // run_h))
+        level = deeper
+    for prefix, remaining, cap, run, size in level:
+        for head in range(min(remaining, cap), -(-remaining // 2) - 1, -1):
+            tail = remaining - head
+            run_h = run + 1 if head == cap else 1
+            size_h = size // run_h
+            yield prefix + (head, tail), (size_h // (run_h + 1) if tail == head else size_h)
 
 
 def partitions_into(d: int, n: int) -> Iterator[ExponentVec]:

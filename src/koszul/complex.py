@@ -325,9 +325,21 @@ def strand_key(params: RingParams, alpha: ExponentVec) -> ExponentVec:
     A tuple alpha that is its own key is returned itself, so a list that
     keeps both holds one tuple.
     """
-    cap = params.M
-    key = tuple(min(a, cap) for a in sorted(alpha, reverse=True))
+    key = sorted_strand_key(params, tuple(sorted(alpha, reverse=True)))
     return alpha if key == alpha else key
+
+
+def sorted_strand_key(params: RingParams, rep: ExponentVec) -> ExponentVec:
+    """strand_key(params, rep) of a rep already in decreasing order, without
+    the sort: each part capped at M, and rep itself when its first part is
+    at most M."""
+    cap = params.M
+    if rep[0] <= cap:
+        return rep
+    k = 1
+    while k < len(rep) and rep[k] > cap:
+        k += 1
+    return (cap,) * k + rep[k:]
 
 
 class Strand:

@@ -10,7 +10,9 @@ record of its strand (koszul.cache), which holds the face count and the
 differential rank of every level.  A record is keyed by complex.strand_key:
 the sorted representative with each part capped at M = binomial(n+c-1, c-1),
 since no face takes more of a variable than that, so orbits that differ only
-above M share one record.  HomologyEngine.orbit_dims gives these
+above M share one record.  One walk (combinatorics.orbits_into) lists a
+degree's orbits with their sizes, and each key is read off its sorted
+representative on the way.  HomologyEngine.orbit_dims gives these
 contributions and dim H_t(d) is their sum.  The duality
 dim H_t(d) = dim H_{N-n-t}(Nc-n-d) lets a query be served from its partner:
 a side without t-chains (d < tc) first, since it reads 0 at no cost, and
@@ -31,15 +33,8 @@ from typing import Callable
 
 from . import complex, cycles, exactla
 from .cache import RankCache
-from .combinatorics import (
-    ExponentVec,
-    RingParams,
-    orbit_size,
-    partitions_into,
-    unit_vector,
-    vec_sub,
-)
-from .complex import Strand, differential_block, graded_dim, strand_key
+from .combinatorics import ExponentVec, RingParams, orbits_into, unit_vector, vec_sub
+from .complex import Strand, differential_block, graded_dim, sorted_strand_key, strand_key
 from .exactla import FieldSpec, SizeGuardError, UnsupportedPolicyError
 
 # Generator profiles build every block kernel up to degree t(c+1); factorial
@@ -274,13 +269,15 @@ class HomologyEngine:
     def _orbits_of(self, d: int) -> list[tuple[ExponentVec, int, ExponentVec]]:
         """(sorted representative, orbit size, strand key) of every orbit of
         degree-d multidegrees, in partitions_into order; listed once per
-        engine."""
+        engine, in one walk (orbits_into), which gives each size as it
+        goes.  A representative is sorted, so its key needs no sort
+        (complex.sorted_strand_key)."""
         orbits = self._orbits.get(d)
         if orbits is None:
             params = self.params
             orbits = self._orbits[d] = [
-                (rep, orbit_size(rep), strand_key(params, rep))
-                for rep in partitions_into(d, params.n)
+                (rep, size, sorted_strand_key(params, rep))
+                for rep, size in orbits_into(d, params.n)
             ]
         return orbits
 

@@ -1133,6 +1133,38 @@ def test_cache_checks_every_record(tmp_path, caplog, faces, ranks, fault):
     assert fault in caplog.text and "alpha=(2, 2), p=0" in caplog.text
 
 
+def test_cache_reads_records_in_any_json_layout(tmp_path, caplog):
+    # put's sorted keys and spacing are not required: a record json.dumps
+    # writes with other key order, separators or line ending is read
+    rec = {"ranks": [0, 1, 1], "p": 3, "n": 2, "faces": [1, 3, 1], "engine": ENGINE_VERSION,
+           "c": 2, "alpha": [2, 2]}
+    path = tmp_path / "ranks.jsonl"
+    path.write_bytes(
+        (json.dumps(rec, separators=(",", ":")) + "\n"
+         + json.dumps(dict(rec, p=5), separators=(" , ", " : ")) + " \r\n").encode()
+    )
+    assert RankCache(str(path))._mem == {
+        (2, 2, (2, 2), 3): ((1, 3, 1), (0, 1, 1)),
+        (2, 2, (2, 2), 5): ((1, 3, 1), (0, 1, 1)),
+    }
+    assert not caplog.records
+
+
+def test_cache_checks_the_rank_sum_of_the_last_levels(tmp_path, caplog):
+    # every check but ranks[3] + ranks[4] <= faces[3] passes: the fault at
+    # the last pair of levels is still found, named and placed on its line
+    path = tmp_path / "ranks.jsonl"
+    path.write_text(
+        record([2, 0], 0, [1, 1], [0, 1])
+        + record([1, 1], 0, [1, 1], [0, 1])
+        + record([2, 2], 0, [1, 4, 6, 4, 2], [0, 1, 3, 3, 2])
+    )
+    assert len(RankCache(str(path))._mem) == 2
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{path}:3: skipping cache record for alpha=(2, 2), p=0 (rank d_3 + rank d_4 above 4 faces)"
+    ]
+
+
 def test_cache_reports_conflicting_records(tmp_path, caplog):
     path = tmp_path / "ranks.jsonl"
     path.write_text(

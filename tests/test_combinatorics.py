@@ -6,6 +6,7 @@ from koszul.combinatorics import (
     monomial_count,
     monomial_table,
     orbit_size,
+    orbits_into,
     partitions_into,
 )
 
@@ -88,6 +89,13 @@ def test_orbit_sizes_cover_all_compositions():
         for d in range(0, 13):
             total = sum(orbit_size(rep) for rep in partitions_into(d, n))
             assert total == monomial_count(n, d)
+
+
+def test_orbit_walk_sizes_each_representative():
+    # one walk gives what partitions_into and orbit_size give one rep at a time
+    for n in range(1, 8):
+        for d in range(0, 16):
+            assert list(orbits_into(d, n)) == [(rep, orbit_size(rep)) for rep in partitions_into(d, n)]
 
 
 def test_partitions_are_canonical_and_unique():

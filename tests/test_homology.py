@@ -4,7 +4,15 @@ import pytest
 
 from koszul import complex, cycles, exactla, homology
 from koszul.cache import RankCache
-from koszul.combinatorics import RingParams, compositions, monomial_table, unit_vector, vec_sub
+from koszul.combinatorics import (
+    RingParams,
+    compositions,
+    monomial_table,
+    orbit_size,
+    partitions_into,
+    unit_vector,
+    vec_sub,
+)
 from koszul.complex import differential_block
 from koszul.exactla import FieldSpec, UnsupportedPolicyError
 from koszul.homology import (
@@ -393,6 +401,25 @@ def test_acceleration_matches_direct():
     for t in range(0, 7):
         for d in range(2 * t, 17, 3):
             assert e.homology_dim(t, d) == direct.homology_dim(t, d)
+
+
+@pytest.mark.parametrize("n, c, top", [(1, 3, None), (2, 2, None), (3, 3, None), (4, 2, None), (7, 2, 24)])
+def test_orbit_lists_match_the_one_rep_at_a_time_oracle(n, c, top):
+    # every degree up to N*c - n + c (at (7,2) up to 24), where the first
+    # parts pass M and the keys are capped
+    params = RingParams(n, c)
+    e = HomologyEngine(params, QM)
+    top = params.N * c - n + c if top is None else top
+    capped = 0
+    for d in range(top + 1):
+        oracle = [(rep, orbit_size(rep), complex.strand_key(params, rep))
+                  for rep in partitions_into(d, n)]
+        orbits = e._orbits_of(d)
+        assert orbits == oracle, d
+        # a rep that is its own key is kept as one tuple
+        assert all(key is rep for rep, _, key in orbits if rep[0] <= params.M)
+        capped += sum(rep[0] > params.M for rep, _, _ in orbits)
+    assert capped
 
 
 def test_default_engine_memoizes_ranks():
