@@ -9,7 +9,15 @@ brackets of a slice, and differential_block indexes its rows and columns
 by them.  The differential preserves the multidegree, so it decomposes
 into independent blocks, one per alpha.  Blocks are generated on demand
 and never assembled into the full graded component.  Bases and chains
-(koszul.cycles, through products_dividing) share one packed divisor walk.
+(koszul.cycles, through products_dividing) share one divisor walk.
+
+Every walk tests divisibility through fit tables (_Packing): for each
+variable x_k and exponent x, the bitmask of the vectors (the degree-c
+monomials, by rank) with at most x of x_k.  The vectors that divide a
+residual are one AND of one entry per variable, and a walk that adds a
+vector to a choice finds the child's fit set from its parent's with one
+lookup per variable that vector uses.  Fit sets and faces are bitmasks of
+monomial ranks.
 
 The multidegree-alpha strand is the augmented chain complex of a simplicial
 complex Delta_alpha, which algebraic Morse theory shrinks to a few critical
@@ -17,7 +25,7 @@ cells before any elimination runs (Strand).  Delta_alpha is never
 enumerated: most strands are cones and stop after one face count that a
 caller may memoize, and any other walks its survivors once.  The Morse
 matrices come from the gradient flow (_image), one loop that lists and
-sums each boundary once, over one flow memo per strand.
+sums each boundary once, over one flow memo per level.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ import functools
 import math
 from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .combinatorics import ExponentVec, RingParams, monomial_count, monomial_table
 from .exactla import SparseIntMatrix
@@ -59,45 +67,70 @@ def block_basis(params: RingParams, t: int, alpha: ExponentVec) -> list[tuple[in
     is X^alpha over that product, so the bracket alone is the coordinate.
 
     Empty when no element exists (in particular when |alpha| < t*c).  The
-    brackets come from one walk (_divisor_walk) over the packed degree-c
-    monomials that divide X^alpha (_vertices), as the faces of a strand do.
+    brackets come from one walk (_divisor_walk) over the fit set of the
+    degree-c monomials that divide X^alpha (_vertices), as the faces of a
+    strand do.
     """
     if t < 0 or any(a < 0 for a in alpha) or sum(alpha) < t * params.c:
         return []
-    ranks, top, table = _vertices(params, alpha)
-    walk = _divisor_walk(table.packed, ranks, top, table.guard, t, distinct=True)
-    return [chosen for chosen, _ in walk]
+    fits, top, table = _vertices(params, alpha)
+    return [chosen for chosen, _ in _divisor_walk(table, fits, top, t, distinct=True)]
 
 
 def _divisor_walk(
-    packed: list[int], fits: list[int], top: int, guard: int, k: int, distinct: bool
+    table: _Packing, fits: int, top: int, k: int, distinct: bool
 ) -> list[tuple[tuple[int, ...], int]]:
-    """(positions, residual) for every choice of k of the positions fits,
-    indices into packed in increasing order (nondecreasing when not
-    distinct), whose entries together divide top; residual is top less
-    their sum.  Listed in lexicographic order of the positions.
+    """(positions, residual) for every choice of k of the positions in fits
+    (a bitmask over table's vectors), in increasing order (nondecreasing
+    when not distinct), whose vectors together divide top; residual is top
+    less their sum.  Listed in lexicographic order of the positions.
 
-    Entries are packed as in _vertices, top has its guard bits set and each
-    entry at fits divides it, so "divides" is one subtraction that keeps
-    every guard bit.  A choice carries the later positions whose entries
-    still divide its residual, and is dropped once fewer are left than it
-    still needs.
+    top is packed as in _vertices, with its guard bits set, and each vector
+    in fits divides it.  The choices of k - 1 positions come from
+    _choices, and the last entry is any position of their fit sets.
     """
     if not k:
         return [((), top)]
+    for level in _choices(table, fits, top, k, distinct):
+        pass
+    packed = table.packed
+    return [(chosen + (i,), res - packed[i]) for chosen, res, fits in level for i in _ranks(fits)]
+
+
+def _choices(
+    table: _Packing, fits: int, top: int, k: int, distinct: bool
+) -> Iterator[list[tuple[tuple[int, ...], int, int]]]:
+    """Yield, for j = 0 .. k-1, the list of (positions, residual, fit set)
+    of the choices of j positions that _divisor_walk grows to k, in
+    lexicographic order.
+
+    A choice's fit set is the bitmask of the later positions (and its last
+    one again, when not distinct) whose vectors still divide its residual:
+    its parent's fit set from the added position on, ANDed with one
+    fit-table lookup per variable the added vector uses, since no other
+    field of the residual changed.  A choice is dropped once its fit set
+    holds fewer positions than it still needs.
+    """
+    packed, uses, field = table.packed, table.uses, table.field
     level = [((), top, fits)]
+    yield level
     for left in range(k - 1, 0, -1):
+        need = left if distinct else 1
         nxt = []
         for chosen, res, fits in level:
-            for pos in range(len(fits) - left if distinct else len(fits)):
-                i = fits[pos]
+            rest = fits
+            while rest:
+                low = rest & -rest
+                i = low.bit_length() - 1
                 child = res - packed[i]
-                later = [j for j in fits[pos + distinct :] if (child - packed[j]) & guard == guard]
-                if len(later) >= (left if distinct else 1):
+                later = rest ^ low if distinct else rest
+                for shift, fit in uses[i]:
+                    later &= fit[child >> shift & field]
+                if later.bit_count() >= need:
                     nxt.append((chosen + (i,), child, later))
+                rest ^= low
         level = nxt
-    # the last entry is any position that still divides the residual
-    return [(chosen + (i,), res - packed[i]) for chosen, res, fits in level for i in fits]
+        yield level
 
 
 def products_dividing(
@@ -106,16 +139,15 @@ def products_dividing(
     """(positions, residual) for every choice of k of the exponent vectors,
     in increasing position (nondecreasing when not distinct), whose sum
     divides alpha; residual is alpha less that sum.  Listed in lexicographic
-    order of the positions, by the walk that lists basis brackets."""
+    order of the positions, by the walk that lists basis brackets, over fit
+    tables built for these vectors."""
     width = max((*alpha, *(x for v in vectors for x in v)), default=0).bit_length() + 1
-    guard = _pack([1 << (width - 1)] * len(alpha), width)
-    packed = [_pack(v, width) for v in vectors]
-    top = _pack(alpha, width) | guard
-    fits = [i for i, m in enumerate(packed) if (top - m) & guard == guard]
-    field = (1 << (width - 1)) - 1  # a field without its guard bit
+    # a residual field never exceeds alpha's
+    table = _packing(vectors, len(alpha), width, max(alpha, default=0) + 1)
+    top = _pack(alpha, width) | table.guard
     return [
-        (chosen, tuple(res >> s & field for s in range(0, len(alpha) * width, width)))
-        for chosen, res in _divisor_walk(packed, fits, top, guard, k, distinct)
+        (chosen, tuple(res >> s & table.field for s in range(0, len(alpha) * width, width)))
+        for chosen, res in _divisor_walk(table, _fits(table, alpha), top, k, distinct)
     ]
 
 
@@ -164,98 +196,148 @@ def graded_dim(params: RingParams, t: int, d: int) -> int:
 
 
 class _Packing(NamedTuple):
-    """The degree-c monomials of a ring, packed at one field width."""
+    """Exponent vectors (the degree-c monomials of a ring, in rank order)
+    packed at one field width, with their fit tables.
+
+    fit[k][x] is the bitmask of the positions whose exponent of x_k is at
+    most x, for every x below the table length, so the vectors that divide
+    a residual r are the AND of fit[k][r_k] over k: one lookup per
+    variable.  uses[i] pairs (k * width, fit[k]) for each variable x_k the
+    i-th vector uses, the only fields that subtracting it changes."""
 
     width: int
-    monomials: tuple[ExponentVec, ...]  # in rank order
-    packed: list[int]  # each monomial, packed at width
+    monomials: tuple[ExponentVec, ...]
+    packed: list[int]  # each vector, packed at width
     guard: int  # the guard bit of every field
-    fields: tuple[int, ...]  # the mask of each field, its guard bit excluded
+    field: int  # the mask of the lowest field, its guard bit excluded
+    fit: tuple[list[int], ...]
+    uses: list[tuple[tuple[int, list[int]], ...]]
+
+
+def _packing(vectors: Sequence[ExponentVec], n: int, width: int, length: int) -> _Packing:
+    """The vectors (each of length n) packed at width, with fit tables of
+    the given length, which must exceed every field looked up in them."""
+    fit = []
+    for k in range(n):
+        at = [0] * length
+        for i, v in enumerate(vectors):
+            if v[k] < length:
+                at[v[k]] |= 1 << i
+        for x in range(1, length):
+            at[x] |= at[x - 1]
+        fit.append(at)
+    field = (1 << (width - 1)) - 1
+    return _Packing(
+        width,
+        tuple(vectors),
+        [_pack(v, width) for v in vectors],
+        _pack([field + 1] * n, width),
+        field,
+        tuple(fit),
+        [tuple((k * width, fit[k]) for k, x in enumerate(v) if x) for v in vectors],
+    )
 
 
 @functools.lru_cache(maxsize=None)
 def _monomial_table(n: int, c: int, width: int) -> _Packing:
-    """The ring's degree-c monomials packed at width, with the guard bits
-    and field masks of that width: one table per ring and width, whatever
+    """The ring's degree-c monomials packed at width, with fit tables for
+    every field below 2^(width-2): one table per ring and width, whatever
     the strand."""
-    monomials = monomial_table(n, c)[0]
-    field = (1 << (width - 1)) - 1
-    return _Packing(
-        width,
-        monomials,
-        [_pack(m, width) for m in monomials],
-        _pack([1 << (width - 1)] * n, width),
-        tuple(field << (k * width) for k in range(n)),
-    )
+    return _packing(monomial_table(n, c)[0], n, width, 1 << (width - 2))
 
 
-def _vertices(params: RingParams, alpha: ExponentVec) -> tuple[list[int], int, _Packing]:
-    """(ranks, top, table): the ranks of the degree-c monomials dividing
-    X^alpha, in rank order; alpha packed with its guard bits set; and the
-    ring's table (_monomial_table) at the width alpha needs.
+def _fits(table: _Packing, alpha: ExponentVec) -> int:
+    """The bitmask of the positions of table whose vectors divide X^alpha."""
+    fits = (1 << len(table.packed)) - 1
+    for at, a in zip(table.fit, alpha):
+        fits &= at[a]
+    return fits
+
+
+def _ranks(mask: int) -> list[int]:
+    """The positions of the set bits of mask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _vertices(params: RingParams, alpha: ExponentVec) -> tuple[int, int, _Packing]:
+    """(fits, top, table): the bitmask of the ranks of the degree-c monomials
+    dividing X^alpha; alpha packed with its guard bits set; and the ring's
+    table (_monomial_table) at the width alpha needs.
 
     Pack exponent vectors into one int, a guard bit above every field, so
     "m divides r" is one subtraction: no field of (r | guard) - m borrows.
     Fields are one bit wider than max(alpha) and c need: a monomial that
-    does not divide never borrows past its own field, and v + cap in
-    _survivors (each field at most 2 max alpha) never carries into a guard.
+    does not divide never borrows past its own field, v + cap in _survivors
+    (each field at most 2 max alpha) never carries into a guard, and no
+    field of a residual reaches the fit tables' length, 2^(width-2).
     """
     table = _monomial_table(params.n, params.c, max(*alpha, params.c).bit_length() + 2)
-    guard = table.guard
-    top = _pack(alpha, table.width) | guard
-    return [r for r, m in enumerate(table.packed) if (top - m) & guard == guard], top, table
+    return _fits(table, alpha), _pack(alpha, table.width) | table.guard, table
 
 
 def _survivors(
-    verts: list[ExponentVec], cands: list[int], width: int, guard: int, alpha: ExponentVec
+    table: _Packing, ranks: list[int], alpha: ExponentVec
 ) -> tuple[list[list[int]], list[list[int]]]:
     """(kept, lower): the faces of Delta_alpha that survive the element
-    matching on its first vertex v0 = verts[0], split by the matching on
-    the second, v1 (there are two: a strand on one vertex is a cone).  One
-    list of bitmasks per face size (bit i is verts[i]) in each; a list may
-    be empty.
+    matching on its first vertex v0 (ranks: the vertices, in rank order),
+    split by the matching on the second, v1 (there are two: a strand on one
+    vertex is a cone).  One list of faces per face size in each, a face
+    being the bitmask of its vertices' ranks; a list may be empty.
 
     A survivor is a face sigma without v0 whose residual alpha - prod sigma
     v0 does not divide (sigma + v0 is not a face).  A survivor sigma without
     v1 whose residual v1 divides is the lower face of a pair of the v1
     matching: sigma + v1 is a face, and it survives v0, since its residual
     is below sigma's.  Those are listed in lower; the survivors left to the
-    later matchings are kept.  Faces grow in rank order, so the walk passes
-    fit lists (cands: the vertices packed as in _vertices) down, and skips
-    two kinds of subtree.  One, once v0 divides the residual and the later
-    vertices together cannot take enough of v0's support to change that:
-    it holds no survivor.  Two, an upper face tau of a v1 pair (tau holds
-    v1 and tau - v1 survives): every face below it in the walk is again
-    one, since both conditions are monotone, so none is visited and each is
-    counted through its lower partner.
+    later matchings are kept.  Faces grow in rank order, and each carries
+    its fit set as _divisor_walk's choices do: the later vertices that
+    divide its residual, from its parent's with one fit-table lookup per
+    variable the added vertex uses.  The walk skips two kinds of subtree.
+    One, once v0 divides the residual and the later vertices together
+    cannot take enough of v0's support to change that: it holds no
+    survivor.  Two, an upper face tau of a v1 pair (tau holds v1 and tau -
+    v1 survives): every face below it in the walk is again one, since both
+    conditions are monotone, so none is visited and each is counted through
+    its lower partner.
     """
-    pv, pv1 = cands[0], cands[1]
-    support = [k for k, x in enumerate(verts[0]) if x]
-    # take[k]: what the vertices after i take of v0's support; need[i]: v0
-    # plus that, capped at alpha; a residual above need[i] keeps v0
-    # whatever follows i
+    width, monomials, packed, guard, field, _, uses = table
+    v0 = monomials[ranks[0]]
+    pv, pv1, b1 = packed[ranks[0]], packed[ranks[1]], 1 << ranks[1]
+    support = [k for k, x in enumerate(v0) if x]
+    # take[k]: what the vertices after r take of v0's support; need[r]: v0
+    # plus that, capped at alpha; a residual above need[r] keeps v0
+    # whatever follows r
     take = [0] * len(alpha)
-    for u in verts[1:]:
+    for r in ranks[1:]:
         for k in support:
-            take[k] += u[k]
-    need = [0] * len(verts)
-    for i in range(1, len(verts)):
+            take[k] += monomials[r][k]
+    need = [0] * len(packed)
+    for r in ranks[1:]:
         for k in support:
-            take[k] -= verts[i][k]
-        need[i] = pv + sum(min(take[k], alpha[k]) << (k * width) for k in support)
+            take[k] -= monomials[r][k]
+        need[r] = pv + sum(min(take[k], alpha[k]) << (k * width) for k in support)
     kept, lower = [[]], [[]]  # v0 divides alpha: the empty face is matched
-    level = [(0, _pack(alpha, width), list(range(1, len(verts))))]
+    level = [(0, _pack(alpha, width), sum(1 << r for r in ranks[1:]))]
     while level:
         keep, low, nxt = [], [], []
-        for face, r, fits in level:
-            for pos, i in enumerate(fits):
-                child = r - cands[i]
+        for face, res, fits in level:
+            rest = fits
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                i = bit.bit_length() - 1
+                child = res - packed[i]
                 top = child | guard
                 if (top - need[i]) & guard == guard:
                     continue
-                grown = face | 1 << i
+                grown = face | bit
                 if (top - pv) & guard != guard:  # a survivor
-                    if grown & 2:
+                    if grown & b1:
                         if ((child + pv1 | guard) - pv) & guard != guard:
                             continue  # grown - v1 survives: the upper face of a v1 pair
                         keep.append(grown)
@@ -263,11 +345,10 @@ def _survivors(
                         low.append(grown)
                     else:
                         keep.append(grown)
-                nxt.append((
-                    grown,
-                    child,
-                    [j for j in fits[pos + 1 :] if (top - cands[j]) & guard == guard],
-                ))
+                later = rest
+                for shift, fit in uses[i]:
+                    later &= fit[child >> shift & field]
+                nxt.append((grown, child, later))
         if nxt:
             kept.append(keep)
             lower.append(low)
@@ -365,9 +446,11 @@ class Strand:
     per nonempty level; pairs and crit, indexed by t = 0 .. N+1) and the
     entries of the Morse matrices are kept.
 
-    One packed pass over the ring's table (_vertices) lists the vertices;
-    summing their exponent columns once gives both the cone test and the
-    link key.  Delta_alpha is closed under taking subsets, so the first
+    One AND per variable over the ring's fit tables (_vertices) lists the
+    vertices, and a face is the bitmask of their ranks; summing their
+    exponent columns once gives both the cone test and the link key; and
+    one lookup per variable of v0 gives the later vertices that fit alpha -
+    v0.  Delta_alpha is closed under taking subsets, so the first
     vertex v0 pairs every face of its star: every face is a survivor
     (_survivors), a face of lk v0 = {tau : tau + v0 in Delta_alpha}, or
     such a face plus v0, so f(Delta) = a(Delta) + (1 + z) f(lk v0), with a
@@ -385,9 +468,10 @@ class Strand:
     Otherwise the survivors are walked once, and the matching on v1 is
     made during that walk: its upper faces are never visited.  The later
     matchings run on the survivors it leaves, and each Morse column is the
-    gradient flow of a critical face (_image) over one flow memo for the
-    whole strand.  A face matched with v0 flows to 0: every facet of its
-    partner other than itself contains v0, so is the upper face of a pair.
+    gradient flow of a critical face (_image) over one flow memo per level,
+    dropped before the next level's columns are made.  A face matched with
+    v0 flows to 0: every facet of its partner other than itself contains
+    v0, so is the upper face of a pair.
     """
 
     __slots__ = ("faces", "pairs", "crit", "_entries")
@@ -402,28 +486,32 @@ class Strand:
         size = params.N + 2
         self.pairs = pairs = [0] * size
         self._entries = {}
-        ranks, top, (width, monomials, packed, guard, fields) = _vertices(params, alpha)
-        if not ranks:
+        fits, top, table = _vertices(params, alpha)
+        if not fits:
             # no vertex: the empty face is the only face, and critical
             self.faces = [1]
             self.crit = [1] + [0] * (size - 1)
             return
-        cands = [packed[r] for r in ranks]
+        width, monomials, packed, guard, field, _, _ = table
+        ranks = _ranks(fits)
         v0 = monomials[ranks[0]]
         totals = [sum(column) for column in zip(*(monomials[r] for r in ranks))]
         # a cone when alpha covers v0 plus all the later vertices take of
         # v0's support: then every later vertex fits alpha - v0 too
         cone = all(total <= a for total, a, x in zip(totals, alpha, v0) if x)
-        link_top = top - cands[0]
-        later = range(1, len(ranks))
+        link_top = top - packed[ranks[0]]
+        later = ranks[1:]
         if not cone:
-            later = [i for i in later if (link_top - cands[i]) & guard == guard]
-            totals = [sum(column) for column in zip(v0, *(monomials[ranks[i]] for i in later))]
+            link_fits = fits ^ 1 << ranks[0]
+            for shift, fit in table.uses[ranks[0]]:
+                link_fits &= fit[link_top >> shift & field]
+            later = _ranks(link_fits)
+            totals = [sum(column) for column in zip(v0, *(monomials[r] for r in later))]
         keep = guard
         for k, total in enumerate(totals):
             if total > alpha[k]:  # a binding field
-                keep |= fields[k]
-        link = counts(tuple(cands[i] & keep for i in later), link_top & keep, guard)
+                keep |= field << (k * width)
+        link = counts(tuple(packed[r] & keep for r in later), link_top & keep, guard)
         # the first matching pairs each face tau of lk v0 with tau + v0
         pairs[1 : len(link) + 1] = link
         if cone:
@@ -431,8 +519,7 @@ class Strand:
             self.crit = [0] * size
             return
 
-        verts = [monomials[r] for r in ranks]
-        kept, lower = _survivors(verts, cands, width, guard, alpha)
+        kept, lower = _survivors(table, ranks, alpha)
         # survivors: the kept faces, the lower faces of the v1 pairs, and
         # their upper faces, one size up
         a = [len(k) + len(low) for k, low in zip(kept, lower)] + [0]
@@ -440,13 +527,13 @@ class Strand:
         for t, level in enumerate(lower):
             pairs[t + 1] += len(level)
             a[t + 1] += len(level)
-            up.update(dict.fromkeys(level, 2))
+            up.update(dict.fromkeys(level, 1 << ranks[1]))
         if not a[-1]:
             a.pop()
         self.faces = [sum(f) for f in zip_longest(a, (*link, 0), (0, *link), fillvalue=0)]
         alive = {face for level in kept for face in level}
-        for i in range(2, len(verts)):  # the matchings after v1, rank order
-            bit = 1 << i
+        for r in ranks[2:]:  # the matchings after v1, rank order
+            bit = 1 << r
             # the upper faces of this matching; alive shrinks fast enough
             # that indexing the survivors by vertex costs more than the scan
             for face in [f for f in alive if f & bit and f ^ bit in alive]:
@@ -459,12 +546,14 @@ class Strand:
         crit_levels += [[] for _ in range(nlevels - len(crit_levels))]
         self.crit = [len(level) for level in crit_levels] + [0] * (size - nlevels)
         index = {f: j for level in crit_levels for j, f in enumerate(level)}
-        memo: dict[int, dict[int, int]] = {}  # the flow of each matched face, every level
-        # morse(t) by columns, empty unless critical faces lie below to flow onto
-        columns = [
-            [_image(f, index, up, memo, alpha) if t and self.crit[t - 1] else {} for f in level]
-            for t, level in enumerate(crit_levels)
-        ]
+        # morse(t) by columns, empty unless critical faces lie below to flow
+        # onto; a level's flows are dropped before the next level's are made
+        columns = []
+        for t, level in enumerate(crit_levels):
+            memo: dict[int, dict[int, int]] = {}  # the flow of each matched face of size t-1
+            columns.append(
+                [_image(f, index, up, memo, alpha) if t and self.crit[t - 1] else {} for f in level]
+            )
         self._entries = {
             t: sorted((r, j, v) for j, col in enumerate(cols) for r, v in col.items())
             for t, cols in enumerate(columns)
@@ -499,8 +588,8 @@ def _image(
     -> critical cell, the products of boundary signs, with -1/[d(tau + v) :
     tau] at every matched step; a facet neither critical nor the lower face
     of a pair (up) flows to 0.  memo maps each matched face resolved so far
-    to its flow; a strand keeps one for all its levels, as faces of
-    different sizes never collide.  One loop lists each boundary and sums
+    to its flow; every matched face met is one size below the critical
+    face, so a strand keeps one memo per level.  One loop lists each boundary and sums
     it as it goes, deleting the k-th smallest vertex with sign (-1)^(k-1)
     as differential_block does.  A matched facet not in memo suspends the
     sum on a stack and starts its partner's, which once done is memoized

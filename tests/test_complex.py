@@ -2,9 +2,11 @@ import random
 from itertools import combinations, combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koszul import complex
-from koszul.combinatorics import RingParams, compositions, monomial_table
+from koszul.combinatorics import RingParams, compositions, divides, monomial_table
 from koszul.complex import (
     Strand,
     block_basis,
@@ -245,3 +247,56 @@ def test_flow_walks_each_boundary_once(monkeypatch):
     assert len(images) == len(set(images)) == sum(
         s.crit[t] for t in range(1, len(s.faces)) if s.crit[t - 1]
     )
+
+
+FIT_RINGS = [(1, 3), (2, 4), (3, 5), (4, 3), (7, 2)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_fit_tables_and_walk_fit_sets_match_the_packed_test(data):
+    # alpha has parts at 0, at c and at M (where a part stops binding), and
+    # is sometimes replaced by its strand key
+    n, c = data.draw(st.sampled_from(FIT_RINGS), label="ring")
+    params = RingParams(n, c)
+    M = params.M
+    part = st.one_of(st.sampled_from([0, c, M]), st.integers(0, M + 2))
+    alpha = tuple(data.draw(st.lists(part, min_size=n, max_size=n), label="alpha"))
+    if data.draw(st.booleans(), label="keyed"):
+        alpha = complex.strand_key(params, alpha)
+    fits, top, table = complex._vertices(params, alpha)
+    packed, guard, width = table.packed, table.guard, table.width
+    monomials = monomial_table(n, c)[0]
+    assert table.monomials == monomials
+
+    def accepted(res: int, positions) -> int:
+        """The positions whose packed monomial divides the packed residual
+        res (guard bits set), as a bitmask."""
+        return sum(1 << p for p in positions if (res - packed[p]) & guard == guard)
+
+    # fit[k][x] lists the monomials with at most x of x_k, for every x of
+    # the table, and the fit set of alpha is what the packed test accepts
+    for k, at in enumerate(table.fit):
+        assert len(at) == 1 << (width - 2) > max(alpha)
+        for x, mask in enumerate(at):
+            assert mask == sum(1 << r for r, m in enumerate(monomials) if m[k] <= x)
+    assert fits == accepted(top, range(len(packed)))
+    assert fits == sum(1 << r for r, m in enumerate(monomials) if divides(m, alpha))
+
+    # every choice of the walk carries the later positions that divide its
+    # residual, by the packed test
+    k = data.draw(st.integers(1, 3), label="k")
+    distinct = data.draw(st.booleans(), label="distinct")
+    for j, level in enumerate(complex._choices(table, fits, top, k, distinct)):
+        for chosen, res, later in level:
+            assert len(chosen) == j
+            assert res == top - sum(packed[p] for p in chosen)
+            start = chosen[-1] + distinct if chosen else 0
+            assert later == accepted(res, range(start, len(packed)))
+    choose = combinations if distinct else combinations_with_replacement
+    ranks = [r for r in range(len(packed)) if fits >> r & 1]
+    expected = [
+        chosen for chosen in choose(ranks, k)
+        if divides(tuple(map(sum, zip(*(monomials[r] for r in chosen)))), alpha)
+    ]
+    assert [chosen for chosen, _ in complex._divisor_walk(table, fits, top, k, distinct)] == expected

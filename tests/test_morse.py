@@ -216,8 +216,8 @@ def spy_walk(monkeypatch) -> list[tuple]:
     calls = []
     walk = complex._survivors
 
-    def spy(verts, cands, width, guard, alpha):
-        kept, lower = walk(verts, cands, width, guard, alpha)
+    def spy(table, ranks, alpha):
+        kept, lower = walk(table, ranks, alpha)
         calls.append((alpha, kept, lower))
         return kept, lower
 
@@ -255,9 +255,16 @@ def test_walk_skips_the_upper_faces_of_the_second_matching(monkeypatch):
     calls = spy_walk(monkeypatch)
     s = Strand(params, alpha)
     [(_, kept, lower)] = calls
+    # the walk's faces are bitmasks of monomial ranks, face_levels' of
+    # vertex positions
+    ranks = [r for r, m in enumerate(monomial_table(7, 2)[0]) if divides(m, alpha)]
+
+    def as_ranks(face: int) -> int:
+        return sum(1 << r for i, r in enumerate(ranks) if face >> i & 1)
+
     listed = [f for level in kept + lower for f in level]
-    assert sorted(listed) == sorted(survivors - upper)
-    assert sorted(f for level in lower for f in level) == sorted(f ^ 2 for f in upper)
+    assert sorted(listed) == sorted(map(as_ranks, survivors - upper))
+    assert sorted(f for level in lower for f in level) == sorted(as_ranks(f ^ 2) for f in upper)
     assert (s.faces, s.pairs, s.crit) == matched_by_enumeration(params, alpha)
 
 
@@ -288,14 +295,14 @@ def link_alphas(n: int, c: int) -> list[ExponentVec]:
         (a,) * m + (0,) * (n - m),
         (c + 1,) + (1,) * (n - 1),
     ]
-    return [alpha for alpha in out if len(_vertices(RingParams(n, c), alpha)[0]) <= 16]
+    return [alpha for alpha in out if _vertices(RingParams(n, c), alpha)[0].bit_count() <= 16]
 
 
 @pytest.mark.parametrize("n,c", [(n, c) for n in range(1, 7) for c in range(1, 5)])
 def test_masked_link_counts_match_combinations(n, c):
     for alpha in link_alphas(n, c):
-        ranks, _, table = _vertices(RingParams(n, c), alpha)
-        verts = [table.monomials[r] for r in ranks]
+        fits, _, table = _vertices(RingParams(n, c), alpha)
+        verts = [m for r, m in enumerate(table.monomials) if fits >> r & 1]
         width = table.width
         asked = []
 
