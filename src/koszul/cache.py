@@ -57,11 +57,12 @@ class RankCache:
 
     def _load(self, path: str) -> None:
         """Read the records of path.  Corrupt lines (including one that is not
-        UTF-8, or a key field that is not a JSON integer) are skipped with a
-        warning; so is a record that fails a check, unless a later valid
-        record for the same key replaces it (as after a recompute).  A record's
-        checks: faces and ranks are JSON integers, as many faces as ranks,
-        from 1 face and rank 0, 0 <= ranks[t] <= min(faces[t-1], faces[t]) and
+        UTF-8, one nested too deep to decode, or a key field that is not a
+        JSON integer) are skipped with a warning; so is a record that fails
+        a check, unless a later valid record for the same key replaces it (as
+        after a recompute).  A record's checks: faces and ranks are JSON
+        integers, as many faces as ranks, from 1 face and rank 0,
+        0 <= ranks[t] <= min(faces[t-1], faces[t]) and
         ranks[t] + ranks[t+1] <= faces[t].  Of two valid records for one key
         that differ, the later is kept, with a warning.
 
@@ -101,7 +102,7 @@ class RankCache:
                             if t > 1 and r_low + r > low:
                                 raise ValueError(f"rank d_{t - 1} + rank d_{t} above {low} faces")
                             raise ValueError(f"rank d_{t} = {r} above a face count or negative")
-                except (KeyError, TypeError, ValueError) as exc:
+                except (KeyError, TypeError, ValueError, RecursionError) as exc:
                     if key is None:
                         log.warning("%s:%d: skipping corrupt cache line (%s)", path, lineno, exc)
                     else:

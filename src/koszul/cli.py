@@ -55,12 +55,11 @@ def _field(args) -> FieldSpec:
     return FieldSpec.rational(policy="multiprime", num_primes=args.primes, seed=args.seed)
 
 
-def _cache(args) -> RankCache:
+def _cache(args) -> RankCache | None:
+    # None without a directory: the engine keeps its records in memory
     directory = args.cache_dir or os.environ.get("KOSZ_CACHE_DIR")
     if not directory:
-        # memory-only: within a command the engine's _records memo resolves
-        # each strand once, so nothing reads this cache back
-        return RankCache(None)
+        return None
     os.makedirs(directory, exist_ok=True)
     return RankCache(cache_path(directory, args.n, args.c))
 

@@ -22,10 +22,10 @@ monomial ranks.
 The multidegree-alpha strand is the augmented chain complex of a simplicial
 complex Delta_alpha, which algebraic Morse theory shrinks to a few critical
 cells before any elimination runs (Strand).  Delta_alpha is never
-enumerated: most strands are cones and stop after one face count that a
-caller may memoize, and any other walks its survivors once.  The Morse
-matrices come from the gradient flow (_image), one loop that lists and
-sums each boundary once, over one flow memo per level.
+enumerated: most strands are cones and stop after one face count, and
+any other walks its survivors once.  The Morse matrices come from the
+gradient flow (_image), one loop that lists and sums each boundary once,
+over one flow memo per level.
 """
 
 from __future__ import annotations
@@ -362,9 +362,8 @@ def _pack(u: Sequence[int], width: int) -> int:
 
 def _subset_counts(cands: tuple[int, ...], top: int, guard: int) -> tuple[int, ...]:
     """The number of t-subsets of the packed vertices cands whose product
-    divides the residual top (packed, guard bits set), by t.  A pure
-    function of hashable arguments with an immutable result, so a
-    HomologyEngine memoizes it for its strands.
+    divides the residual top (packed, guard bits set), by t: the faces of
+    a strand's link lk v0, one call per strand (Strand).
 
     A subset-sum DP: states map a residual (guard bits set) to the number
     of subsets of each size that leave it, one vertex per pass over a
@@ -402,12 +401,8 @@ def strand_key(params: RingParams, alpha: ExponentVec) -> ExponentVec:
     M has x_1^c as a cone point: a face without it takes at most M - c of
     x_1, so adding x_1^c keeps it a face.  That strand is acyclic and has
     no homology over any field.
-
-    A tuple alpha that is its own key is returned itself, so a list that
-    keeps both holds one tuple.
     """
-    key = sorted_strand_key(params, tuple(sorted(alpha, reverse=True)))
-    return alpha if key == alpha else key
+    return sorted_strand_key(params, tuple(sorted(alpha, reverse=True)))
 
 
 def sorted_strand_key(params: RingParams, rep: ExponentVec) -> ExponentVec:
@@ -456,14 +451,13 @@ class Strand:
     such a face plus v0, so f(Delta) = a(Delta) + (1 + z) f(lk v0), with a
     counting the survivors, and the first matching has one pair per face
     of lk v0.  The faces of lk v0 are the subsets of the later vertices
-    whose product divides alpha - v0; counts (_subset_counts, or a memo of
-    it) counts them without walking.  A field that v0 and those vertices
-    together cannot take past alpha never binds, so it is cleared from the
-    residual and every vertex first: strands that differ only in such
-    slack fields ask counts the same question.  Most Delta_alpha are cones
+    whose product divides alpha - v0; _subset_counts counts them without
+    walking.  A field that v0 and those vertices together cannot take past
+    alpha never binds, so it is cleared from the residual and every vertex
+    first, which shrinks the count's states.  Most Delta_alpha are cones
     on v0: every later vertex fits alpha - v0, and every field of v0's
     support is slack.  A cone has no survivor, so its strand stops after
-    the counts, with every crit 0 and no Morse entry.
+    the link count, with every crit 0 and no Morse entry.
 
     Otherwise the survivors are walked once, and the matching on v1 is
     made during that walk: its upper faces are never visited.  The later
@@ -476,12 +470,7 @@ class Strand:
 
     __slots__ = ("faces", "pairs", "crit", "_entries")
 
-    def __init__(
-        self,
-        params: RingParams,
-        alpha: ExponentVec,
-        counts: Callable[[tuple[int, ...], int, int], tuple[int, ...]] = _subset_counts,
-    ):
+    def __init__(self, params: RingParams, alpha: ExponentVec):
         alpha = tuple(alpha)
         size = params.N + 2
         self.pairs = pairs = [0] * size
@@ -511,7 +500,7 @@ class Strand:
         for k, total in enumerate(totals):
             if total > alpha[k]:  # a binding field
                 keep |= field << (k * width)
-        link = counts(tuple(packed[r] & keep for r in later), link_top & keep, guard)
+        link = _subset_counts(tuple(packed[r] & keep for r in later), link_top & keep, guard)
         # the first matching pairs each face tau of lk v0 with tau + v0
         pairs[1 : len(link) + 1] = link
         if cone:

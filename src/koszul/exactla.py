@@ -123,7 +123,6 @@ class FieldSpec:
             raise ValueError(f"unknown field kind {self.kind!r}")
 
     @staticmethod
-    @lru_cache(maxsize=None)  # a rank mod p builds one per call; is_prime is not free
     def prime(p: int) -> "FieldSpec":
         return FieldSpec(kind="prime", p=p)
 
@@ -225,8 +224,6 @@ class SparseIntMatrix:
 
 def rank_mod_p(m: SparseIntMatrix, p: int) -> int:
     """Exact rank over F_p: the echelon form of m's rows."""
-    if not m.entries:  # a span costs far more than this test
-        return 0
     span = VectorSpan(m.ncols, FieldSpec.prime(p))
     span._extend_mod_p(m.nrows, ((r, c, x) for r, c, v in m.entries if (x := v % p)))
     return span.rank
@@ -244,8 +241,6 @@ def sampled_rank(f: FieldSpec, rank_at: Callable[[int], Sequence[int]]) -> list[
 
 def rank_fraction_free(m: SparseIntMatrix) -> int:
     """Exact rational rank: the fraction-free echelon form of m's columns."""
-    if not m.entries:
-        return 0
     span = VectorSpan(m.nrows, FieldSpec.rational(policy="fraction_free"))
     span.extend(m.columns())
     return span.rank

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from . import complex, cycles, exactla
+from . import cycles, exactla
 from .cache import RankCache
 from .combinatorics import ExponentVec, RingParams, orbits_into, unit_vector, vec_sub
 from .complex import Strand, differential_block, graded_dim, sorted_strand_key, strand_key
@@ -51,7 +51,6 @@ class HomologyTable:
 
     params: RingParams
     entries: dict[tuple[int, int], int]
-    computed_directly: bool = False
 
     def dim(self, t: int, d: int) -> int:
         return self.entries.get((t, d), 0)
@@ -126,11 +125,6 @@ class HomologyEngine:
     (proves_rational), which is then stored once under p = 0; only the
     strands it leaves open are sampled at every seeded prime and stored per
     prime.
-
-    The engine's strands share one memo of their link face counts
-    (complex._subset_counts, keyed by the masked link): many strands of a
-    ring ask the same question.  It lives and dies with the engine, so a
-    new engine counts afresh.
     """
 
     def __init__(
@@ -148,7 +142,6 @@ class HomologyEngine:
         self._records: dict[ExponentVec, tuple] = {}  # strand key -> record over field
         # d -> (sorted rep, orbit size, strand key) of each orbit
         self._orbits: dict[int, list[tuple[ExponentVec, int, ExponentVec]]] = {}
-        self._subset_counts = functools.cache(complex._subset_counts)
 
     # -- block level --------------------------------------------------------
 
@@ -208,7 +201,7 @@ class HomologyEngine:
             def strand() -> Strand:
                 nonlocal made
                 if made is None:
-                    made = Strand(self.params, key, self._subset_counts)
+                    made = Strand(self.params, key)
                 return made
 
             primes = f.primes
@@ -324,7 +317,7 @@ class HomologyEngine:
         for t in range(t_max + 1):
             for d in range(t * self.params.c, d_max + 1):
                 entries[(t, d)] = self.homology_dim(t, d)
-        return HomologyTable(self.params, entries, computed_directly=not self.use_duality)
+        return HomologyTable(self.params, entries)
 
     # -- Betti tables ---------------------------------------------------------
 
@@ -513,19 +506,20 @@ class DualityReport:
 
 
 def check_duality(table: HomologyTable, engine: HomologyEngine) -> DualityReport:
-    """Verify dim(t,d) == dim(partner) for every table entry.
+    """Verify dim(t,d) == dim(partner) for every entry of a table that
+    engine computed.
 
-    Partners already in a directly-computed table count as independent
-    confirmations.  A missing partner is computed directly, unless the
-    engine's duality is on and would serve the partner from the entry
-    itself: then it is counted as mirrored, since that path restates the
-    identity being checked.
+    When the engine computes directly (its duality off), partners already
+    in the table count as independent confirmations.  A missing partner is
+    computed directly, unless the engine's duality is on and would serve
+    the partner from the entry itself: then it is counted as mirrored,
+    since that path restates the identity being checked.
     """
     checked = direct = mirrored = 0
     mismatches = []
     for (t, d), dim in sorted(table.entries.items()):
         td, dd = duality_partner(table.params, t, d)
-        partner = table.entries.get((td, dd)) if table.computed_directly else None
+        partner = None if engine.use_duality else table.entries.get((td, dd))
         if partner is not None:
             direct += 1
         elif engine.use_duality and engine._side(td, dd) == (t, d):

@@ -1041,23 +1041,27 @@ def test_corrupt_cached_rank_is_recomputed(tmp_path, capsys, caplog):
 
 
 def test_cache_line_not_utf8_is_skipped(tmp_path, capsys, caplog):
-    # one undecodable line is corrupt like any other: the rest of the file
-    # still serves the table, and the warning names the file and the line
+    # one undecodable line, not UTF-8 or nested past the decoder's recursion
+    # limit, is corrupt like any other: the rest of the file still serves
+    # the table, and the warning names the file and the line
     argv = ["table", "--n", "2", "--c", "2", "--cache-dir", str(tmp_path)]
     code, clean = run_cli(capsys, *argv)
     assert code == 0
     path = Path(cache_path(str(tmp_path), 2, 2))
     lines = path.read_bytes().splitlines(keepends=True)
     assert len(lines) > 1
-    path.write_bytes(lines[0] + b"\xff\xfe\n" + b"".join(lines[1:]))
-    size = path.stat().st_size
-    code, out = run_cli(capsys, *argv)
-    assert code == 0 and out == clean
-    warnings = [r.getMessage() for r in caplog.records]
-    assert len(warnings) == 1
-    assert warnings[0].startswith(f"{path}:2: skipping corrupt cache line (")
-    assert "can't decode byte 0xff" in warnings[0]
-    assert path.stat().st_size == size  # every record was read: nothing recomputed
+    for bad, fault in ((b"\xff\xfe", "can't decode byte 0xff"),
+                       (b"[" * 200_000, "maximum recursion depth exceeded")):
+        path.write_bytes(lines[0] + bad + b"\n" + b"".join(lines[1:]))
+        size = path.stat().st_size
+        caplog.clear()
+        code, out = run_cli(capsys, *argv)
+        assert code == 0 and out == clean
+        warnings = [r.getMessage() for r in caplog.records]
+        assert len(warnings) == 1
+        assert warnings[0].startswith(f"{path}:2: skipping corrupt cache line (")
+        assert fault in warnings[0]
+        assert path.stat().st_size == size  # every record was read: nothing recomputed
 
 
 def test_over_large_cached_rank_is_recomputed(tmp_path, capsys, caplog):

@@ -143,10 +143,10 @@ def test_rank_identity_and_small():
 
 
 def test_rank_empty_and_zero():
-    z = SparseIntMatrix(3, 4, [])
-    assert rank_fraction_free(z) == rank_mod_p(z, 7) == 0
-    assert exactla.sampled_rank(QM, lambda p: [rank_mod_p(z, p)]) == [0]
-    assert rank_fraction_free(SparseIntMatrix(0, 0, [])) == 0
+    for shape in ((3, 4), (0, 4), (4, 0), (0, 0)):
+        z = SparseIntMatrix(*shape, [])
+        assert rank_fraction_free(z) == rank_mod_p(z, 7) == 0, shape
+        assert exactla.sampled_rank(QM, lambda p: [rank_mod_p(z, p)]) == [0], shape
 
 
 def test_rank_policies_agree_on_random_pm1():

@@ -373,26 +373,29 @@ def test_z_profile_builds_each_kernel_and_z1_generator_once(monkeypatch):
     assert calls == {"kernel": 74, "z1": 20}
 
 
-def test_engine_counts_each_masked_link_once(monkeypatch):
+def test_engine_counts_one_link_per_strand(monkeypatch):
     # the (4,2) vanishing suite resolves 597 orbits but only 113 strand keys,
-    # one strand each, and those ask 92 distinct link questions once their
-    # slack fields are cleared; each engine asks each once, and a second
-    # engine counts afresh
-    calls = {"counts": 0, "strands": 0}
+    # one strand each, and each strand counts its link once; with their
+    # slack fields cleared those are 92 distinct questions, and a second
+    # engine asks them all again
+    asked = []
+    strands = []
+    subset_counts, strand = complex._subset_counts, complex.Strand
 
-    def counting(name, fn):
-        def wrapped(*args):
-            calls[name] += 1
-            return fn(*args)
+    def count_link(*args):
+        asked.append(args)
+        return subset_counts(*args)
 
-        return wrapped
+    def build(*args):
+        strands.append(args)
+        return strand(*args)
 
-    monkeypatch.setattr(complex, "_subset_counts", counting("counts", complex._subset_counts))
-    monkeypatch.setattr(homology, "Strand", counting("strands", complex.Strand))
+    monkeypatch.setattr(complex, "_subset_counts", count_link)
+    monkeypatch.setattr(homology, "Strand", build)
     assert verify_vanishing(RingParams(4, 2), QM).ok
-    assert calls == {"counts": 92, "strands": 113}
+    assert (len(strands), len(asked), len(set(asked))) == (113, 113, 92)
     assert verify_vanishing(RingParams(4, 2), QM).ok
-    assert calls == {"counts": 184, "strands": 226}
+    assert (len(strands), len(asked), len(set(asked))) == (226, 226, 92)
 
 
 def test_acceleration_matches_direct():
