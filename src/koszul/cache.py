@@ -45,7 +45,8 @@ class RankCache:
     may hold records of any ring, though cache_path gives each ring its
     own.  With path None the cache lives in memory.  New records go through
     one append handle, opened at the first and flushed after each, so the
-    file stays current for other readers, and closed with the cache.
+    file stays current for other readers, and closed with the cache; the
+    first record starts a new line if the file's last line was torn.
     """
 
     def __init__(self, path: str | None = None):
@@ -141,9 +142,15 @@ class RankCache:
             )
             try:
                 if self._fh is None:
-                    self._fh = open(self.path, "a", encoding="utf-8")
-                    weakref.finalize(self, self._fh.close)  # closed with the cache
-                self._fh.write(line)
+                    self._fh = fh = open(self.path, "ab+")
+                    weakref.finalize(self, fh.close)  # closed with the cache
+                    # a writer killed mid-line leaves the file torn: end its
+                    # line, or this record would join it and be lost with it
+                    if fh.seek(0, os.SEEK_END):
+                        fh.seek(-1, os.SEEK_END)
+                        if fh.read(1) != b"\n":
+                            fh.write(b"\n")
+                self._fh.write(line.encode())
                 self._fh.flush()  # current for any other reader of the file
             except OSError as exc:
                 raise OSError(f"cannot append to cache {self.path}: {exc}") from exc

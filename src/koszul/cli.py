@@ -2,10 +2,10 @@
 verification suites, and the characteristic-dependence scan.
 
 Every command, and every `verify` suite, is a function of the parsed
-namespace alone, bound by its own subparser. Each takes --n --c, the three
-compatibility flags, and only the flags it reads, so a flag given to a
-command that would ignore it exits 2; so does --exact with a prime --char,
-and --primes or --seed with either.
+namespace alone, bound by its own subparser. Each takes --n --c, --threads
+(accepted for compatibility and ignored), and only the flags it reads, so a
+flag given to a command that would ignore it exits 2; so does --exact with a
+prime --char, --primes or --seed with either, and --seed with --stratum.
 The query commands print through one emitter (_emit, the only --format
 switch), and every suite but factorial, which reports findings as well as
 failures, ends in one verdict (_verdict): OK or one line per problem.
@@ -71,9 +71,8 @@ def _engine(args, field: FieldSpec, use_duality: bool = True) -> HomologyEngine:
 
 
 def _query(args, **extra) -> dict:
-    """The JSON echo of the shared flags; --threads and --no-orbit are echoed
-    though ignored, --max-degree only when given."""
-    query = {
+    """The JSON echo of the shared flags, --threads echoed though ignored."""
+    return {
         "n": args.n,
         "c": args.c,
         "char": args.char,
@@ -82,11 +81,7 @@ def _query(args, **extra) -> dict:
         "format": args.fmt,
         "exact": args.exact,
         "primes": args.primes,
-        "no_orbit": args.no_orbit,
-    }
-    if args.max_degree is not None:
-        query["max_degree"] = args.max_degree
-    return query | extra
+    } | extra
 
 
 def _meta(args, field: FieldSpec, started: float) -> dict:
@@ -441,10 +436,6 @@ def _command(subs, name: str, func, help: str, reads=(), formats=()) -> argparse
         p.add_argument("--format", dest="fmt", choices=formats, default="diagram")
     p.add_argument("--threads", type=int, default=1,
                    help="ignored: accepted for compatibility, runs are single-threaded")
-    p.add_argument("--no-orbit", action="store_true",
-                   help="ignored: accepted for compatibility, orbit reduction is always on")
-    p.add_argument("--max-degree", type=int, default=None,
-                   help="ignored: accepted for compatibility, degrees are unbounded")
     p.set_defaults(func=func)
     return p
 
@@ -535,8 +526,9 @@ def main(argv=None) -> int:
         # of the fields the commands taking --exact offer, only multiprime samples primes
         field = "--exact" if args.exact else f"--char {args.char}"
         parser.exit(2, f"kosz: error: {' and '.join(sampling)} would be ignored with {field}\n")
-    if args.max_degree is not None and args.max_degree < 1:
-        parser.error("--max-degree must be positive")
+    if "--seed" in sampling and getattr(args, "stratum", None):
+        # an exhaustive check over one multidegree draws no sample
+        parser.exit(2, "kosz: error: --seed would be ignored with --stratum\n")
     for dest in ("tmax", "jmax", "imax", "t", "deg", "snf_guard"):
         bound = getattr(args, dest, None)
         if bound is not None and bound < 0:

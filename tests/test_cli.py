@@ -307,6 +307,9 @@ def test_shift_outside_0_to_c_exits_2_before_any_work(capsys, tmp_path, monkeypa
         # the default value given explicitly is refused as well
         (["factorial", "--stratum", "7", "0", "0", "--samples", "200"],
          "argument --samples: not allowed with argument --stratum"),
+        # an exhaustive check draws no sample, so it has no use for a seed
+        (["factorial", "--stratum", "3", "2", "2", "--seed", "5"],
+         "--seed would be ignored with --stratum"),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else None,
 )
@@ -439,7 +442,7 @@ def test_readme_flag_table_matches_the_parser():
                 set(re.findall(r"--[a-z-]+", line)),
                 tuple(formats.group(1).split(",")) if formats else None,
             )
-    everywhere = {"--n", "--c", "--threads", "--no-orbit", "--max-degree", "-h", "--help"}
+    everywhere = {"--n", "--c", "--threads", "-h", "--help"}
     parsed = {}
     for name, parser in _commands(build_parser()):
         options = {opt for a in parser._actions for opt in a.option_strings}
@@ -493,17 +496,17 @@ _README_STDOUT = {
     "homology --n 7 --c 2 --t 2 --deg 7 --char 3 --format csv":
         "e5927b83dd7905c06aafaaa4fb84c35d4fa5f75b72bf4c24883a8b86be390dde",
     "homology --n 7 --c 2 --t 2 --deg 7 --char 3 --format json":
-        "ac8770f8dd3446d93328bb008503d236c6d143c38b01885cb24c7c42b0c79a6a",
+        "146325bd0316ffd3f555710dc852df56b0c222ac625d3110b92d5a835fc2cfdc",
     "table --n 3 --c 3 --char 0 --format csv":
         "cf3b71d71212c939662857940d46f6ec9f332b98d84b1fbea5c25781bd61cd6e",
     "table --n 3 --c 3 --char 0 --format json":
-        "3039913e074273cf6ee562c26f339aad0545345336efb73ee8a5a4c3ea92aac6",
+        "54cefe150dd7169b16bbf0c3a951ec917da5bbb371d725a9ebcbab99167767dd",
     "betti --n 3 --c 3 --k 1 --char 0":
         "d8bf680faa99625c36f80633eefb000c355a558f3d90d4cf1cb6b597e5f6ee01",
     "betti --n 3 --c 3 --k 1 --char 0 --format json":
-        "18ebea3d398a86a62d0fba09b0a6264f1bc8161ae8822f0522ec90e00e18cc5d",
+        "c1e7c7f67161a16305b1c0a863dfb0bd7cdc4fac36b59ea49303aa27e331ed69",
     "index --n 4 --c 2 --char 0 --format json":
-        "126fc54f0c0b7f2183007906f396efac51b4a5780378d3877e534ba904357d1b",
+        "08b5beae811c9d4e8536e82e42eecc62f9b6af30d10393e052e30f890a889be6",
 }
 
 
@@ -904,7 +907,7 @@ def test_output_determinism(capsys):
 
 
 _COMMON_ECHO = {"n": 3, "c": 2, "char": 0, "threads": 1, "seed": 0, "format": "json",
-                "exact": False, "primes": 2, "no_orbit": False}
+                "exact": False, "primes": 2}
 
 
 @pytest.mark.parametrize(
@@ -914,16 +917,16 @@ _COMMON_ECHO = {"n": 3, "c": 2, "char": 0, "threads": 1, "seed": 0, "format": "j
          dict(_COMMON_ECHO, command="homology", t=1, deg=4),
          {"char_policy": "multiprime(k=2, seed=0)", "primes_used": [950524921, 988456229],
           "engine_version": ENGINE_VERSION, "seed": 0}),
-        (["table", "--seed", "3", "--max-degree", "9", "--tmax", "1"],
-         dict(_COMMON_ECHO, seed=3, max_degree=9, command="table", tmax=1, jmax=2),
+        (["table", "--seed", "3", "--tmax", "1"],
+         dict(_COMMON_ECHO, seed=3, command="table", tmax=1, jmax=2),
          {"char_policy": "multiprime(k=2, seed=3)", "primes_used": [792383497, 676911427],
           "engine_version": ENGINE_VERSION, "seed": 3}),
         (["betti", "--k", "1", "--char", "5", "--threads", "4"],
          dict(_COMMON_ECHO, char=5, threads=4, command="betti", k=1, imax=3),
          {"char_policy": "prime(5)", "primes_used": [5], "engine_version": ENGINE_VERSION,
           "seed": 0}),
-        (["index", "--exact", "--no-orbit", "--imax", "2"],
-         dict(_COMMON_ECHO, exact=True, no_orbit=True, command="index", imax=2),
+        (["index", "--exact", "--imax", "2"],
+         dict(_COMMON_ECHO, exact=True, command="index", imax=2),
          {"char_policy": "fraction_free", "primes_used": [], "engine_version": ENGINE_VERSION,
           "seed": 0}),
         (["index", "--primes", "3", "--seed", "5"],
@@ -935,8 +938,8 @@ _COMMON_ECHO = {"n": 3, "c": 2, "char": 0, "threads": 1, "seed": 0, "format": "j
     ids=["homology", "table", "betti", "index-exact", "index-primes"],
 )
 def test_json_echoes_query_and_meta(capsys, argv, query, meta):
-    # the echo keeps its key order: the common flags, max_degree only when
-    # given, then the command and its own bounds
+    # the echo keeps its key order: the common flags, then the command and
+    # its own bounds
     command, *rest = argv
     code, out = run_cli(capsys, command, "--n", "3", "--c", "2", "--format", "json", *rest)
     assert code == 0
@@ -946,12 +949,8 @@ def test_json_echoes_query_and_meta(capsys, argv, query, meta):
     assert list(payload["meta"].items()) == list(meta.items())
 
 
-@pytest.mark.parametrize(
-    "flag, key, value",
-    [(["--no-orbit"], "no_orbit", True), (["--threads", "4"], "threads", 4),
-     (["--max-degree", "5"], "max_degree", 5)],
-    ids=["no-orbit", "threads", "max-degree"],
-)
+@pytest.mark.parametrize("flag, key, value", [(["--threads", "4"], "threads", 4)],
+                         ids=["threads"])
 def test_no_orbit_changes_nothing_visible(capsys, flag, key, value):
     # accepted for compatibility and ignored: only the JSON query echo differs
     base = ["table", "--n", "3", "--c", "2", "--char", "0"]
@@ -960,6 +959,16 @@ def test_no_orbit_changes_nothing_visible(capsys, flag, key, value):
     assert plain == flagged
     _, out = run_cli(capsys, *base, "--format", "json", *flag)
     assert json.loads(out)["query"][key] == value
+
+
+@pytest.mark.parametrize("flag", [["--no-orbit"], ["--max-degree", "5"]],
+                         ids=["no-orbit", "max-degree"])
+def test_retired_flags_exit_2_on_every_command(capsys, flag):
+    # once accepted and ignored, now read by no command
+    for name, parser in _commands(build_parser()):
+        required = [w for a in parser._actions if a.required for w in (a.option_strings[0], "1")]
+        err = _exits_2(capsys, *name.split(), *required, *flag)
+        assert err.splitlines()[-1].endswith(f"error: unrecognized arguments: {' '.join(flag)}")
 
 
 def test_env_cache_dir(tmp_path, monkeypatch, capsys):
@@ -1062,6 +1071,29 @@ def test_cache_line_not_utf8_is_skipped(tmp_path, capsys, caplog):
         assert warnings[0].startswith(f"{path}:2: skipping corrupt cache line (")
         assert fault in warnings[0]
         assert path.stat().st_size == size  # every record was read: nothing recomputed
+
+
+def test_torn_last_cache_line_does_not_swallow_the_next_record(tmp_path, capsys, caplog):
+    # a writer killed mid-line leaves the last line without its newline; the
+    # record recomputed for it starts a line of its own, so a reload reads
+    # it and warns only of the torn line
+    argv = ["table", "--n", "2", "--c", "2", "--cache-dir", str(tmp_path)]
+    code, clean = run_cli(capsys, *argv)
+    assert code == 0
+    path = Path(cache_path(str(tmp_path), 2, 2))
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(lines[:-1]) + lines[-1][:20])
+    code, out = run_cli(capsys, *argv)  # recomputes the torn record
+    assert code == 0 and out == clean
+    assert path.read_bytes().splitlines(keepends=True)[len(lines):] == [lines[-1]]
+    caplog.clear()
+    size = path.stat().st_size
+    code, out = run_cli(capsys, *argv)
+    assert code == 0 and out == clean
+    warnings = [r.getMessage() for r in caplog.records]
+    assert len(warnings) == 1
+    assert warnings[0].startswith(f"{path}:{len(lines)}: skipping corrupt cache line (")
+    assert path.stat().st_size == size  # nothing recomputed
 
 
 def test_over_large_cached_rank_is_recomputed(tmp_path, capsys, caplog):
@@ -1207,14 +1239,11 @@ def test_cache_lines_are_the_json_encoders(tmp_path, caplog):
 
 
 def test_high_degrees_need_no_flag(capsys):
-    # (2,8) reaches internal degree 65; --max-degree is accepted and ignored
+    # (2,8) reaches internal degree 65 with no degree bound to set
     code, out = run_cli(capsys, "verify", "vanishing", "--n", "2", "--c", "8")
     assert code == 0 and out == "OK (316 window zeros checked, 0 sharpened)\n"
-    code, out = run_cli(capsys, "verify", "duality", "--n", "2", "--c", "8", "--max-degree", "3")
+    code, out = run_cli(capsys, "verify", "duality", "--n", "2", "--c", "8")
     assert code == 0 and out == "OK (344 entries checked, 344 direct, 0 mirrored)\n"
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "duality", "--n", "2", "--c", "8", "--max-degree", "0"])
-    assert exc.value.code == 2
 
 
 def test_zgen_limit_names_no_flag(capsys):
