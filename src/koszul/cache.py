@@ -65,7 +65,10 @@ class RankCache:
         integers, as many faces as ranks, from 1 face and rank 0,
         0 <= ranks[t] <= min(faces[t-1], faces[t]) and
         ranks[t] + ranks[t+1] <= faces[t].  Of two valid records for one key
-        that differ, the later is kept, with a warning.
+        that differ, the later is kept, with a warning.  A corrupt line has
+        no key for a recompute to replace, so every later load warns about
+        it again; what the commands print and the records they read are
+        unaffected, and deleting the file silences the warning.
 
         A line costs one JSON decode and one pass over its levels.  Level t
         tests ranks[t-1] + ranks[t] <= faces[t-1], the second check at t - 1

@@ -529,6 +529,9 @@ def main(argv=None) -> int:
     if "--seed" in sampling and getattr(args, "stratum", None):
         # an exhaustive check over one multidegree draws no sample
         parser.exit(2, "kosz: error: --seed would be ignored with --stratum\n")
+    primes = getattr(args, "primes", None)
+    if primes is not None and primes < 1:
+        parser.exit(2, f"kosz: error: --primes must be positive, got {primes}\n")
     for dest in ("tmax", "jmax", "imax", "t", "deg", "snf_guard"):
         bound = getattr(args, dest, None)
         if bound is not None and bound < 0:

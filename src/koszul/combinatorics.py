@@ -82,11 +82,6 @@ def vec_sub(a: ExponentVec, b: ExponentVec) -> ExponentVec:
     return tuple(map(operator.sub, a, b))
 
 
-def divides(m: ExponentVec, alpha: Sequence[int]) -> bool:
-    """True when the monomial m divides X^alpha componentwise."""
-    return all(x <= a for x, a in zip(m, alpha))
-
-
 def unit_vector(n: int, i: int) -> ExponentVec:
     return tuple(1 if k == i else 0 for k in range(n))
 

@@ -65,11 +65,6 @@ def _collect(
     return CycleElement(params, t, tuple(alpha), terms)
 
 
-def unit_element(params: RingParams) -> CycleElement:
-    """The empty bracket with coefficient 1, the unit of the wedge algebra."""
-    return CycleElement(params, 0, (0,) * params.n, {(): 1})
-
-
 def z1_generator(params: RingParams, b: ExponentVec, i: int, j: int) -> CycleElement:
     """The two-term cycle X_i[X_j b] - X_j[X_i b] for a degree-(c-1) monomial b."""
     if i == j:
@@ -161,27 +156,6 @@ def special_cycle(params: RingParams, spec: SpecialCycleSpec) -> CycleElement:
     return _collect(params, t, tuple(map(sum, zip(*spec.a, *spec.b))), items)
 
 
-def add(z: CycleElement, w: CycleElement) -> CycleElement:
-    if z.params != w.params:
-        raise ValueError("mixed ring parameters")
-    if z.t != w.t:
-        raise ValueError(f"mixed homological degrees {z.t} and {w.t}")
-    if z.alpha != w.alpha:
-        raise ValueError(f"mixed multidegrees {z.alpha} and {w.alpha}")
-    return _collect(z.params, z.t, z.alpha, chain(z.terms.items(), w.terms.items()))
-
-
-def integer_scale(z: CycleElement, k: int) -> CycleElement:
-    return CycleElement(z.params, z.t, z.alpha, {g: k * v for g, v in z.terms.items()} if k else {})
-
-
-def monomial_scale(z: CycleElement, v: ExponentVec) -> CycleElement:
-    """v * z: the same brackets and coefficients in multidegree alpha + v."""
-    if len(v) != z.params.n or any(x < 0 for x in v):
-        raise ValueError(f"not a monomial exponent vector: {v}")
-    return CycleElement(z.params, z.t, vec_add(z.alpha, v), dict(z.terms))
-
-
 def wedge(z: CycleElement, *rest: CycleElement) -> CycleElement:
     """Exterior product z ^ rest[0] ^ ... with shuffle signs, in the sum of
     the factors' multidegrees: one term per choice of a term of each
@@ -214,12 +188,6 @@ def apply_differential(z: CycleElement) -> CycleElement:
         for k in range(z.t)
     )
     return _collect(z.params, z.t - 1, z.alpha, items)
-
-
-def is_cycle(z: CycleElement) -> bool:
-    if z.t == 0:
-        return True
-    return apply_differential(z).is_zero()
 
 
 def _boundary_members(

@@ -174,41 +174,9 @@ class SparseIntMatrix:
     # Not a dataclass field; rank_mod_p is always dense, the benchmark labels its calls by it.
     dense_threshold = math.inf
 
-    @classmethod
-    def from_triplets(
-        cls, nrows: int, ncols: int, triplets: Iterable[tuple[int, int, int]]
-    ) -> "SparseIntMatrix":
-        """Merge duplicate cells and drop zeros."""
-        acc: dict[tuple[int, int], int] = {}
-        for r, c, v in triplets:
-            if not (0 <= r < nrows and 0 <= c < ncols):
-                raise ValueError(f"triplet ({r},{c}) outside {nrows}x{ncols}")
-            acc[r, c] = acc.get((r, c), 0) + v
-        merged = sorted((r, c, v) for (r, c), v in acc.items() if v != 0)
-        return cls(nrows, ncols, merged)
-
-    @classmethod
-    def from_dense(cls, rows: Sequence[Sequence[int]], ncols: int | None = None) -> "SparseIntMatrix":
-        nrows = len(rows)
-        if ncols is None:
-            ncols = len(rows[0]) if nrows else 0
-        trips = [
-            (i, j, int(v))
-            for i, row in enumerate(rows)
-            for j, v in enumerate(row)
-            if v
-        ]
-        return cls(nrows, ncols, trips)
-
     @property
     def cells(self) -> int:
         return self.nrows * self.ncols
-
-    def to_dense(self) -> list[list[int]]:
-        A = [[0] * self.ncols for _ in range(self.nrows)]
-        for r, c, v in self.entries:
-            A[r][c] = v
-        return A
 
     def columns(self) -> list[dict[int, int]]:
         """The columns as sparse vectors, {row: value}."""

@@ -4,6 +4,8 @@ traced benchmark run fails."""
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -76,3 +78,14 @@ def test_traced_queries_run_and_report(tmp_path):
     assert own and warm["cli.cache.records_loaded"] == len(own)
     assert warm["cli.cache.get.calls"] > 0
     assert warm["cli.cache.hit_ratio"] == 1.0  # a warm table asks only for records it holds
+
+
+def test_bench_selftest_passes():
+    # every bench query's stdout digest against bench/reference.json, the
+    # pinned values, and the tracer's install and restore
+    root = SPANS.parents[1]
+    done = subprocess.run(
+        [sys.executable, "bench/selftest.py"], cwd=root, capture_output=True, text=True, timeout=600
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines()[-1] == "selftest passed"

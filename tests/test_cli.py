@@ -278,6 +278,15 @@ def test_negative_bounds_exit_2(capsys, argv, flag):
     assert err == f"kosz: error: {flag} must be nonnegative, got -1\n"
 
 
+@pytest.mark.parametrize("primes", ["0", "-3"])
+def test_nonpositive_primes_exits_2_naming_the_flag(capsys, tmp_path, primes):
+    cache = tmp_path / "cache"
+    err = _exits_2(capsys, "table", "--n", "2", "--c", "2", "--primes", primes,
+                   "--cache-dir", str(cache))
+    assert err == f"kosz: error: --primes must be positive, got {primes}\n"
+    assert not cache.exists()
+
+
 @pytest.mark.parametrize("command", [["betti"], ["verify", "greenbound"]])
 @pytest.mark.parametrize("k", [-1, 2, 5, 7])
 def test_shift_outside_0_to_c_exits_2_before_any_work(capsys, tmp_path, monkeypatch, command, k):

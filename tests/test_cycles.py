@@ -10,21 +10,17 @@ from koszul.complex import block_basis
 from koszul.cycles import (
     CycleElement,
     SpecialCycleSpec,
-    add,
     apply_differential,
     coefficient_space_dim,
-    integer_scale,
     is_boundary,
-    is_cycle,
-    monomial_scale,
     sample_nonzero_cycles,
     special_cycle,
-    unit_element,
     verify_factorial_theorem,
     wedge,
     z1_generator,
 )
-from koszul.exactla import ColumnSpace, FieldSpec, SparseIntMatrix, rank_fraction_free
+from koszul.exactla import ColumnSpace, FieldSpec, rank_fraction_free
+from oracles import add, from_dense, integer_scale, is_cycle, monomial_scale, unit_element
 
 QF = FieldSpec.rational(policy="fraction_free")
 
@@ -268,7 +264,7 @@ def _coefficient_rank(z):
         rows.setdefault(gens, {})[coeff] = v
     columns = sorted({m for row in rows.values() for m in row})
     dense = [[row.get(m, 0) for m in columns] for row in rows.values()]
-    return rank_fraction_free(SparseIntMatrix.from_dense(dense, len(columns)))
+    return rank_fraction_free(from_dense(dense, len(columns)))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -23,6 +23,7 @@ from koszul.exactla import (
     rank_fraction_free,
     rank_mod_p,
 )
+from oracles import from_dense, from_triplets, to_dense
 
 QF = FieldSpec.rational(policy="fraction_free")
 QM = FieldSpec.rational(policy="multiprime", num_primes=3, seed=11)
@@ -34,7 +35,7 @@ def _random_pm1(rng, nr, nc, density=0.4):
         for j in range(nc):
             if rng.random() < density:
                 trips.append((i, j, rng.choice((1, -1))))
-    return SparseIntMatrix.from_triplets(nr, nc, trips)
+    return from_triplets(nr, nc, trips)
 
 
 def _sparse(vec):
@@ -56,7 +57,7 @@ def _dense_rows(span):
 
 def _rank_fraction_oracle(m):
     """Independent exact rank: plain Gaussian elimination on Fractions."""
-    A = [[Fraction(v) for v in row] for row in m.to_dense()]
+    A = [[Fraction(v) for v in row] for row in to_dense(m)]
     nr, nc = m.nrows, m.ncols
     r = 0
     for col in range(nc):
@@ -133,10 +134,10 @@ def test_sampled_rank_escalates_on_any_disagreement():
 
 
 def test_rank_identity_and_small():
-    eye = SparseIntMatrix.from_triplets(5, 5, [(i, i, 1) for i in range(5)])
+    eye = from_triplets(5, 5, [(i, i, 1) for i in range(5)])
     assert rank_fraction_free(eye) == rank_mod_p(eye, 5) == 5
     assert exactla.sampled_rank(QM, lambda p: [rank_mod_p(eye, p)]) == [5]
-    m = SparseIntMatrix.from_dense([[1, 1], [1, -1]])
+    m = from_dense([[1, 1], [1, -1]])
     assert rank_fraction_free(m) == 2
     assert exactla.sampled_rank(QM, lambda p: [rank_mod_p(m, p)]) == [2]
     assert rank_mod_p(m, 2) == 1  # determinant -2
@@ -176,7 +177,7 @@ def test_kernel_examples():
     z = SparseIntMatrix(3, 3, [])
     basis = kernel_basis(z, FieldSpec.prime(5))
     assert [_dense(v, 3) for v in basis] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    m = SparseIntMatrix.from_dense([[1, 1]])
+    m = from_dense([[1, 1]])
     (v,) = kernel_basis(m, FieldSpec.prime(5))
     v = _dense(v, 2)
     assert (v[0] + v[1]) % 5 == 0 and any(v)
@@ -193,7 +194,7 @@ def test_kernel_vectors_annihilate():
     cases += list(_oracle_cases(rng))
     cases += [differential_block(RingParams(3, 2), t, (2, 2, 1)) for t in (1, 2, 3)]
     for m in cases:
-        dense = m.to_dense()
+        dense = to_dense(m)
         for f in (QF, FieldSpec.prime(3), FieldSpec.prime(7)):
             p = f.p if f.kind == "prime" else 0
             for v in kernel_basis(m, f):
@@ -220,7 +221,7 @@ def test_a_differential_block_is_a_sparse_matrix():
     params = RingParams(4, 2)
     for t, alpha in ((1, (2, 1, 1, 0)), (2, (1, 1, 1, 1)), (3, (2, 2, 1, 1))):
         blk = differential_block(params, t, alpha)
-        m = SparseIntMatrix.from_triplets(blk.nrows, blk.ncols, blk.entries)
+        m = from_triplets(blk.nrows, blk.ncols, blk.entries)
         assert isinstance(blk, SparseIntMatrix) and blk.cells == m.cells
         assert rank_fraction_free(blk) == rank_fraction_free(m)
         assert rank_mod_p(blk, 3) == rank_mod_p(m, 3)
@@ -235,12 +236,12 @@ def test_a_differential_block_is_a_sparse_matrix():
 
 def test_kernel_rejects_multiprime():
     with pytest.raises(UnsupportedPolicyError):
-        kernel_basis(SparseIntMatrix.from_dense([[1, 1]]), QM)
+        kernel_basis(from_dense([[1, 1]]), QM)
 
 
 def test_spans_refuse_multiprime():
     # sampling proves ranks only: spans and memberships refuse it, as kernels do
-    m = SparseIntMatrix.from_dense([[1, 1]])
+    m = from_dense([[1, 1]])
     with pytest.raises(UnsupportedPolicyError):
         VectorSpan(2, QM)
     with pytest.raises(UnsupportedPolicyError):
@@ -248,7 +249,7 @@ def test_spans_refuse_multiprime():
 
 
 def test_in_column_space_basics():
-    m = SparseIntMatrix.from_dense([[1, 0], [2, 1], [0, 3]])
+    m = from_dense([[1, 0], [2, 1], [0, 3]])
     first_col = [1, 2, 0]
     for f in (QF, FieldSpec.prime(7)):
         assert ColumnSpace(m, f).contains(first_col)
@@ -261,12 +262,12 @@ def test_in_column_space_basics():
 
 def test_in_column_space_rational_not_integral():
     # b = (1,1) is half the column (2,2): rational membership, not integral
-    m = SparseIntMatrix.from_dense([[2], [2]])
+    m = from_dense([[2], [2]])
     assert ColumnSpace(m, QF).contains([1, 1])
 
 
 def test_column_space_reuse():
-    m = SparseIntMatrix.from_dense([[1, 1], [0, 1], [1, 0]])
+    m = from_dense([[1, 1], [0, 1], [1, 0]])
     space = ColumnSpace(m, QF)
     assert space.rank == 2
     assert space.contains([1, 1, 0])
@@ -279,14 +280,14 @@ def test_vector_span_matches_fraction_free_rank():
     for _ in range(20):
         m = _random_pm1(rng, rng.randint(1, 8), rng.randint(1, 8))
         span = VectorSpan(m.ncols, QF)
-        for row in m.to_dense():
+        for row in to_dense(m):
             span.extend([_sparse(row)])
         assert span.rank == _rank_fraction_oracle(m)
 
 
 def test_elementary_divisor_examples():
-    assert elementary_divisors(SparseIntMatrix.from_dense([[2]])) == [2]
-    assert elementary_divisors(SparseIntMatrix.from_dense([[1, 1], [1, -1]])) == [1, 2]
+    assert elementary_divisors(from_dense([[2]])) == [2]
+    assert elementary_divisors(from_dense([[1, 1], [1, -1]])) == [1, 2]
     assert elementary_divisors(SparseIntMatrix(4, 4, [])) == []
 
 
@@ -306,7 +307,7 @@ def test_elementary_divisors_vs_mod_p_ranks():
             for j in range(nc)
             if rng.random() < 0.6
         ]
-        m = SparseIntMatrix.from_triplets(nr, nc, trips)
+        m = from_triplets(nr, nc, trips)
         divs = elementary_divisors(m)
         for p in (2, 3, 5, 7, 11, 13):
             expected = sum(1 for d in divs if d % p)
@@ -361,7 +362,7 @@ def test_elementary_divisors_equal_the_minor_gcd_quotients():
             C = [[rng.randint(-6, 6) for _ in range(nc)] for _ in range(k)]
             A = [[sum(B[i][h] * C[h][j] for h in range(k)) for j in range(nc)]
                  for i in range(nr)]
-        divs = elementary_divisors(SparseIntMatrix.from_dense(A))
+        divs = elementary_divisors(from_dense(A))
         assert divs == _divisors_from_minors(A), A
         for a, b in zip(divs, divs[1:]):
             assert b % a == 0
@@ -384,7 +385,7 @@ def test_char3_jump_block_facts():
 
 
 def test_exact_elimination_guard(monkeypatch):
-    m = SparseIntMatrix.from_dense([[3, 1], [1, 3]])
+    m = from_dense([[3, 1], [1, 3]])
     monkeypatch.setattr(exactla, "EXACT_PIVOT_BIT_GUARD", 1)
     with pytest.raises(ExactEliminationError):
         rank_fraction_free(m)
@@ -392,7 +393,7 @@ def test_exact_elimination_guard(monkeypatch):
 
 def test_exact_guard_covers_every_rational_path(monkeypatch):
     # kernels and column spaces over Q share the rank's guarded echelon form
-    m = SparseIntMatrix.from_dense([[1, 1]])
+    m = from_dense([[1, 1]])
     monkeypatch.setattr(exactla, "EXACT_PIVOT_BIT_GUARD", 0)
     with pytest.raises(ExactEliminationError):
         kernel_basis(m, QF)
@@ -411,15 +412,15 @@ def test_bareiss_on_general_integers():
             for j in range(nc)
             if rng.random() < 0.7
         ]
-        m = SparseIntMatrix.from_triplets(nr, nc, trips)
+        m = from_triplets(nr, nc, trips)
         assert rank_fraction_free(m) == _rank_fraction_oracle(m)
 
 
 def test_from_triplets_merges_and_drops_zeros():
-    m = SparseIntMatrix.from_triplets(2, 2, [(0, 0, 1), (0, 0, -1), (1, 1, 2), (1, 1, 3)])
+    m = from_triplets(2, 2, [(0, 0, 1), (0, 0, -1), (1, 1, 2), (1, 1, 3)])
     assert m.entries == [(1, 1, 5)]
     with pytest.raises(ValueError):
-        SparseIntMatrix.from_triplets(2, 2, [(2, 0, 1)])
+        from_triplets(2, 2, [(2, 0, 1)])
 
 
 def test_fraction_free_agrees_with_multiprime_on_all_run_blocks():
@@ -472,7 +473,7 @@ def _oracle_cases(rng):
             for j in range(nc)
             if rng.random() < 0.6
         ]
-        yield SparseIntMatrix.from_triplets(nr, nc, trips)
+        yield from_triplets(nr, nc, trips)
     # rank deficient: the last rows repeat sums of the first ones
     for nr, nc, k in ((6, 5, 2), (4, 7, 1), (7, 7, 3)):
         base = [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(k)]
@@ -480,13 +481,13 @@ def _oracle_cases(rng):
             [sum(rng.randint(-2, 2) * b[j] for b in base) for j in range(nc)]
             for _ in range(nr - k)
         ]
-        yield SparseIntMatrix.from_dense(rows, nc)
+        yield from_dense(rows, nc)
 
 
 def test_mod_p_routine_matches_plain_elimination():
     rng = random.Random(71)
     for m in _oracle_cases(rng):
-        dense = m.to_dense()
+        dense = to_dense(m)
         for p in ORACLE_PRIMES:
             f = FieldSpec.prime(p)
             r = _rank_mod_p_oracle(dense, p)
@@ -523,7 +524,7 @@ def test_members_match_contains_and_rank_growth(f):
     big = 1 << 70
     for m in _oracle_cases(rng):
         space = ColumnSpace(m, f)
-        dense = m.to_dense()
+        dense = to_dense(m)
         cols = [_dense(col, m.nrows) for col in m.columns()]
         probes = [[0] * m.nrows]
         probes += [[rng.randint(-4, 4) for _ in range(m.nrows)] for _ in range(4)]
@@ -536,7 +537,7 @@ def test_members_match_contains_and_rank_growth(f):
         if f.kind == "prime":
             rank_of = lambda rows: _rank_mod_p_oracle(rows, f.p)  # noqa: E731
         else:
-            rank_of = lambda rows: _rank_fraction_oracle(SparseIntMatrix.from_dense(rows, m.ncols + 1))  # noqa: E731
+            rank_of = lambda rows: _rank_fraction_oracle(from_dense(rows, m.ncols + 1))  # noqa: E731
         r = rank_of([row + [0] for row in dense])
         expected = [rank_of([row + [x] for row, x in zip(dense, b)]) == r for b in probes]
         assert space.members(_sparse(b) for b in probes) == expected, (dense, f)
@@ -580,7 +581,7 @@ def test_vector_span_add_matches_extend():
         # at 2^31 - 1, rank * (p-1)^2 passes 2^63 from rank 2 on
         for f in [FieldSpec.prime(p) for p in ORACLE_PRIMES + (2_147_483_647,)] + [QF]:
             one, batch = VectorSpan(m.ncols, f), VectorSpan(m.ncols, f)
-            rows = m.to_dense()
+            rows = to_dense(m)
             for row in rows:
                 one.extend([_sparse(row)])
             batch.extend([_sparse(row) for row in rows])
@@ -664,8 +665,8 @@ def test_rational_membership_of_a_vector_at_index_zero():
     assert not span.contains([5, 0, 0])
     assert span.contains([0, 3, -1])
     assert not span.contains([1, 1, 1])
-    assert ColumnSpace(SparseIntMatrix.from_dense([[0], [1]]), QF).contains([0, 7])
-    assert not ColumnSpace(SparseIntMatrix.from_dense([[0], [1]]), QF).contains([7, 0])
+    assert ColumnSpace(from_dense([[0], [1]]), QF).contains([0, 7])
+    assert not ColumnSpace(from_dense([[0], [1]]), QF).contains([7, 0])
 
 
 def _fraction_free_rows_oracle(vecs, length):
@@ -700,7 +701,7 @@ def test_fraction_free_rows_match_a_fraction_oracle():
     rng = random.Random(79)
     for m in _oracle_cases(rng):
         span = VectorSpan(m.ncols, QF)
-        rows = m.to_dense()
+        rows = to_dense(m)
         span.extend([_sparse(row) for row in rows])
         assert _dense_rows(span) == _fraction_free_rows_oracle(rows, m.ncols)
     for nr, nc in ((12, 9), (9, 12), (20, 20)):

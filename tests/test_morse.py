@@ -14,7 +14,6 @@ from koszul import complex, exactla
 from koszul.combinatorics import (
     ExponentVec,
     RingParams,
-    divides,
     monomial_table,
     orbit_size,
     partitions_into,
@@ -31,6 +30,7 @@ from koszul.complex import (
 )
 from koszul.exactla import SparseIntMatrix, elementary_divisors, rank_fraction_free, rank_mod_p
 from koszul.homology import homology_vector, proves_rational
+from oracles import divides, to_dense
 
 PRIMES = (2, 3, 32003)
 
@@ -100,7 +100,7 @@ def raw(params, t, alpha) -> SparseIntMatrix:
 
 
 def product(a: SparseIntMatrix, b: SparseIntMatrix) -> list[list[int]]:
-    A, B = a.to_dense(), b.to_dense()
+    A, B = to_dense(a), to_dense(b)
     return [
         [sum(A[i][k] * B[k][j] for k in range(a.ncols)) for j in range(b.ncols)]
         for i in range(a.nrows)
